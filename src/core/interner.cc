@@ -1,11 +1,10 @@
 #include "src/core/interner.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <string>
 
 #include "src/common/hash.h"
 #include "src/common/sync.h"
-#include "src/core/order.h"
 #include "src/obs/metrics.h"
 
 namespace xst {
@@ -19,22 +18,17 @@ constexpr uint64_t kSymbolTag = 0x5e7a9b3c1d2e4f60ULL;
 constexpr uint64_t kStringTag = 0x0df1ab7e6c5d4b3aULL;
 constexpr uint64_t kSetTag = 0x9d3c2b1a0f8e7d6cULL;
 
-// New-node counters (miss-path only: one relaxed RMW per allocation, noise
-// next to the node allocation itself). Find hits are deliberately uncounted
-// to keep the hot path untouched.
-obs::Counter& AtomInserts() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter("interner.atom_inserts");
-  return c;
+// Arena size gauges (miss path only: the relaxed RMWs sit beside a node
+// allocation). Hits are deliberately unmeasured to keep them untouched.
+obs::Gauge& NodesGauge() {
+  static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(internal::kInternerNodesGauge);
+  return g;
 }
 
-obs::Counter& SetInserts() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter("interner.set_inserts");
-  return c;
+obs::Gauge& BytesGauge() {
+  static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(internal::kInternerBytesGauge);
+  return g;
 }
-
-uint64_t HashIntAtom(int64_t v) { return HashCombine(kIntTag, static_cast<uint64_t>(v)); }
-uint64_t HashSymbolAtom(std::string_view s) { return HashCombine(kSymbolTag, HashString(s)); }
-uint64_t HashStringAtom(std::string_view s) { return HashCombine(kStringTag, HashString(s)); }
 
 uint64_t HashSetNode(const std::vector<Membership>& members) {
   uint64_t h = HashCombine(kSetTag, members.size());
@@ -45,46 +39,109 @@ uint64_t HashSetNode(const std::vector<Membership>& members) {
   return h;
 }
 
-// Heterogeneous set-table key: either an interned node or a candidate
-// (hash + canonical member list) that has not been interned yet.
-struct SetKeyView {
-  uint64_t hash;
-  const std::vector<Membership>* members;
-};
-
-struct SetTableHash {
-  using is_transparent = void;
-  size_t operator()(const internal::Node* n) const { return n->hash; }
-  size_t operator()(const SetKeyView& k) const { return k.hash; }
-};
-
-bool SameMembers(const std::vector<Membership>& a, const std::vector<Membership>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!(a[i] == b[i])) return false;  // pointer equality on interned children
-  }
-  return true;
+// A lookup key: a node holding only a kind and its payload, shaped as an
+// atom or ∅. Interning moves a missed key into the arena as the new node.
+internal::Node Key(NodeKind kind) {
+  internal::Node key{};
+  key.kind = kind;
+  key.tree_size = 1;
+  return key;
 }
 
-struct SetTableEq {
-  using is_transparent = void;
-  bool operator()(const internal::Node* a, const internal::Node* b) const { return a == b; }
-  bool operator()(const SetKeyView& k, const internal::Node* n) const {
-    return k.hash == n->hash && SameMembers(*k.members, n->members);
+internal::Node IntKey(int64_t v) {
+  internal::Node key = Key(NodeKind::kInt);
+  key.int_value = v;
+  return key;
+}
+
+internal::Node TextKey(NodeKind kind, std::string_view text) {
+  internal::Node key = Key(kind);
+  key.str_value = std::string(text);
+  return key;
+}
+
+// Same kind and payload; members compare by child pointer, as children are
+// interned.
+bool SameKey(const internal::Node& a, const internal::Node& b) {
+  if (a.kind != b.kind) return false;
+  switch (a.kind) {
+    case NodeKind::kInt:
+      return a.int_value == b.int_value;
+    case NodeKind::kSymbol:
+    case NodeKind::kString:
+      return a.str_value == b.str_value;
+    case NodeKind::kSet:
+      return a.members == b.members;
   }
-  bool operator()(const internal::Node* n, const SetKeyView& k) const {
-    return (*this)(k, n);
-  }
+  return false;
+}
+
+// Heap bytes one node owns: its header, its member array, and text too long
+// for the small-string buffer.
+size_t NodeBytes(const internal::Node& n) {
+  size_t bytes = sizeof(internal::Node) + n.members.capacity() * sizeof(Membership);
+  if (n.str_value.capacity() > std::string().capacity()) bytes += n.str_value.capacity() + 1;
+  return bytes;
+}
+
+// One open-addressing slot. The hash sits inline, so a probe dereferences
+// only a node whose full 64-bit hash matches. A null node marks an empty
+// slot; nodes are immortal, so nothing is erased and there are no
+// tombstones.
+struct Slot {
+  uint64_t hash = 0;
+  const internal::Node* node = nullptr;
 };
+
+constexpr size_t kInitialSlots = 256;  // per shard; a power of two
 
 }  // namespace
 
-struct Interner::Shard {
+// A shard's nodes of every kind share one linear-probing table. The top
+// kShardBits of a hash pick the shard and its low bits the home slot.
+struct alignas(64) Interner::Shard {
   Mutex shard_mu XST_LOCK_RANK(60);
-  std::unordered_map<int64_t, const internal::Node*> ints XST_GUARDED_BY(shard_mu);
-  std::unordered_map<std::string, const internal::Node*> symbols XST_GUARDED_BY(shard_mu);
-  std::unordered_map<std::string, const internal::Node*> strings XST_GUARDED_BY(shard_mu);
-  std::unordered_set<const internal::Node*, SetTableHash, SetTableEq> sets XST_GUARDED_BY(shard_mu);
+  // Power-of-two size, at most half full.
+  std::vector<Slot> slots XST_GUARDED_BY(shard_mu) = std::vector<Slot>(kInitialSlots);
+  size_t used XST_GUARDED_BY(shard_mu) = 0;
+
+  // The interned node with `key`'s kind and payload, or nullptr.
+  const internal::Node* Find(uint64_t hash, const internal::Node& key) const
+      XST_REQUIRES(shard_mu) {
+    const size_t mask = slots.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots[i];
+      if (slot.node == nullptr) return nullptr;
+      if (slot.hash == hash && SameKey(*slot.node, key)) return slot.node;
+    }
+  }
+
+  // Adds `n`, which Find just missed, doubling the table first if the
+  // insert would leave it more than half full.
+  void Insert(const internal::Node* n) XST_REQUIRES(shard_mu) {
+    if (2 * (used + 1) > slots.size()) Grow();
+    Place(Slot{n->hash, n});
+    ++used;
+    NodesGauge().Add(1);
+    BytesGauge().Add(static_cast<int64_t>(NodeBytes(*n)));
+  }
+
+  void Place(Slot s) XST_REQUIRES(shard_mu) {
+    const size_t mask = slots.size() - 1;
+    size_t i = s.hash & mask;
+    while (slots[i].node != nullptr) i = (i + 1) & mask;
+    slots[i] = s;
+  }
+
+  // Re-places every slot by its stored hash; no node is touched.
+  void Grow() XST_REQUIRES(shard_mu) {
+    std::vector<Slot> old(2 * slots.size());
+    old.swap(slots);
+    for (const Slot& s : old) {
+      if (s.node != nullptr) Place(s);
+    }
+    BytesGauge().Add(static_cast<int64_t>(old.size() * sizeof(Slot)));
+  }
 };
 
 Interner& Interner::Global() {
@@ -92,31 +149,12 @@ Interner& Interner::Global() {
   return *instance;
 }
 
-Interner::Interner() {
-  shards_ = new Shard[kNumShards];
-  {
-    auto* n = new internal::Node();
-    n->kind = NodeKind::kSet;
-    n->hash = HashSetNode({});
-    n->depth = 0;
-    n->tree_size = 1;
-    empty_ = n;
-    Shard& shard = ShardFor(n->hash);
-    MutexLock lock(&shard.shard_mu);
-    shard.sets.insert(n);
-  }
+Interner::Interner() : shards_(new Shard[kNumShards]) {
+  BytesGauge().Add(static_cast<int64_t>(kNumShards * kInitialSlots * sizeof(Slot)));
+  empty_ = Intern(Key(NodeKind::kSet));
   small_ints_.resize(static_cast<size_t>(kSmallIntMax - kSmallIntMin + 1));
   for (int64_t v = kSmallIntMin; v <= kSmallIntMax; ++v) {
-    auto* n = new internal::Node();
-    n->kind = NodeKind::kInt;
-    n->hash = HashIntAtom(v);
-    n->depth = 0;
-    n->tree_size = 1;
-    n->int_value = v;
-    small_ints_[static_cast<size_t>(v - kSmallIntMin)] = n;
-    Shard& shard = ShardFor(n->hash);
-    MutexLock lock(&shard.shard_mu);
-    shard.ints.emplace(v, n);
+    small_ints_[static_cast<size_t>(v - kSmallIntMin)] = Intern(IntKey(v));
   }
 }
 
@@ -124,115 +162,46 @@ Interner::Shard& Interner::ShardFor(uint64_t hash) const {
   return shards_[(hash >> (64 - kShardBits)) & (kNumShards - 1)];
 }
 
+const internal::Node* Interner::Intern(internal::Node key) {
+  key.hash = internal::ComputeNodeHash(key);
+  Shard& shard = ShardFor(key.hash);
+  MutexLock lock(&shard.shard_mu);
+  if (const internal::Node* hit = shard.Find(key.hash, key)) return hit;
+  auto* n = new internal::Node(std::move(key));
+  for (const Membership& m : n->members) {
+    n->depth = std::max(n->depth, 1 + std::max(m.element.depth(), m.scope.depth()));
+    n->tree_size += m.element.tree_size() + m.scope.tree_size();
+  }
+  shard.Insert(n);
+  return n;
+}
+
 const internal::Node* Interner::Int(int64_t v) {
   if (v >= kSmallIntMin && v <= kSmallIntMax) {
     return small_ints_[static_cast<size_t>(v - kSmallIntMin)];
   }
-  uint64_t h = HashIntAtom(v);
-  Shard& shard = ShardFor(h);
-  MutexLock lock(&shard.shard_mu);
-  auto it = shard.ints.find(v);
-  if (it != shard.ints.end()) return it->second;
-  auto* n = new internal::Node();
-  n->kind = NodeKind::kInt;
-  n->hash = h;
-  n->depth = 0;
-  n->tree_size = 1;
-  n->int_value = v;
-  shard.ints.emplace(v, n);
-  AtomInserts().Increment();
-  return n;
+  return Intern(IntKey(v));
 }
 
 const internal::Node* Interner::Symbol(std::string_view name) {
-  uint64_t h = HashSymbolAtom(name);
-  Shard& shard = ShardFor(h);
-  MutexLock lock(&shard.shard_mu);
-  auto it = shard.symbols.find(std::string(name));
-  if (it != shard.symbols.end()) return it->second;
-  auto* n = new internal::Node();
-  n->kind = NodeKind::kSymbol;
-  n->hash = h;
-  n->depth = 0;
-  n->tree_size = 1;
-  n->str_value = std::string(name);
-  shard.symbols.emplace(n->str_value, n);
-  AtomInserts().Increment();
-  return n;
+  return Intern(TextKey(NodeKind::kSymbol, name));
 }
 
 const internal::Node* Interner::String(std::string_view text) {
-  uint64_t h = HashStringAtom(text);
-  Shard& shard = ShardFor(h);
-  MutexLock lock(&shard.shard_mu);
-  auto it = shard.strings.find(std::string(text));
-  if (it != shard.strings.end()) return it->second;
-  auto* n = new internal::Node();
-  n->kind = NodeKind::kString;
-  n->hash = h;
-  n->depth = 0;
-  n->tree_size = 1;
-  n->str_value = std::string(text);
-  shard.strings.emplace(n->str_value, n);
-  AtomInserts().Increment();
-  return n;
+  return Intern(TextKey(NodeKind::kString, text));
 }
 
 const internal::Node* Interner::Set(std::vector<Membership> members) {
-  if (members.empty()) return empty_;
-  uint64_t h = HashSetNode(members);
+  internal::Node key = Key(NodeKind::kSet);
+  key.members = std::move(members);
+  return Intern(std::move(key));
+}
+
+const internal::Node* Interner::Find(const internal::Node& key) const {
+  const uint64_t h = internal::ComputeNodeHash(key);
   Shard& shard = ShardFor(h);
   MutexLock lock(&shard.shard_mu);
-  auto it = shard.sets.find(SetKeyView{h, &members});
-  if (it != shard.sets.end()) return *it;
-  auto* n = new internal::Node();
-  n->kind = NodeKind::kSet;
-  n->hash = h;
-  uint32_t depth = 0;
-  uint64_t tree_size = 1;
-  for (const Membership& m : members) {
-    depth = std::max(depth, std::max(m.element.depth(), m.scope.depth()));
-    tree_size += m.element.tree_size() + m.scope.tree_size();
-  }
-  n->depth = depth + 1;
-  n->tree_size = tree_size;
-  n->members = std::move(members);
-  shard.sets.insert(n);
-  SetInserts().Increment();
-  return n;
-}
-
-const internal::Node* Interner::FindInt(int64_t v) const {
-  if (v >= kSmallIntMin && v <= kSmallIntMax) {
-    return small_ints_[static_cast<size_t>(v - kSmallIntMin)];
-  }
-  Shard& shard = ShardFor(HashIntAtom(v));
-  MutexLock lock(&shard.shard_mu);
-  auto it = shard.ints.find(v);
-  return it != shard.ints.end() ? it->second : nullptr;
-}
-
-const internal::Node* Interner::FindSymbol(std::string_view name) const {
-  Shard& shard = ShardFor(HashSymbolAtom(name));
-  MutexLock lock(&shard.shard_mu);
-  auto it = shard.symbols.find(std::string(name));
-  return it != shard.symbols.end() ? it->second : nullptr;
-}
-
-const internal::Node* Interner::FindString(std::string_view text) const {
-  Shard& shard = ShardFor(HashStringAtom(text));
-  MutexLock lock(&shard.shard_mu);
-  auto it = shard.strings.find(std::string(text));
-  return it != shard.strings.end() ? it->second : nullptr;
-}
-
-const internal::Node* Interner::FindSet(const std::vector<Membership>& members) const {
-  if (members.empty()) return empty_;
-  uint64_t h = HashSetNode(members);
-  Shard& shard = ShardFor(h);
-  MutexLock lock(&shard.shard_mu);
-  auto it = shard.sets.find(SetKeyView{h, &members});
-  return it != shard.sets.end() ? *it : nullptr;
+  return shard.Find(h, key);
 }
 
 std::vector<const internal::Node*> Interner::SnapshotNodes() const {
@@ -240,10 +209,9 @@ std::vector<const internal::Node*> Interner::SnapshotNodes() const {
   for (int i = 0; i < kNumShards; ++i) {
     Shard& shard = shards_[i];
     MutexLock lock(&shard.shard_mu);
-    for (const auto& [v, n] : shard.ints) nodes.push_back(n);
-    for (const auto& [s, n] : shard.symbols) nodes.push_back(n);
-    for (const auto& [s, n] : shard.strings) nodes.push_back(n);
-    for (const internal::Node* n : shard.sets) nodes.push_back(n);
+    for (const Slot& s : shard.slots) {
+      if (s.node != nullptr) nodes.push_back(s.node);
+    }
   }
   return nodes;
 }
@@ -253,11 +221,11 @@ namespace internal {
 uint64_t ComputeNodeHash(const Node& n) {
   switch (n.kind) {
     case NodeKind::kInt:
-      return HashIntAtom(n.int_value);
+      return HashCombine(kIntTag, static_cast<uint64_t>(n.int_value));
     case NodeKind::kSymbol:
-      return HashSymbolAtom(n.str_value);
+      return HashCombine(kSymbolTag, HashString(n.str_value));
     case NodeKind::kString:
-      return HashStringAtom(n.str_value);
+      return HashCombine(kStringTag, HashString(n.str_value));
     case NodeKind::kSet:
       return HashSetNode(n.members);
   }
@@ -271,10 +239,14 @@ InternerStats Interner::GetStats() const {
   for (int i = 0; i < kNumShards; ++i) {
     Shard& shard = shards_[i];
     MutexLock lock(&shard.shard_mu);
-    stats.atom_count += shard.ints.size() + shard.symbols.size() + shard.strings.size();
-    stats.set_count += shard.sets.size();
-    for (const internal::Node* n : shard.sets) {
-      stats.membership_count += n->members.size();
+    for (const Slot& s : shard.slots) {
+      if (s.node == nullptr) continue;
+      if (s.node->kind == NodeKind::kSet) {
+        ++stats.set_count;
+        stats.membership_count += s.node->members.size();
+      } else {
+        ++stats.atom_count;
+      }
     }
   }
   return stats;

@@ -7,9 +7,22 @@
 // here, never, which is the right trade for a value system whose handles may
 // be stored anywhere, including the buffer pool and user code).
 //
-// Thread safety: fully thread-safe. The table is sharded 16 ways by hash and
-// each shard takes a short mutex; a lock-free fast path serves small integer
-// atoms, which dominate tuple-heavy workloads (tuple scopes are 1..n).
+// Layout: the arena is sharded 16 ways by the top bits of a node's hash.
+// Each shard holds all its nodes, of every kind, in one power-of-two
+// open-addressing table of {hash, node*} slots, probed linearly from the
+// hash's low bits and doubled before it passes half full. A probe compares
+// inline hashes and dereferences only a node whose hash matches, to confirm
+// its kind and key. Re-interning a value that already exists (what every
+// store decode does) is therefore one lock, a short run of slots and a read
+// of the matching node.
+//
+// Thread safety: fully thread-safe. Each shard's table is guarded by a short
+// mutex, held for probes and growth alike; a lock-free fast path serves
+// small integer atoms, which dominate tuple-heavy workloads (tuple scopes
+// are 1..n).
+//
+// Metrics: the `interner.nodes` and `interner.bytes` gauges move only when
+// a value is interned for the first time.
 
 #pragma once
 
@@ -48,20 +61,12 @@ class Interner {
   /// \brief The unique ∅ node.
   const internal::Node* EmptySet() const { return empty_; }
 
-  // -- Lookup-only queries (never intern) -------------------------------------
-  //
-  // Used by the structural validator (core/validate.cc) to test hash-consing
-  // coherence without perturbing the arena: a well-formed node must be
-  // pointer-equal to the node these return for its own key.
-
-  /// \brief The interned node for the integer atom `v`, or nullptr.
-  const internal::Node* FindInt(int64_t v) const;
-  /// \brief The interned node for the symbol `name`, or nullptr.
-  const internal::Node* FindSymbol(std::string_view name) const;
-  /// \brief The interned node for the string `text`, or nullptr.
-  const internal::Node* FindString(std::string_view text) const;
-  /// \brief The interned node for the canonical member list, or nullptr.
-  const internal::Node* FindSet(const std::vector<Membership>& members) const;
+  /// \brief Lookup only (never interns): the interned node with `key`'s
+  /// kind and payload (int value, text, or member list), found under the
+  /// hash recomputed from them, or nullptr. The structural validator
+  /// (core/validate.cc) passes a node itself, which must come back
+  /// pointer-equal if hash-consing is coherent.
+  const internal::Node* Find(const internal::Node& key) const;
 
   /// \brief Every interned node, copied out shard by shard. Safe to use
   /// without locks afterwards: nodes are immutable and immortal. New nodes
@@ -79,6 +84,9 @@ class Interner {
   static constexpr int kShardBits = 4;
   static constexpr int kNumShards = 1 << kShardBits;
   Shard& ShardFor(uint64_t hash) const;
+  // The interned node with `key`'s kind and payload; on a miss, `key`
+  // itself moves into the arena.
+  const internal::Node* Intern(internal::Node key);
 
   // Lock-free cache for the hottest atoms: tuple ordinals and small ints.
   static constexpr int64_t kSmallIntMin = -16;
@@ -90,6 +98,11 @@ class Interner {
 };
 
 namespace internal {
+
+/// \brief Registry gauges sizing the arena: live nodes, and bytes held by
+/// node headers, payloads and slot tables (allocator overhead excluded).
+inline constexpr const char* kInternerNodesGauge = "interner.nodes";
+inline constexpr const char* kInternerBytesGauge = "interner.bytes";
 
 /// \brief Recomputes the structural hash of `n` from its payload / children,
 /// exactly as interning would. A node whose stored hash disagrees with this

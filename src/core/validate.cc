@@ -86,22 +86,7 @@ Status CheckNodeShape(const internal::Node* n) {
 // Hash-consing coherence for one node: the arena's canonical node for this
 // node's structural key must be this node itself.
 Status CheckNodeInterned(const internal::Node* n) {
-  const Interner& interner = Interner::Global();
-  const internal::Node* canon = nullptr;
-  switch (n->kind) {
-    case NodeKind::kInt:
-      canon = interner.FindInt(n->int_value);
-      break;
-    case NodeKind::kSymbol:
-      canon = interner.FindSymbol(n->str_value);
-      break;
-    case NodeKind::kString:
-      canon = interner.FindString(n->str_value);
-      break;
-    case NodeKind::kSet:
-      canon = interner.FindSet(n->members);
-      break;
-  }
+  const internal::Node* canon = Interner::Global().Find(*n);
   if (canon == nullptr) {
     return Status::Corruption("node not interned (foreign to the arena): " + Describe(n));
   }

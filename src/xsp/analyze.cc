@@ -67,6 +67,8 @@ std::string NodeLabel(const Expr& expr) {
       return "RelProduct";
     case ExprKind::kClosure:
       return "Closure";
+    case ExprKind::kRange:
+      return "Range";
     case ExprKind::kLiteral:
     case ExprKind::kNamed:
       break;

@@ -224,6 +224,20 @@ Bindings PaperBindings() {
   };
 }
 
+// Σ self time over the plan tree, which telescopes to the root's inclusive
+// time.
+uint64_t SelfTimeSum(const xsp::AnalyzeResult& run) {
+  uint64_t sum = 0;
+  std::vector<const xsp::AnalyzeNode*> work{&run.root};
+  while (!work.empty()) {
+    const xsp::AnalyzeNode* node = work.back();
+    work.pop_back();
+    sum += node->self_wall_ns;
+    for (const xsp::AnalyzeNode& child : node->children) work.push_back(&child);
+  }
+  return sum;
+}
+
 TEST(ExplainAnalyze, MatchesEvalStatsOnPaperExamples) {
   Bindings env = PaperBindings();
   std::vector<ExprPtr> plans;
@@ -309,17 +323,26 @@ TEST(ExplainAnalyze, ComposedPlanMaterializesNothing) {
 
   // Per-node self times partition the query total (within 10%).
   for (const xsp::AnalyzeResult* run : {&staged_run, &composed_run}) {
-    uint64_t self_sum = 0;
-    std::vector<const xsp::AnalyzeNode*> work{&run->root};
-    while (!work.empty()) {
-      const xsp::AnalyzeNode* node = work.back();
-      work.pop_back();
-      self_sum += node->self_wall_ns;
-      for (const xsp::AnalyzeNode& child : node->children) work.push_back(&child);
-    }
+    const uint64_t self_sum = SelfTimeSum(*run);
     EXPECT_GE(self_sum, run->total_wall_ns - run->total_wall_ns / 10);
     EXPECT_LE(self_sum, run->total_wall_ns + run->total_wall_ns / 10);
   }
+}
+
+// A range node is labelled by its operator. Rendering it instead would
+// print the large literal beneath it after the root's exit timestamp, time
+// that lands in the total but in no node's window.
+TEST(ExplainAnalyze, RangeNodeLabelledByOperator) {
+  std::vector<XSet> ints;
+  for (int i = 0; i < 20000; ++i) ints.push_back(XSet::Int(i));
+  ExprPtr plan =
+      Expr::Range(Expr::Literal(XSet::Classical(ints)), XSet::Int(100), XSet::Int(400));
+  xsp::AnalyzeResult run = *xsp::ExplainAnalyze(plan, Bindings{});
+  EXPECT_EQ(run.root.op, "Range");
+  EXPECT_EQ(run.value.cardinality(), 301u);
+  const uint64_t self_sum = SelfTimeSum(run);
+  EXPECT_GE(self_sum, run.total_wall_ns - run.total_wall_ns / 10);
+  EXPECT_LE(self_sum, run.total_wall_ns);
 }
 
 TEST(RescopeStats, ResetGivesIdenticalPerQueryHitCounts) {

@@ -10,7 +10,7 @@
 //   xstctl <store> verify <script-file> compile + statically verify a script
 //   xstctl <store> scrub                verify every blob end to end
 //   xstctl <store> compact              reclaim dead pages
-//   xstctl <store> stats                page/pool statistics
+//   xstctl <store> stats                page/pool/interner statistics
 //   xstctl <store> catalog              dump the catalog (itself a set)
 //   xstctl <store> dump_metrics         process metrics registry as JSON
 //
@@ -27,6 +27,7 @@
 #include <string>
 #include <utility>
 
+#include "src/core/interner.h"
 #include "src/core/parse.h"
 #include "src/obs/metrics.h"
 #include "src/store/cursor.h"
@@ -339,6 +340,11 @@ int main(int argc, char** argv) {
                 (unsigned long long)registry
                     .GetCounter(internal::kPagerLatchContentionCounter)
                     .value());
+    // Arena size: the value system's startup atoms plus everything this
+    // invocation decoded (opening the store reads its catalog).
+    std::printf("interner:   %lld nodes, %lld KiB\n",
+                (long long)registry.GetGauge(internal::kInternerNodesGauge).value(),
+                (long long)(registry.GetGauge(internal::kInternerBytesGauge).value() / 1024));
     // Durability state: how much un-checkpointed history the log segment
     // holds (bounds crash-recovery replay) and where the durable horizon is.
     const WalStats wal = store.wal_stats();
