@@ -184,7 +184,7 @@ BENCHMARK(BM_XstSelectIn)->Arg(4)->Arg(64)->Arg(512);
 void BM_RecordSelectIn(benchmark::State& state) {
   auto orders = rel::MakeOrders(SpecFor(1 << 15, 0));
   std::vector<rel::RowValue> keys;
-  for (int64_t k = 0; k < state.range(0); ++k) keys.push_back(k);
+  for (int64_t k = 0; k < state.range(0); ++k) keys.emplace_back(k);
   for (auto _ : state) {
     auto it = rel::MakeFilterIn(rel::MakeScan(&orders->rows), 1, keys);
     benchmark::DoNotOptimize(rel::Execute(it.get()));

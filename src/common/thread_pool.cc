@@ -111,6 +111,15 @@ bool ThreadPool::InWorker() { return tls_in_worker; }
 void ThreadPool::ParallelFor(size_t n, size_t min_chunk,
                              const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return;
+  const size_t chunks = PlanChunks(n, min_chunk);
+  if (chunks == 1) {
+    body(0, n);
+    return;
+  }
+  RunChunks(n, chunks, [&body](size_t, size_t begin, size_t end) { body(begin, end); });
+}
+
+size_t ThreadPool::PlanChunks(size_t n, size_t min_chunk) {
   if (min_chunk == 0) min_chunk = 1;
   const size_t max_chunks = (n + min_chunk - 1) / min_chunk;
   // Inline when there is nothing to split across, the range is a single
@@ -119,12 +128,15 @@ void ThreadPool::ParallelFor(size_t n, size_t min_chunk,
   ParallelForCalls().Increment();
   if (parallelism <= 1 || max_chunks <= 1 || tls_in_worker) {
     ParallelForInline().Increment();
-    body(0, n);
-    return;
+    return 1;
   }
   // 4 chunks per participant smooths over uneven chunk costs without
   // shrinking chunks below the grain.
-  const size_t num_chunks = std::min(max_chunks, parallelism * 4);
+  return std::min(max_chunks, parallelism * 4);
+}
+
+void ThreadPool::RunChunks(size_t n, size_t num_chunks,
+                           const std::function<void(size_t, size_t, size_t)>& body) {
   const size_t chunk = (n + num_chunks - 1) / num_chunks;
 
   struct Shared {
@@ -145,7 +157,7 @@ void ThreadPool::ParallelFor(size_t n, size_t min_chunk,
       try {
         if (begin < end) {
           (tls_in_worker ? WorkerChunks() : CallerChunks()).Increment();
-          body(begin, end);
+          body(c, begin, end);
         }
       } catch (...) {
         MutexLock lock(&shared->region_mu);

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "src/core/xset.h"
 
@@ -30,6 +31,13 @@ int CompareMembership(const Membership& a, const Membership& b);
 /// XSet::FromSortedMembers must satisfy this; pair the call with
 /// `XST_DCHECK(IsCanonicalMemberList(...))` (enforced by tools/xst_lint.py).
 bool IsCanonicalMemberList(std::span<const Membership> members);
+
+/// \brief Puts v[from..) in canonical form in place: sort under
+/// CompareMembership, then drop duplicates. The one sort+dedup every
+/// producer uses (XSet::FromMembers, the span kernels, the relative
+/// product's key projections). Already-ordered input costs one linear scan;
+/// tails of 8k members or more sort on the global thread pool.
+void CanonicalizeMembers(std::vector<Membership>* v, size_t from = 0);
 
 /// \brief Structural strict-less (usable as a std comparator).
 inline bool Less(const XSet& a, const XSet& b) { return Compare(a, b) < 0; }

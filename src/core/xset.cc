@@ -3,65 +3,11 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/common/thread_pool.h"
 #include "src/core/interner.h"
 #include "src/core/order.h"
 #include "src/core/print.h"
 
 namespace xst {
-
-namespace {
-
-// A functor (not a function) so sort/merge instantiate with an inlinable
-// comparator instead of an opaque function pointer.
-struct MembershipLess {
-  bool operator()(const Membership& a, const Membership& b) const {
-    return CompareMembership(a, b) < 0;
-  }
-};
-
-// Below this size the serial sort wins over any splitting overhead.
-constexpr size_t kParallelSortMin = size_t{1} << 13;
-
-// Canonicalization sort. Large inputs run a merge sort whose chunk sorts and
-// merge levels execute on the global pool; comparisons are deep structural
-// compares, so the sort dominates canonicalization cost for fresh data.
-void SortMembers(std::vector<Membership>* members) {
-  const size_t n = members->size();
-  // Producers that emit in carrier order (joins, order-preserving filters)
-  // hand over already-sorted data; the linear scan is far cheaper than the
-  // n·log n deep compares a redundant sort would spend.
-  if (std::is_sorted(members->begin(), members->end(), MembershipLess{})) return;
-  ThreadPool& pool = ThreadPool::Global();
-  if (n < kParallelSortMin || pool.size() == 0 || ThreadPool::InWorker()) {
-    std::sort(members->begin(), members->end(), MembershipLess{});
-    return;
-  }
-  // Power-of-two chunk count keeps the merge tree regular.
-  size_t chunks = 1;
-  while (chunks < pool.size() + 1) chunks <<= 1;
-  const size_t chunk_size = (n + chunks - 1) / chunks;
-  auto begin_of = [&](size_t c) { return std::min(n, c * chunk_size); };
-  pool.ParallelFor(chunks, 1, [&](size_t lo, size_t hi) {
-    for (size_t c = lo; c < hi; ++c) {
-      std::sort(members->begin() + begin_of(c), members->begin() + begin_of(c + 1),
-                MembershipLess{});
-    }
-  });
-  for (size_t width = 1; width < chunks; width *= 2) {
-    const size_t pairs = chunks / (2 * width);
-    pool.ParallelFor(pairs, 1, [&](size_t lo, size_t hi) {
-      for (size_t p = lo; p < hi; ++p) {
-        auto first = members->begin() + begin_of(2 * p * width);
-        auto mid = members->begin() + begin_of(2 * p * width + width);
-        auto last = members->begin() + begin_of(2 * p * width + 2 * width);
-        std::inplace_merge(first, mid, last, MembershipLess{});
-      }
-    });
-  }
-}
-
-}  // namespace
 
 XSet::XSet() : node_(Interner::Global().EmptySet()) {}
 
@@ -74,8 +20,7 @@ XSet XSet::Symbol(std::string_view name) { return XSet(Interner::Global().Symbol
 XSet XSet::String(std::string_view text) { return XSet(Interner::Global().String(text)); }
 
 XSet XSet::FromMembers(std::vector<Membership> members) {
-  SortMembers(&members);
-  members.erase(std::unique(members.begin(), members.end()), members.end());
+  CanonicalizeMembers(&members);
   return XSet(Interner::Global().Set(std::move(members)));
 }
 

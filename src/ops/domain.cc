@@ -1,38 +1,18 @@
 #include "src/ops/domain.h"
 
-
 #include "src/common/check.h"
-#include "src/common/sync.h"
-#include "src/common/thread_pool.h"
+#include "src/core/order.h"
 #include "src/obs/trace.h"
-#include "src/ops/rescope.h"
+#include "src/ops/span_kernels.h"
 
 namespace xst {
 
 XSet SigmaDomain(const XSet& r, const XSet& sigma) {
   XST_TRACE_SPAN("op.sigma_domain");
-  // Each member re-scopes independently; re-scoping permutes elements, so
-  // chunk outputs are unordered and canonicalization re-sorts at the end.
-  auto ms = r.members();
   std::vector<Membership> out;
-  out.reserve(ms.size());
-  Mutex merge_mu XST_LOCK_RANK(40);
-  ParallelFor(ms.size(), /*min_chunk=*/1024, [&](size_t lo, size_t hi) {
-    const bool solo = lo == 0 && hi == ms.size();  // single-chunk inline path
-    std::vector<Membership> local_storage;
-    std::vector<Membership>& dest = solo ? out : local_storage;
-    dest.reserve(hi - lo);
-    for (size_t i = lo; i < hi; ++i) {
-      XSet x = RescopeByScope(ms[i].element, sigma);
-      if (x.empty()) continue;  // the definition requires z^{/σ/} ≠ ∅
-      XSet s = RescopeByScope(ms[i].scope, sigma);
-      dest.push_back(Membership{x, s});
-    }
-    if (solo) return;
-    MutexLock lock(&merge_mu);
-    out.insert(out.end(), local_storage.begin(), local_storage.end());
-  });
-  return XST_VALIDATE(XSet::FromMembers(std::move(out)));
+  DomainSpans(r.members(), sigma, &out);
+  XST_DCHECK(IsCanonicalMemberList(out));
+  return XST_VALIDATE(XSet::FromSortedMembers(std::move(out)));
 }
 
 }  // namespace xst

@@ -1,9 +1,9 @@
 #include "src/ops/image.h"
 
 #include "src/common/check.h"
+#include "src/core/order.h"
 #include "src/obs/trace.h"
-#include "src/ops/domain.h"
-#include "src/ops/restrict.h"
+#include "src/ops/span_kernels.h"
 #include "src/ops/tuple.h"
 
 namespace xst {
@@ -27,7 +27,11 @@ Result<Sigma> Sigma::FromXSet(const XSet& pair) {
 
 XSet Image(const XSet& r, const XSet& a, const Sigma& sigma) {
   XST_TRACE_SPAN("op.image");
-  return XST_VALIDATE(SigmaDomain(SigmaRestrict(r, sigma.s1, a), sigma.s2));
+  // 𝔇_σ₂(R |_σ₁ A) in one fused pass: the restriction is never interned.
+  std::vector<Membership> out;
+  ImageSpans(r.members(), sigma, a.members(), &out);
+  XST_DCHECK(IsCanonicalMemberList(out));
+  return XST_VALIDATE(XSet::FromSortedMembers(std::move(out)));
 }
 
 XSet ImageStd(const XSet& r, const XSet& a) { return Image(r, a, Sigma::Std()); }

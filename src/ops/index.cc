@@ -1,49 +1,31 @@
 #include "src/ops/index.h"
 
-#include <map>
-
 #include "src/common/check.h"
-#include "src/common/sync.h"
-#include "src/common/hash.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/trace.h"
-#include "src/ops/domain.h"
 #include "src/ops/rescope.h"
-#include "src/ops/restrict.h"
 
 namespace xst {
-
-size_t ImageIndex::KeyHash::operator()(const Membership& m) const {
-  return static_cast<size_t>(HashCombine(m.element.hash(), m.scope.hash()));
-}
 
 ImageIndex::ImageIndex(XSet r, Sigma sigma) : r_(std::move(r)), sigma_(std::move(sigma)) {
   XST_TRACE_SPAN("op.image_index.build");
   // Build in parallel: per-chunk local buckets, merged in chunk order so the
   // per-key posting lists keep the carrier's canonical order.
   auto ms = r_.members();
-  using Buckets = std::unordered_map<Membership, std::vector<Membership>, KeyHash, KeyEq>;
-  Mutex merge_mu XST_LOCK_RANK(40);
-  std::map<size_t, Buckets> parts;  // keyed by chunk start
-  ParallelFor(ms.size(), /*min_chunk=*/1024, [&](size_t lo, size_t hi) {
-    const bool solo = lo == 0 && hi == ms.size();  // single-chunk inline path
-    Buckets local_storage;
-    Buckets& dest = solo ? buckets_ : local_storage;
-    for (size_t i = lo; i < hi; ++i) {
-      const Membership& m = ms[i];
-      XSet projected = RescopeByScope(m.element, sigma_.s2);
-      if (projected.empty()) continue;  // can never contribute (Def 7.4)
-      Membership out{projected, RescopeByScope(m.scope, sigma_.s2)};
-      for (const Membership& inner : m.element.members()) {
-        dest[inner].push_back(out);
-      }
-    }
-    if (solo) return;
-    MutexLock lock(&merge_mu);
-    parts.emplace(lo, std::move(local_storage));
-  });
-  for (auto& [start, local] : parts) {
-    for (auto& [key, postings] : local) {
+  std::vector<Buckets> rest =
+      ParallelCollect(ms.size(), kSpanGrain, &buckets_, [&](size_t lo, size_t hi, Buckets* dst) {
+        for (size_t i = lo; i < hi; ++i) {
+          const Membership& m = ms[i];
+          XSet projected = RescopeByScope(m.element, sigma_.s2);
+          if (projected.empty()) continue;  // can never contribute (Def 7.4)
+          Membership out{projected, RescopeByScope(m.scope, sigma_.s2)};
+          for (const Membership& inner : m.element.members()) {
+            (*dst)[inner].push_back(out);
+          }
+        }
+      });
+  for (Buckets& part : rest) {
+    for (auto& [key, postings] : part) {
       auto& slot = buckets_[key];
       if (slot.empty()) {
         slot = std::move(postings);
@@ -73,10 +55,7 @@ XSet ImageIndex::Lookup(const XSet& probes) const {
     }
     // General shape: evaluate this probe against the full carrier.
     ++fallbacks_;
-    XSet single = XSet::FromMembers({probe});
-    XSet image = SigmaDomain(SigmaRestrict(r_, sigma_.s1, single), sigma_.s2);
-    auto ms = image.members();
-    out.insert(out.end(), ms.begin(), ms.end());
+    ImageSpans(r_.members(), sigma_, MemberSpan(&probe, 1), &out);
   }
   return XST_VALIDATE(XSet::FromMembers(std::move(out)));
 }

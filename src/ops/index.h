@@ -11,8 +11,8 @@
 // The index covers probes in the singleton shape that selection and
 // application produce: probe members a^s whose re-scope a^{\σ₁\} is a single
 // membership with an ∅ scope-probe (s^{\σ₁\} = ∅). Probe members outside
-// that shape fall back to the general operator against the full carrier, so
-// Lookup is always correct.
+// that shape fall back to the image kernel (ImageSpans) over the full
+// carrier, so Lookup is always correct.
 
 #pragma once
 
@@ -22,6 +22,7 @@
 
 #include "src/core/xset.h"
 #include "src/ops/image.h"
+#include "src/ops/span_kernels.h"
 
 namespace xst {
 
@@ -45,20 +46,13 @@ class ImageIndex {
   uint64_t fallback_count() const { return fallbacks_; }
 
  private:
-  struct KeyHash {
-    size_t operator()(const Membership& m) const;
-  };
-  struct KeyEq {
-    bool operator()(const Membership& a, const Membership& b) const {
-      return a == b;
-    }
-  };
+  using Buckets = std::unordered_map<Membership, std::vector<Membership>, MembershipHash>;
 
   XSet r_;
   Sigma sigma_;
   // inner membership of a carrier member → the σ₂-projections ⟨x, s⟩ of
   // every carrier membership containing it.
-  std::unordered_map<Membership, std::vector<Membership>, KeyHash, KeyEq> buckets_;
+  Buckets buckets_;
   mutable uint64_t fallbacks_ = 0;
 };
 

@@ -3,7 +3,7 @@
 #include <unordered_set>
 
 #include "src/common/check.h"
-#include "src/common/sync.h"
+#include "src/common/macros.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/trace.h"
 #include "src/ops/boolean.h"
@@ -47,42 +47,42 @@ Result<XSet> ConcatForMode(const XSet& x, const XSet& y, ConcatMode mode) {
 Result<XSet> CrossProduct(const XSet& a, const XSet& b, ConcatMode mode) {
   XST_TRACE_SPAN("op.cross_product");
   // |A|·|B| independent concatenations: parallel over A's members, with the
-  // full inner loop over B per chunk item. The first concat error wins.
+  // full inner loop over B per chunk item. A chunk stops at its first concat
+  // error; the first error in chunk order is the result.
+  struct Chunk {
+    std::vector<Membership> members;
+    Status error = Status::OK();
+  };
   auto mas = a.members();
   auto mbs = b.members();
-  std::vector<Membership> out;
-  out.reserve(mas.size() * mbs.size());
-  Mutex merge_mu XST_LOCK_RANK(40);
-  Status error = Status::OK();
-  ParallelFor(mas.size(), /*min_chunk=*/std::max<size_t>(1, 512 / (mbs.size() + 1)),
-              [&](size_t lo, size_t hi) {
-                const bool solo = lo == 0 && hi == mas.size();  // inline path
-                std::vector<Membership> local_storage;
-                std::vector<Membership>& dest = solo ? out : local_storage;
-                if (!solo) dest.reserve((hi - lo) * mbs.size());
-                for (size_t i = lo; i < hi; ++i) {
-                  for (const Membership& mb : mbs) {
-                    Result<XSet> element = ConcatForMode(mas[i].element, mb.element, mode);
-                    if (!element.ok()) {
-                      MutexLock lock(&merge_mu);
-                      if (error.ok()) error = element.status();
-                      return;
-                    }
-                    Result<XSet> scope = ConcatForMode(mas[i].scope, mb.scope, mode);
-                    if (!scope.ok()) {
-                      MutexLock lock(&merge_mu);
-                      if (error.ok()) error = scope.status();
-                      return;
-                    }
-                    dest.push_back(Membership{*element, *scope});
-                  }
-                }
-                if (solo) return;
-                MutexLock lock(&merge_mu);
-                out.insert(out.end(), local_storage.begin(), local_storage.end());
-              });
-  if (!error.ok()) return error;
-  return XST_VALIDATE(XSet::FromMembers(std::move(out)));
+  Chunk result;
+  result.members.reserve(mas.size() * mbs.size());
+  std::vector<Chunk> rest = ParallelCollect(
+      mas.size(), /*min_chunk=*/std::max<size_t>(1, 512 / (mbs.size() + 1)), &result,
+      [&](size_t lo, size_t hi, Chunk* dst) {
+        dst->members.reserve(dst->members.size() + (hi - lo) * mbs.size());
+        for (size_t i = lo; i < hi; ++i) {
+          for (const Membership& mb : mbs) {
+            Result<XSet> element = ConcatForMode(mas[i].element, mb.element, mode);
+            if (!element.ok()) {
+              dst->error = element.status();
+              return;
+            }
+            Result<XSet> scope = ConcatForMode(mas[i].scope, mb.scope, mode);
+            if (!scope.ok()) {
+              dst->error = scope.status();
+              return;
+            }
+            dst->members.push_back(Membership{*element, *scope});
+          }
+        }
+      });
+  XST_RETURN_NOT_OK(result.error);
+  for (const Chunk& part : rest) {
+    XST_RETURN_NOT_OK(part.error);
+    result.members.insert(result.members.end(), part.members.begin(), part.members.end());
+  }
+  return XST_VALIDATE(XSet::FromMembers(std::move(result.members)));
 }
 
 XSet Tag(const XSet& a, const XSet& tag) {

@@ -5,14 +5,13 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/common/sync.h"
 #include "src/common/hash.h"
 #include "src/common/thread_pool.h"
 #include "src/core/atom.h"
 #include "src/core/order.h"
 #include "src/obs/trace.h"
-#include "src/ops/boolean.h"
 #include "src/ops/rescope.h"
+#include "src/ops/span_kernels.h"
 
 namespace xst {
 
@@ -48,17 +47,6 @@ struct BuildEntry {
   uint32_t next;          // hash-chain link, kNoEntry at the end
 };
 
-// Canonicalizes v[from..) in place: sort + dedup under the structural order.
-// Projections are tiny (tuple slices), so this is a handful of compares.
-void CanonicalizeTail(std::vector<Membership>* v, size_t from) {
-  if (v->size() - from <= 1) return;
-  auto begin = v->begin() + static_cast<ptrdiff_t>(from);
-  std::sort(begin, v->end(), [](const Membership& a, const Membership& b) {
-    return CompareMembership(a, b) < 0;
-  });
-  v->erase(std::unique(begin, v->end()), v->end());
-}
-
 uint64_t HashKeySpan(const Membership* data, size_t elem_len, size_t key_len) {
   // Seed with both lengths so the element/scope split participates: the key
   // ⟨{a}, ∅⟩ must not collide with ⟨∅, {a}⟩.
@@ -71,41 +59,123 @@ uint64_t HashKeySpan(const Membership* data, size_t elem_len, size_t key_len) {
 
 // Projects m's two re-scoped parts into *dst (appended): the canonical
 // element-part memberships, then the canonical scope-part memberships.
-// Returns the element-part length.
+// Returns the element-part length. Parts are tuple slices, usually of 0 or 1
+// memberships; those are canonical already, and skipping the call for them
+// is measurable at this call rate.
 size_t ProjectParts(const Membership& m, const XSet& spec, std::vector<Membership>* dst) {
   size_t base = dst->size();
   AppendRescopeByScopeRaw(m.element, spec, dst);
-  CanonicalizeTail(dst, base);
+  if (dst->size() - base > 1) CanonicalizeMembers(dst, base);
   size_t elem_len = dst->size() - base;
   AppendRescopeByScopeRaw(m.scope, spec, dst);
-  CanonicalizeTail(dst, base + elem_len);
+  if (dst->size() - base - elem_len > 1) CanonicalizeMembers(dst, base + elem_len);
   return elem_len;
 }
 
-// Set union of two canonical membership spans: a sorted merge with adjacent
-// duplicates collapsed, interned via the sorted fast path.
-XSet UnionSpans(const Membership* a, size_t an, const Membership* b, size_t bn) {
-  if (an == 0 && bn == 0) return XSet::Empty();
+// Set union of two canonical membership spans, interned via the sorted
+// fast path.
+XSet InternUnion(MemberSpan a, MemberSpan b) {
+  if (a.empty() && b.empty()) return XSet::Empty();
   std::vector<Membership> out;
-  out.reserve(an + bn);
-  size_t i = 0, j = 0;
-  while (i < an && j < bn) {
-    int c = CompareMembership(a[i], b[j]);
-    if (c < 0) {
-      out.push_back(a[i++]);
-    } else if (c > 0) {
-      out.push_back(b[j++]);
-    } else {
-      out.push_back(a[i++]);
-      ++j;
-    }
-  }
-  out.insert(out.end(), a + i, a + an);
-  out.insert(out.end(), b + j, b + bn);
-  // A sorted merge of two canonical spans with equal pairs collapsed is
-  // canonical.
+  UnionSpans(a, b, &out);
   XST_DCHECK(IsCanonicalMemberList(out));
   return XSet::FromSortedMembers(std::move(out));
+}
+
+// G's partitions: one entry per member of G, with every offset indexing
+// the `keys` and `outs` arenas of the same object.
+struct BuildSide {
+  std::vector<BuildEntry> entries;
+  std::vector<Membership> keys;
+  std::vector<Membership> outs;
+};
+
+// Build phase: partition G by its re-scoped key ⟨y^{/ω₁/}, t^{/ω₁/}⟩ and
+// stash its output contribution ⟨y^{/ω₂/}, t^{/ω₂/}⟩, all as raw spans.
+// The per-member projections run in parallel; chunk arenas are appended in
+// chunk order (offset rebasing only), so entries follow G's order.
+BuildSide Build(const XSet& g, const Sigma& omega, const RelativeProductOptions& options) {
+  auto mg = g.members();
+  BuildSide build;
+  build.entries.reserve(mg.size());
+  build.keys.reserve(mg.size() * 2);
+  build.outs.reserve(mg.size() * 2);
+  std::vector<BuildSide> rest =
+      ParallelCollect(mg.size(), kGrain, &build, [&](size_t lo, size_t hi, BuildSide* dst) {
+        std::vector<Membership> key;
+        for (size_t i = lo; i < hi; ++i) {
+          const Membership& m = mg[i];
+          key.clear();
+          size_t elem_len = ProjectParts(m, omega.s1, &key);
+          if (options.require_nonempty_key && elem_len == 0) continue;
+          BuildEntry e;
+          e.hash = HashKeySpan(key.data(), elem_len, key.size());
+          e.key_begin = dst->keys.size();
+          e.elem_len = static_cast<uint32_t>(elem_len);
+          e.key_len = static_cast<uint32_t>(key.size());
+          e.next = kNoEntry;
+          dst->keys.insert(dst->keys.end(), key.begin(), key.end());
+          e.out_begin = dst->outs.size();
+          e.out_elem_len = static_cast<uint32_t>(ProjectParts(m, omega.s2, &dst->outs));
+          e.out_len = static_cast<uint32_t>(dst->outs.size() - e.out_begin);
+          dst->entries.push_back(e);
+        }
+      });
+  for (BuildSide& part : rest) {
+    const size_t key_base = build.keys.size();
+    const size_t out_base = build.outs.size();
+    build.keys.insert(build.keys.end(), part.keys.begin(), part.keys.end());
+    build.outs.insert(build.outs.end(), part.outs.begin(), part.outs.end());
+    for (BuildEntry& e : part.entries) {
+      e.key_begin += key_base;
+      e.out_begin += out_base;
+      build.entries.push_back(e);
+    }
+  }
+  return build;
+}
+
+// Probe phase: each member of F projects its ⟨x^{/σ₂/}, s^{/σ₂/}⟩ key into
+// the same scratch form, and `for_each_match(key, elem_len, visit)` calls
+// visit(entry) for every build entry with an equal key. The output parts
+// x^{/σ₁/}, s^{/σ₁/} are only projected on the first match, so non-joining
+// members never touch the interner; each match merges the canonical spans
+// and interns just the two output sets. The build side is read-only by now,
+// so chunks run in parallel.
+template <typename ForEachMatch>
+XSet Probe(const XSet& f, const Sigma& sigma, const RelativeProductOptions& options,
+           const BuildSide& build, const ForEachMatch& for_each_match) {
+  auto mf = f.members();
+  std::vector<Membership> out;
+  std::vector<std::vector<Membership>> rest = ParallelCollect(
+      mf.size(), kGrain, &out, [&](size_t lo, size_t hi, std::vector<Membership>* dst) {
+        std::vector<Membership> key;
+        std::vector<Membership> parts;
+        for (size_t i = lo; i < hi; ++i) {
+          const Membership& m = mf[i];
+          key.clear();
+          size_t elem_len = ProjectParts(m, sigma.s2, &key);
+          if (options.require_nonempty_key && elem_len == 0) continue;
+          size_t x_len = 0;
+          bool have_parts = false;
+          for_each_match(key, elem_len, [&](const BuildEntry& be) {
+            if (!have_parts) {
+              parts.clear();
+              x_len = ProjectParts(m, sigma.s1, &parts);
+              have_parts = true;
+            }
+            MemberSpan x_parts(parts);
+            MemberSpan yt(build.outs.data() + be.out_begin, be.out_len);
+            dst->push_back(Membership{
+                InternUnion(x_parts.first(x_len), yt.first(be.out_elem_len)),
+                InternUnion(x_parts.subspan(x_len), yt.subspan(be.out_elem_len))});
+          });
+        }
+      });
+  for (const std::vector<Membership>& part : rest) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return XST_VALIDATE(XSet::FromMembers(std::move(out)));
 }
 
 size_t NextPow2(size_t n) {
@@ -135,62 +205,10 @@ int CompareKeySpans(const Membership* a, uint32_t a_elem, uint32_t a_len,
 XSet RelativeProduct(const XSet& f, const XSet& g, const Sigma& sigma, const Sigma& omega,
                      const RelativeProductOptions& options) {
   XST_TRACE_SPAN("op.relative_product");
-  // Build phase: partition G by its re-scoped key ⟨y^{/ω₁/}, t^{/ω₁/}⟩ and
-  // stash its output contribution ⟨y^{/ω₂/}, t^{/ω₂/}⟩, all as raw spans.
-  // The per-member projections run in parallel; each chunk fills local
-  // entry/arena buffers and the buffers are merged serially (offset rebasing
-  // and pointer moves only). A chunk covering the whole range (the inline /
-  // 1-core path) writes the shared structures directly.
-  auto mg = g.members();
-  std::vector<BuildEntry> entries;
-  std::vector<Membership> key_arena;
-  std::vector<Membership> out_arena;
-  entries.reserve(mg.size());
-  key_arena.reserve(mg.size() * 2);
-  out_arena.reserve(mg.size() * 2);
-  {
-    Mutex merge_mu XST_LOCK_RANK(40);
-    ParallelFor(mg.size(), kGrain, [&](size_t lo, size_t hi) {
-      const bool solo = lo == 0 && hi == mg.size();
-      std::vector<BuildEntry> local_entries;
-      std::vector<Membership> local_keys;
-      std::vector<Membership> local_outs;
-      std::vector<BuildEntry>& dst_entries = solo ? entries : local_entries;
-      std::vector<Membership>& dst_keys = solo ? key_arena : local_keys;
-      std::vector<Membership>& dst_outs = solo ? out_arena : local_outs;
-      std::vector<Membership> key;
-      for (size_t i = lo; i < hi; ++i) {
-        const Membership& m = mg[i];
-        key.clear();
-        size_t elem_len = ProjectParts(m, omega.s1, &key);
-        if (options.require_nonempty_key && elem_len == 0) continue;
-        BuildEntry e;
-        e.hash = HashKeySpan(key.data(), elem_len, key.size());
-        e.key_begin = dst_keys.size();
-        e.elem_len = static_cast<uint32_t>(elem_len);
-        e.key_len = static_cast<uint32_t>(key.size());
-        e.next = kNoEntry;
-        dst_keys.insert(dst_keys.end(), key.begin(), key.end());
-        e.out_begin = dst_outs.size();
-        e.out_elem_len = static_cast<uint32_t>(ProjectParts(m, omega.s2, &dst_outs));
-        e.out_len = static_cast<uint32_t>(dst_outs.size() - e.out_begin);
-        dst_entries.push_back(e);
-      }
-      if (solo) return;
-      MutexLock lock(&merge_mu);
-      size_t key_base = key_arena.size();
-      size_t out_base = out_arena.size();
-      key_arena.insert(key_arena.end(), local_keys.begin(), local_keys.end());
-      out_arena.insert(out_arena.end(), local_outs.begin(), local_outs.end());
-      for (BuildEntry& e : local_entries) {
-        e.key_begin += key_base;
-        e.out_begin += out_base;
-        entries.push_back(e);
-      }
-    });
-  }
+  BuildSide build = Build(g, omega, options);
   // Index the entries by key hash. Duplicate keys stay as separate chain
   // entries — a probe walks the whole chain, which is exactly join fan-out.
+  std::vector<BuildEntry>& entries = build.entries;
   const size_t nbuckets = NextPow2(std::max<size_t>(entries.size() * 2, 16));
   const size_t bucket_mask = nbuckets - 1;
   std::vector<uint32_t> heads(nbuckets, kNoEntry);
@@ -199,155 +217,45 @@ XSet RelativeProduct(const XSet& f, const XSet& g, const Sigma& sigma, const Sig
     entries[i].next = head;
     head = i;
   }
-  // Probe phase: each member of F projects its ⟨x^{/σ₂/}, s^{/σ₂/}⟩ key into
-  // the same scratch form and walks the matching chain. The output parts
-  // x^{/σ₁/}, s^{/σ₁/} are only projected on the first match, so non-joining
-  // members never touch the interner; each match merges the canonical spans
-  // and interns just the two output sets. Structures are read-only now;
-  // chunks emit into local buffers.
-  auto mf = f.members();
-  std::vector<Membership> out;
-  {
-    Mutex merge_mu XST_LOCK_RANK(40);
-    ParallelFor(mf.size(), kGrain, [&](size_t lo, size_t hi) {
-      const bool solo = lo == 0 && hi == mf.size();
-      std::vector<Membership> local_storage;
-      std::vector<Membership>& dest = solo ? out : local_storage;
-      std::vector<Membership> key;
-      std::vector<Membership> parts;
-      for (size_t i = lo; i < hi; ++i) {
-        const Membership& m = mf[i];
-        key.clear();
-        size_t elem_len = ProjectParts(m, sigma.s2, &key);
-        if (options.require_nonempty_key && elem_len == 0) continue;
-        const uint64_t h = HashKeySpan(key.data(), elem_len, key.size());
-        size_t x_len = 0;
-        bool have_parts = false;
-        for (uint32_t e = heads[h & bucket_mask]; e != kNoEntry; e = entries[e].next) {
-          const BuildEntry& be = entries[e];
-          if (be.hash != h || be.elem_len != elem_len || be.key_len != key.size() ||
-              !std::equal(key.begin(), key.end(), key_arena.begin() + be.key_begin)) {
-            continue;
-          }
-          if (!have_parts) {
-            parts.clear();
-            x_len = ProjectParts(m, sigma.s1, &parts);
-            have_parts = true;
-          }
-          const Membership* yt = out_arena.data() + be.out_begin;
-          dest.push_back(Membership{
-              UnionSpans(parts.data(), x_len, yt, be.out_elem_len),
-              UnionSpans(parts.data() + x_len, parts.size() - x_len,
-                         yt + be.out_elem_len, be.out_len - be.out_elem_len)});
-        }
-      }
-      if (solo) return;
-      MutexLock lock(&merge_mu);
-      if (out.empty()) {
-        out = std::move(local_storage);
-      } else {
-        out.insert(out.end(), local_storage.begin(), local_storage.end());
-      }
-    });
-  }
-  return XST_VALIDATE(XSet::FromMembers(std::move(out)));
+  return Probe(f, sigma, options, build,
+               [&](const std::vector<Membership>& key, size_t elem_len, const auto& visit) {
+                 const uint64_t h = HashKeySpan(key.data(), elem_len, key.size());
+                 for (uint32_t e = heads[h & bucket_mask]; e != kNoEntry; e = entries[e].next) {
+                   const BuildEntry& be = entries[e];
+                   if (be.hash == h && be.elem_len == elem_len && be.key_len == key.size() &&
+                       std::equal(key.begin(), key.end(), build.keys.begin() + be.key_begin)) {
+                     visit(be);
+                   }
+                 }
+               });
 }
 
 XSet RelativeProductNested(const XSet& f, const XSet& g, const Sigma& sigma, const Sigma& omega,
                            const RelativeProductOptions& options) {
   XST_TRACE_SPAN("op.relative_product_nested");
-  // Build phase: same per-member projections as the hash join, but serial —
-  // the ordered variant targets inner sides small enough that the sort, not
-  // the projection, is the build cost. Entries reuse BuildEntry with the
-  // hash/next chain fields idle.
-  auto mg = g.members();
-  std::vector<BuildEntry> entries;
-  std::vector<Membership> key_arena;
-  std::vector<Membership> out_arena;
-  entries.reserve(mg.size());
-  key_arena.reserve(mg.size() * 2);
-  out_arena.reserve(mg.size() * 2);
-  {
-    std::vector<Membership> key;
-    for (const Membership& m : mg) {
-      key.clear();
-      size_t elem_len = ProjectParts(m, omega.s1, &key);
-      if (options.require_nonempty_key && elem_len == 0) continue;
-      BuildEntry e;
-      e.hash = 0;
-      e.key_begin = key_arena.size();
-      e.elem_len = static_cast<uint32_t>(elem_len);
-      e.key_len = static_cast<uint32_t>(key.size());
-      e.next = kNoEntry;
-      key_arena.insert(key_arena.end(), key.begin(), key.end());
-      e.out_begin = out_arena.size();
-      e.out_elem_len = static_cast<uint32_t>(ProjectParts(m, omega.s2, &out_arena));
-      e.out_len = static_cast<uint32_t>(out_arena.size() - e.out_begin);
-      entries.push_back(e);
-    }
-  }
-  // Index the entries by sorting on the canonical key span. Duplicate keys
-  // become one contiguous run — a probe's equal_range IS the join fan-out.
-  std::sort(entries.begin(), entries.end(), [&](const BuildEntry& a, const BuildEntry& b) {
-    return CompareKeySpans(key_arena.data() + a.key_begin, a.elem_len, a.key_len,
-                           key_arena.data() + b.key_begin, b.elem_len, b.key_len) < 0;
-  });
-  // Probe phase: each F member projects its key and binary-searches the run
-  // of equal inner keys. Output handling matches the hash join: σ₁ parts are
-  // projected lazily on the first match, each match interns only the two
-  // merged output sets.
-  auto mf = f.members();
-  std::vector<Membership> out;
-  {
-    Mutex merge_mu XST_LOCK_RANK(40);
-    ParallelFor(mf.size(), kGrain, [&](size_t lo, size_t hi) {
-      const bool solo = lo == 0 && hi == mf.size();
-      std::vector<Membership> local_storage;
-      std::vector<Membership>& dest = solo ? out : local_storage;
-      std::vector<Membership> key;
-      std::vector<Membership> parts;
-      for (size_t i = lo; i < hi; ++i) {
-        const Membership& m = mf[i];
-        key.clear();
-        size_t elem_len = ProjectParts(m, sigma.s2, &key);
-        if (options.require_nonempty_key && elem_len == 0) continue;
-        auto first = std::partition_point(
-            entries.begin(), entries.end(), [&](const BuildEntry& e) {
-              return CompareKeySpans(key_arena.data() + e.key_begin, e.elem_len, e.key_len,
-                                     key.data(), static_cast<uint32_t>(elem_len),
-                                     static_cast<uint32_t>(key.size())) < 0;
+  // Same build as the hash join, indexed by sorting on the canonical key
+  // span instead: duplicate keys become one contiguous run, so a probe's
+  // equal range IS the join fan-out.
+  BuildSide build = Build(g, omega, options);
+  const Membership* keys = build.keys.data();
+  std::sort(build.entries.begin(), build.entries.end(),
+            [keys](const BuildEntry& a, const BuildEntry& b) {
+              return CompareKeySpans(keys + a.key_begin, a.elem_len, a.key_len,
+                                     keys + b.key_begin, b.elem_len, b.key_len) < 0;
             });
-        size_t x_len = 0;
-        bool have_parts = false;
-        for (auto it = first; it != entries.end(); ++it) {
-          const BuildEntry& be = *it;
-          if (CompareKeySpans(key_arena.data() + be.key_begin, be.elem_len, be.key_len,
-                              key.data(), static_cast<uint32_t>(elem_len),
-                              static_cast<uint32_t>(key.size())) != 0) {
-            break;
-          }
-          if (!have_parts) {
-            parts.clear();
-            x_len = ProjectParts(m, sigma.s1, &parts);
-            have_parts = true;
-          }
-          const Membership* yt = out_arena.data() + be.out_begin;
-          dest.push_back(Membership{
-              UnionSpans(parts.data(), x_len, yt, be.out_elem_len),
-              UnionSpans(parts.data() + x_len, parts.size() - x_len,
-                         yt + be.out_elem_len, be.out_len - be.out_elem_len)});
-        }
-      }
-      if (solo) return;
-      MutexLock lock(&merge_mu);
-      if (out.empty()) {
-        out = std::move(local_storage);
-      } else {
-        out.insert(out.end(), local_storage.begin(), local_storage.end());
-      }
-    });
-  }
-  return XST_VALIDATE(XSet::FromMembers(std::move(out)));
+  const std::vector<BuildEntry>& entries = build.entries;
+  return Probe(f, sigma, options, build,
+               [&](const std::vector<Membership>& key, size_t elem_len, const auto& visit) {
+                 auto compare = [&](const BuildEntry& e) {
+                   return CompareKeySpans(keys + e.key_begin, e.elem_len, e.key_len,
+                                          key.data(), static_cast<uint32_t>(elem_len),
+                                          static_cast<uint32_t>(key.size()));
+                 };
+                 auto it = std::partition_point(
+                     entries.begin(), entries.end(),
+                     [&](const BuildEntry& e) { return compare(e) < 0; });
+                 for (; it != entries.end() && compare(*it) == 0; ++it) visit(*it);
+               });
 }
 
 XSet RelativeProductStd(const XSet& r, const XSet& s) {

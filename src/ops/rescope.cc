@@ -1,7 +1,6 @@
 #include "src/ops/rescope.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "src/common/check.h"
 #include "src/common/sync.h"
@@ -65,25 +64,18 @@ uint64_t MemoHash(const internal::Node* a, const internal::Node* sigma) {
   return HashCombine(a->hash, sigma->hash);
 }
 
-// Escape hatch for A/B benchmarking of the memo itself.
-bool MemoDisabled() {
-  static const bool disabled = std::getenv("XST_NO_RESCOPE_MEMO") != nullptr;
-  return disabled;
-}
-
 }  // namespace
 
 XSet RescopeByScope(const XSet& a, const XSet& sigma) {
   // Trivial operands produce ∅ and skip the cache: atoms have no
   // memberships, and an empty σ drops everything.
   if (a.cardinality() == 0 || sigma.cardinality() == 0) return XSet::Empty();
-  const bool use_memo = !MemoDisabled();
   const internal::Node* na = a.node();
   const internal::Node* ns = sigma.node();
   const uint64_t h = MemoHash(na, ns);
   MemoShard& shard = MemoShards()[(h >> 48) & (kMemoShards - 1)];
   const size_t set_base = (h & (kMemoSetsPerShard - 1)) * kMemoWays;
-  if (use_memo) {
+  {
     MutexLock lock(&shard.memo_mu);
     MemoSlot* set = &shard.slots[set_base];
     for (size_t w = 0; w < kMemoWays; ++w) {
@@ -102,7 +94,7 @@ XSet RescopeByScope(const XSet& a, const XSet& sigma) {
   // Validate before the memo stores the node: a bad entry would replay the
   // corruption on every future hit.
   XSet result = XST_VALIDATE(XSet::FromMembers(std::move(out)));
-  if (use_memo) {
+  {
     // Insert into way 1 (the LRU victim); a racing compute of the same key
     // wrote the identical interned node, so lost races are harmless.
     MutexLock lock(&shard.memo_mu);

@@ -1,78 +1,19 @@
 #include "src/ops/restrict.h"
 
-#include <unordered_set>
-
 #include "src/common/check.h"
-#include "src/common/hash.h"
 #include "src/core/order.h"
-#include "src/ops/boolean.h"
 #include "src/obs/trace.h"
-#include "src/ops/kernels.h"
-#include "src/ops/rescope.h"
 #include "src/ops/span_kernels.h"
 
 namespace xst {
 
-namespace {
-
-struct MembershipHash {
-  size_t operator()(const Membership& m) const {
-    return static_cast<size_t>(HashCombine(m.element.hash(), m.scope.hash()));
-  }
-};
-
-// An ordered subsequence of R's canonical member list is itself canonical.
-template <typename Keep>
-XSet FilterMembersInOrder(const XSet& r, const Keep& keep) {
-  std::vector<Membership> kept = ParallelFilterInOrder(r.members(), keep);
-  XST_DCHECK(IsCanonicalMemberList(kept));
-  return XST_VALIDATE(XSet::FromSortedMembers(std::move(kept)));
-}
-
-// Fast path for the dominant query shape: every probe is a singleton
-// {e^s} with an empty scope-probe. Then "probe ⊆ z" is simply "z contains
-// the membership ⟨e, s⟩", which one hash lookup per candidate membership
-// answers — O(|R|·width + |A|) instead of O(|R|·|A|).
-bool TrySingletonFastPath(const XSet& r,
-                          const std::vector<std::pair<XSet, XSet>>& probes,
-                          XSet* result) {
-  std::unordered_set<Membership, MembershipHash> wanted;
-  wanted.reserve(probes.size());
-  for (const auto& [elem_probe, scope_probe] : probes) {
-    if (!scope_probe.empty() || elem_probe.cardinality() != 1) return false;
-    wanted.insert(elem_probe.members()[0]);
-  }
-  *result = FilterMembersInOrder(r, [&wanted](const Membership& m) {
-    for (const Membership& inner : m.element.members()) {
-      if (wanted.count(inner) != 0) return true;
-    }
-    return false;
-  });
-  return true;
-}
-
-}  // namespace
-
 XSet SigmaRestrict(const XSet& r, const XSet& sigma, const XSet& a) {
   XST_TRACE_SPAN("op.sigma_restrict");
-  // Pre-compute the re-scoped probes ⟨a^{\σ\}, s^{\σ\}⟩ once; each probe is
-  // then a pair of subset tests against every candidate membership of R.
-  std::vector<std::pair<XSet, XSet>> probes;
-  probes.reserve(a.cardinality());
-  for (const Membership& m : a.members()) {
-    probes.push_back({RescopeByElement(m.element, sigma), RescopeByElement(m.scope, sigma)});
-  }
-  if (probes.empty()) return XSet::Empty();
-  XSet result;
-  if (TrySingletonFastPath(r, probes, &result)) return result;
-  return FilterMembersInOrder(r, [&probes](const Membership& m) {
-    for (const auto& [elem_probe, scope_probe] : probes) {
-      if (IsSubset(elem_probe, m.element) && IsSubset(scope_probe, m.scope)) {
-        return true;
-      }
-    }
-    return false;
-  });
+  std::vector<Membership> kept;
+  RestrictSpans(r.members(), sigma, a.members(), &kept);
+  // An ordered subsequence of R's canonical member list is itself canonical.
+  XST_DCHECK(IsCanonicalMemberList(kept));
+  return XST_VALIDATE(XSet::FromSortedMembers(std::move(kept)));
 }
 
 XSet ElementRangeRestrict(const XSet& r, const XSet& lo, const XSet& hi) {

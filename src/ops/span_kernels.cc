@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <unordered_set>
+#include <utility>
 
 #include "src/common/check.h"
+#include "src/common/thread_pool.h"
 #include "src/core/order.h"
 #include "src/ops/boolean.h"
 #include "src/ops/rescope.h"
@@ -41,14 +44,74 @@ uint64_t MixHandles(const Membership& m) {
   return h;
 }
 
-}  // namespace
-
-void CanonicalizeMembers(std::vector<Membership>* v, size_t from) {
-  if (v->size() - from <= 1) return;
-  auto begin = v->begin() + static_cast<ptrdiff_t>(from);
-  std::sort(begin, v->end(), MembershipLess);
-  v->erase(std::unique(begin, v->end()), v->end());
+// Runs emit(m, dst) for every member of r, in parallel chunks above
+// kSpanGrain, and appends what the chunks emitted to *out in member order.
+template <typename Emit>
+void EmitInOrder(MemberSpan r, std::vector<Membership>* out, const Emit& emit) {
+  std::vector<std::vector<Membership>> rest = ParallelCollect(
+      r.size(), kSpanGrain, out, [&](size_t lo, size_t hi, std::vector<Membership>* dst) {
+        for (size_t i = lo; i < hi; ++i) emit(r[i], dst);
+      });
+  for (const std::vector<Membership>& part : rest) {
+    out->insert(out->end(), part.begin(), part.end());
+  }
 }
+
+// Pre-computed re-scoped probes ⟨a^{\σ\}, s^{\σ\}⟩ for σ-restriction — built
+// once per restrict/image call, then O(1)–O(|probes|) per candidate member.
+class RestrictProbes {
+ public:
+  RestrictProbes(const XSet& sigma, MemberSpan probes) {
+    probes_.reserve(probes.size());
+    for (const Membership& m : probes) {
+      probes_.push_back(
+          {RescopeByElement(m.element, sigma), RescopeByElement(m.scope, sigma)});
+    }
+    // Singleton regime (the dominant query shape): every probe is {e^s}
+    // with an empty scope-probe, so "probe ⊆ z" is "z contains ⟨e, s⟩" and
+    // Keep is one hash lookup per inner membership — O(|r|·width + |probes|)
+    // instead of O(|r|·|probes|) subset-test pairs.
+    singleton_ = !probes_.empty();
+    for (const auto& [elem_probe, scope_probe] : probes_) {
+      if (!scope_probe.empty() || elem_probe.cardinality() != 1) {
+        singleton_ = false;
+        break;
+      }
+    }
+    if (singleton_) {
+      wanted_.reserve(probes_.size());
+      for (const auto& [elem_probe, scope_probe] : probes_) {
+        wanted_.insert(elem_probe.members()[0]);
+      }
+    }
+  }
+
+  // True when there are no probes (the restriction is ∅).
+  bool empty() const { return probes_.empty(); }
+
+  // Whether candidate member m survives r |_σ probes.
+  bool Keep(const Membership& m) const {
+    if (singleton_) {
+      for (const Membership& inner : m.element.members()) {
+        if (wanted_.count(inner) != 0) return true;
+      }
+      return false;
+    }
+    for (const auto& [elem_probe, scope_probe] : probes_) {
+      if (IsSubset(elem_probe, m.element) && IsSubset(scope_probe, m.scope)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  std::vector<std::pair<XSet, XSet>> probes_;
+  std::unordered_set<Membership, MembershipHash> wanted_;  // singleton regime
+  bool singleton_ = false;
+};
+
+}  // namespace
 
 void UnionSpans(MemberSpan a, MemberSpan b, std::vector<Membership>* out) {
   out->reserve(out->size() + a.size() + b.size());
@@ -168,61 +231,21 @@ void DifferenceSpans(MemberSpan a, MemberSpan b, std::vector<Membership>* out) {
 void DomainSpans(MemberSpan r, const XSet& sigma, std::vector<Membership>* out) {
   const size_t base = out->size();
   out->reserve(base + r.size());
-  for (const Membership& m : r) {
+  EmitInOrder(r, out, [&sigma](const Membership& m, std::vector<Membership>* dst) {
     XSet x = RescopeByScope(m.element, sigma);
-    if (x.empty()) continue;  // the definition requires z^{/σ/} ≠ ∅
-    XSet s = RescopeByScope(m.scope, sigma);
-    out->push_back(Membership{x, s});
-  }
+    if (x.empty()) return;  // the definition requires z^{/σ/} ≠ ∅
+    dst->push_back(Membership{x, RescopeByScope(m.scope, sigma)});
+  });
   CanonicalizeMembers(out, base);
-}
-
-RestrictProbes::RestrictProbes(const XSet& sigma, MemberSpan probes) {
-  probes_.reserve(probes.size());
-  for (const Membership& m : probes) {
-    probes_.push_back(
-        {RescopeByElement(m.element, sigma), RescopeByElement(m.scope, sigma)});
-  }
-  // Singleton regime (the dominant query shape — see restrict.cc): every
-  // probe is {e^s} with an empty scope-probe, so Keep is one hash lookup
-  // per inner membership instead of |probes| subset-test pairs.
-  singleton_ = !probes_.empty();
-  for (const auto& [elem_probe, scope_probe] : probes_) {
-    if (!scope_probe.empty() || elem_probe.cardinality() != 1) {
-      singleton_ = false;
-      break;
-    }
-  }
-  if (singleton_) {
-    wanted_.reserve(probes_.size());
-    for (const auto& [elem_probe, scope_probe] : probes_) {
-      wanted_.insert(elem_probe.members()[0]);
-    }
-  }
-}
-
-bool RestrictProbes::Keep(const Membership& m) const {
-  if (singleton_) {
-    for (const Membership& inner : m.element.members()) {
-      if (wanted_.count(inner) != 0) return true;
-    }
-    return false;
-  }
-  for (const auto& [elem_probe, scope_probe] : probes_) {
-    if (IsSubset(elem_probe, m.element) && IsSubset(scope_probe, m.scope)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void RestrictSpans(MemberSpan r, const XSet& sigma, MemberSpan probes,
                    std::vector<Membership>* out) {
   RestrictProbes rp(sigma, probes);
   if (rp.empty()) return;
-  for (const Membership& m : r) {
-    if (rp.Keep(m)) out->push_back(m);
-  }
+  EmitInOrder(r, out, [&rp](const Membership& m, std::vector<Membership>* dst) {
+    if (rp.Keep(m)) dst->push_back(m);
+  });
 }
 
 void ElementRangeSpans(MemberSpan r, const XSet& lo, const XSet& hi,
@@ -245,13 +268,12 @@ void ImageSpans(MemberSpan r, const Sigma& sigma, MemberSpan probes,
   RestrictProbes rp(sigma.s1, probes);
   if (rp.empty()) return;
   const size_t base = out->size();
-  for (const Membership& m : r) {
-    if (!rp.Keep(m)) continue;
+  EmitInOrder(r, out, [&rp, &sigma](const Membership& m, std::vector<Membership>* dst) {
+    if (!rp.Keep(m)) return;
     XSet x = RescopeByScope(m.element, sigma.s2);
-    if (x.empty()) continue;
-    XSet s = RescopeByScope(m.scope, sigma.s2);
-    out->push_back(Membership{x, s});
-  }
+    if (x.empty()) return;
+    dst->push_back(Membership{x, RescopeByScope(m.scope, sigma.s2)});
+  });
   CanonicalizeMembers(out, base);
 }
 

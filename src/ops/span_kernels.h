@@ -1,28 +1,30 @@
-// Span-level set-operation kernels: the operators of boolean.h / domain.h /
-// restrict.h / image.h restated over raw canonical membership spans, without
-// interning the result.
+// Span-level set-operation kernels: the only implementation of the boolean
+// operators, σ-domain, σ-restriction and image, stated over raw canonical
+// membership spans without interning the result.
 //
-// These are the entry points the bytecode VM (src/xsp/vm.h) executes plans
-// through: a fused chain like restrict∘image∘union runs entirely over spans
-// backed by a per-execution scratch arena, and only the final result touches
-// the interner (via XSet::FromSortedMembers, since every kernel here keeps
-// its output canonical). The interpreter kernels share the same code paths
-// where it matters — Intersect in particular routes through IntersectSpans,
-// whose adaptive path selection (merge / gallop / hash-probe) is the
-// BM_Intersect fix — so the two engines cannot drift.
+// Both engines run these kernels. The bytecode VM (src/xsp/vm.h) chains
+// them over a per-execution scratch arena, so a fused restrict∘image∘union
+// touches the interner only at its final XSet::FromSortedMembers. The
+// interpreter's operators (boolean.h, domain.h, restrict.h, image.h) are
+// thin wrappers: members() in, one kernel call, FromSortedMembers out. The
+// two engines therefore differ only in fusion and materialization.
+//
+// The member-wise kernels (DomainSpans, RestrictSpans, ImageSpans) split
+// inputs above kSpanGrain members across the global thread pool with
+// ParallelCollect; chunk outputs come back in chunk order, so a filter stays
+// an ordered subsequence of its input and a single-chunk call writes
+// straight into `*out`.
 //
 // Contract for every kernel:
 //   * inputs are canonical membership spans (strictly CompareMembership-
 //     ascending, deduplicated) — exactly what XSet::members() hands out;
 //   * output is APPENDED to `*out` and the appended tail is canonical;
-//   * `*out` must be empty on entry unless documented otherwise (the VM
-//     clears arena buffers between instructions, capacity retained).
+//     whatever `*out` held before is left untouched (the VM clears arena
+//     buffers between executions, capacity retained).
 
 #pragma once
 
 #include <span>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -35,17 +37,17 @@ namespace xst {
 /// members() or a scratch-arena buffer).
 using MemberSpan = std::span<const Membership>;
 
-/// \brief Hashes a membership by its interned handle pair — hash-consing
-/// makes pointer hashing exact for structural equality.
+/// \brief Members per chunk below which a parallel member-wise scan is not
+/// worth forking (the per-member work of these kernels is tens of ns).
+inline constexpr size_t kSpanGrain = 1024;
+
+/// \brief Hashes a membership by its nodes' precomputed structural hashes —
+/// hash-consing makes handle equality exact for structural equality.
 struct MembershipHash {
   size_t operator()(const Membership& m) const {
     return static_cast<size_t>(HashCombine(m.element.hash(), m.scope.hash()));
   }
 };
-
-/// \brief Canonicalizes v[from..) in place: sort + dedup under the
-/// structural membership order.
-void CanonicalizeMembers(std::vector<Membership>* v, size_t from = 0);
 
 /// \brief a ∪ b as a canonical span append (two-pointer merge).
 void UnionSpans(MemberSpan a, MemberSpan b, std::vector<Membership>* out);
@@ -55,8 +57,8 @@ void UnionSpans(MemberSpan a, MemberSpan b, std::vector<Membership>* out);
 /// Adaptive: small inputs take the two-pointer merge; heavily skewed sizes
 /// walk the smaller side with a galloping binary search into the larger;
 /// comparable large sizes build a pointer-hash set over the smaller side and
-/// filter the larger side in order (parallel above the filter grain) — no
-/// structural compares at all on that path.
+/// filter the larger side in order — no structural compares at all on that
+/// path.
 void IntersectSpans(MemberSpan a, MemberSpan b, std::vector<Membership>* out);
 
 /// \brief a ∼ b as a canonical span append (two-pointer merge).
@@ -64,32 +66,15 @@ void DifferenceSpans(MemberSpan a, MemberSpan b, std::vector<Membership>* out);
 
 /// \brief 𝔇_σ(r) (σ-domain, Def 7.4) over a span: re-scopes every member
 /// and canonicalizes the appended tail (re-scoping permutes order).
+/// Parallel above kSpanGrain members.
 void DomainSpans(MemberSpan r, const XSet& sigma, std::vector<Membership>* out);
 
-/// \brief Pre-computed re-scoped probes for σ-restriction — built once per
-/// restrict/image instruction, then O(1)–O(|probes|) per candidate member.
-///
-/// Mirrors SigmaRestrict's two regimes: when every probe re-scopes to a
-/// singleton ⟨e, s⟩ with an empty scope-probe, Keep() is one hash lookup per
-/// inner membership; otherwise it runs the general pair-of-subset-tests.
-class RestrictProbes {
- public:
-  RestrictProbes(const XSet& sigma, MemberSpan probes);
-
-  /// \brief True when there are no probes (the restriction is ∅).
-  bool empty() const { return probes_.empty(); }
-
-  /// \brief Whether candidate member m survives r |_σ probes.
-  bool Keep(const Membership& m) const;
-
- private:
-  std::vector<std::pair<XSet, XSet>> probes_;  // ⟨a^{\σ\}, s^{\σ\}⟩ per probe
-  std::unordered_set<Membership, MembershipHash> wanted_;  // singleton path
-  bool singleton_ = false;
-};
-
 /// \brief r |_σ probes (σ-restriction, Def 7.6) over spans: an in-order
-/// filter of r, so the appended tail is canonical by construction.
+/// filter of r, so the appended tail is canonical by construction. When
+/// every probe re-scopes to one membership with an empty scope-probe (the
+/// dominant query shape) a candidate costs one hash lookup per inner
+/// membership; otherwise a pair of subset tests per probe. Parallel above
+/// kSpanGrain members.
 void RestrictSpans(MemberSpan r, const XSet& sigma, MemberSpan probes,
                    std::vector<Membership>* out);
 
@@ -104,8 +89,9 @@ void ElementRangeSpans(MemberSpan r, const XSet& lo, const XSet& hi,
 /// \brief r[probes]_σ (image, Def 7.7) as ONE fused loop: each member of r
 /// is filtered against the probes and — when kept — immediately re-scope-
 /// projected by σ₂, with a single canonicalization of the appended tail.
-/// Equivalent to SigmaDomain(SigmaRestrict(r, σ₁, probes), σ₂) but with no
-/// intermediate list, let alone an interned intermediate set.
+/// Equivalent to DomainSpans over RestrictSpans' output, but with no
+/// intermediate list, let alone an interned intermediate set. Parallel above
+/// kSpanGrain members.
 void ImageSpans(MemberSpan r, const Sigma& sigma, MemberSpan probes,
                 std::vector<Membership>* out);
 

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "src/common/check.h"
-#include "src/common/sync.h"
 #include "src/common/macros.h"
 #include "src/common/thread_pool.h"
 #include "src/core/order.h"
@@ -71,51 +70,47 @@ Result<Relation> GroupBy(const Relation& r, const std::vector<std::string>& keys
 
   // Partition: group key (as a tuple of key values) → per-aggregate state.
   // Chunks accumulate into local block maps in parallel; partial accumulators
-  // merge associatively, so the merged result is order-independent.
+  // merge associatively, so the merged result is order-independent. A chunk
+  // stops at its first non-tuple member; the first error in chunk order wins.
   using Blocks = std::map<XSet, std::vector<Accumulator>, XSetLess>;
-  Blocks blocks;
+  struct Chunk {
+    Blocks blocks;
+    Status error = Status::OK();
+  };
   auto tuples = r.tuples().members();
-  Mutex merge_mu XST_LOCK_RANK(40);
-  Status error = Status::OK();
-  ParallelFor(tuples.size(), /*min_chunk=*/1024, [&](size_t lo, size_t hi) {
-    const bool solo = lo == 0 && hi == tuples.size();  // single-chunk inline path
-    Blocks local_storage;
-    Blocks& dest = solo ? blocks : local_storage;
-    std::vector<XSet> parts;
-    for (size_t t = lo; t < hi; ++t) {
-      const Membership& m = tuples[t];
-      if (!TupleElements(m.element, &parts)) {
-        MutexLock lock(&merge_mu);
-        if (error.ok()) {
-          error = Status::TypeError("GroupBy: non-tuple member " + m.element.ToString());
+  Chunk first;
+  std::vector<Chunk> rest = ParallelCollect(
+      tuples.size(), /*min_chunk=*/1024, &first, [&](size_t lo, size_t hi, Chunk* dst) {
+        std::vector<XSet> parts;
+        for (size_t t = lo; t < hi; ++t) {
+          const Membership& m = tuples[t];
+          if (!TupleElements(m.element, &parts)) {
+            dst->error = Status::TypeError("GroupBy: non-tuple member " + m.element.ToString());
+            return;
+          }
+          std::vector<XSet> key_values;
+          key_values.reserve(key_pos.size());
+          for (size_t pos : key_pos) key_values.push_back(parts[pos]);
+          auto [it, inserted] = dst->blocks.try_emplace(XSet::Tuple(key_values), aggs.size());
+          for (size_t i = 0; i < aggs.size(); ++i) {
+            if (aggs[i].kind == AggKind::kCount) {
+              it->second[i].Add(0);
+            } else {
+              it->second[i].Add(parts[agg_pos[i]].int_value());
+            }
+          }
         }
-        return;
-      }
-      std::vector<XSet> key_values;
-      key_values.reserve(key_pos.size());
-      for (size_t pos : key_pos) key_values.push_back(parts[pos]);
-      XSet key = XSet::Tuple(key_values);
-      auto [it, inserted] = dest.try_emplace(key, aggs.size());
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        if (aggs[i].kind == AggKind::kCount) {
-          it->second[i].Add(0);
-        } else {
-          it->second[i].Add(parts[agg_pos[i]].int_value());
-        }
-      }
+      });
+  XST_RETURN_NOT_OK(first.error);
+  Blocks& blocks = first.blocks;
+  for (Chunk& part : rest) {
+    XST_RETURN_NOT_OK(part.error);
+    for (auto& [key, accs] : part.blocks) {
+      auto [it, inserted] = blocks.try_emplace(key, std::move(accs));
+      if (inserted) continue;
+      for (size_t i = 0; i < aggs.size(); ++i) it->second[i].Merge(accs[i]);
     }
-    if (solo) return;
-    MutexLock lock(&merge_mu);
-    for (auto& [key, accs] : local_storage) {
-      auto it = blocks.find(key);
-      if (it == blocks.end()) {
-        blocks.emplace(key, std::move(accs));
-      } else {
-        for (size_t i = 0; i < aggs.size(); ++i) it->second[i].Merge(accs[i]);
-      }
-    }
-  });
-  XST_RETURN_NOT_OK(error);
+  }
 
   // Fold each block to one output tuple.
   std::vector<std::vector<XSet>> rows;

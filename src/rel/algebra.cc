@@ -2,14 +2,15 @@
 
 #include "src/common/check.h"
 #include "src/common/macros.h"
+#include "src/common/thread_pool.h"
 #include "src/core/atom.h"
 #include "src/core/order.h"
 #include "src/ops/boolean.h"
 #include "src/ops/domain.h"
-#include "src/ops/kernels.h"
 #include "src/ops/product.h"
 #include "src/ops/relative.h"
 #include "src/ops/restrict.h"
+#include "src/ops/span_kernels.h"
 
 namespace xst {
 namespace rel {
@@ -75,12 +76,20 @@ Result<Relation> SelectWhere(const Relation& r, const std::string& attr,
                              const std::function<bool(const XSet&)>& predicate) {
   XST_ASSIGN_OR_RAISE(int64_t pos, Position(r.schema(), attr));
   XSet position = XSet::Int(pos);
-  // Parallel order-preserving filter; the kept tuples stay canonical.
-  std::vector<Membership> kept =
-      ParallelFilterInOrder(r.tuples().members(), [&](const Membership& m) {
-        std::vector<XSet> values = m.element.ElementsWithScope(position);
-        return values.size() == 1 && predicate(values[0]);
+  // Parallel filter whose chunks come back in order, so the kept tuples are
+  // an ordered subsequence of a canonical list: canonical.
+  auto ms = r.tuples().members();
+  std::vector<Membership> kept;
+  std::vector<std::vector<Membership>> rest = ParallelCollect(
+      ms.size(), kSpanGrain, &kept, [&](size_t lo, size_t hi, std::vector<Membership>* dst) {
+        for (size_t i = lo; i < hi; ++i) {
+          std::vector<XSet> values = ms[i].element.ElementsWithScope(position);
+          if (values.size() == 1 && predicate(values[0])) dst->push_back(ms[i]);
+        }
       });
+  for (const std::vector<Membership>& part : rest) {
+    kept.insert(kept.end(), part.begin(), part.end());
+  }
   XST_DCHECK(IsCanonicalMemberList(kept));
   return Relation::Make(r.schema(), XST_VALIDATE(XSet::FromSortedMembers(std::move(kept))));
 }

@@ -87,11 +87,11 @@ struct SetStoreOptions {
   /// \brief Opens the store's backing files; StdioFile::Open when unset.
   /// Applied to every file the store opens, including Compact's temp file —
   /// the hook the fault-injection suite hangs a failing device on.
-  FileFactory file_factory;
+  FileFactory file_factory{};
 
   /// \brief Compact's atomic-swap primitive; std::rename when unset
   /// (test hook for the rename-failure recovery path).
-  std::function<int(const char* from, const char* to)> rename_fn;
+  std::function<int(const char* from, const char* to)> rename_fn{};
 
   /// \brief Checkpoint once the log segment outgrows this many bytes
   /// (checked after each acknowledged commit) — the knob that bounds

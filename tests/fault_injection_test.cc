@@ -190,7 +190,9 @@ void SweepOpChannel(OpKind op, const Channel& channel, const std::string& path) 
           for (const std::string& name : s.List()) {
             Result<XSet> got = s.Get(name);
             // Reads may fail under a dead device, but an OK read is exact.
-            if (got.ok()) EXPECT_EQ(*got, ExpectedValue(name)) << name;
+            if (got.ok()) {
+              EXPECT_EQ(*got, ExpectedValue(name)) << name;
+            }
           }
         } else {
           EXPECT_EQ(s.List(), post);

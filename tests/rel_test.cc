@@ -232,9 +232,9 @@ std::vector<rel::Row> XstToRows(const Relation& r) {
     rel::Row out;
     for (const XSet& v : row) {
       if (v.is_int()) {
-        out.push_back(v.int_value());
+        out.emplace_back(v.int_value());
       } else {
-        out.push_back(v.str_value());
+        out.emplace_back(v.str_value());
       }
     }
     rows.push_back(std::move(out));

@@ -45,8 +45,8 @@ TEST(MutexTest, CriticalSectionsExclude) {
     for (size_t i = begin; i < end; ++i) {
       MutexLock lock(&state.mu);
       long snapshot = state.total;
-      for (volatile int spin = 0; spin < 100; ++spin) {
-      }
+      volatile int spin = 0;
+      while (spin < 100) spin = spin + 1;  // plain assignment: ++ on volatile is deprecated
       state.total = snapshot + 1;
     }
   });

@@ -148,7 +148,7 @@ PAGE_PTR_DECL_RE = re.compile(r"\bPage\s*\*\s*\w+\s*=")
 PAGEREF_DEREF_RE = re.compile(r"\.get\(\)|&\s*\*|operator->")
 PAGE_FETCH_RE = re.compile(r"\b(FetchPage|AllocatePage)\s*\(")
 LOCK_DECL_RE = re.compile(r"\b(MutexLock|lock_guard|unique_lock|scoped_lock)\b\s*[<\w]*\s*\w+\s*[({]")
-PARALLEL_FOR_RE = re.compile(r"\bParallelFor\s*\(")
+PARALLEL_FOR_RE = re.compile(r"\bParallel(For|Collect)\s*\(")
 
 
 def _exempt(rel_path, names):
@@ -312,7 +312,7 @@ def ast_rule_lock_across_parallelfor(rel_path, tu, cindex):
 
     visit(tu.cursor, None)
     for c in _walk(tu.cursor):
-        if c.kind != K.CALL_EXPR or c.spelling != "ParallelFor":
+        if c.kind != K.CALL_EXPR or c.spelling not in ("ParallelFor", "ParallelCollect"):
             continue
         if not _in_main_file(c, rel_path):
             continue

@@ -77,9 +77,10 @@ Rules (see DESIGN.md section 7 for rationale):
 
   blocking-under-latch   Blocking points — File::Size/ReadAt/WriteAt/Flush/
                          Truncate, Wal::WaitDurable/FlushAll, CondVar::Wait,
-                         ThreadPool::ParallelFor, plus anything declared
-                         XST_BLOCKING — must not be reachable while a lock of
-                         rank >= the latch floor (default 20) is held.
+                         ThreadPool::ParallelFor/ParallelCollect, plus
+                         anything declared XST_BLOCKING — must not be
+                         reachable while a lock of rank >= the latch floor
+                         (default 20) is held.
                          CondVar::Wait exempts the innermost held lock (Wait
                          releases it while blocked). Locks below the floor
                          (the store's outer mu_) may legally cover I/O.
@@ -653,7 +654,9 @@ NOT_CALL_NAMES = frozenset((
 # keeps single-file scans and fixtures honest without them.
 BLOCKING_REGISTRY = frozenset((
     "ReadAt", "WriteAt", "Size", "Flush", "Truncate",
-    "WaitDurable", "FlushAll", "Wait", "ParallelFor"))
+    "WaitDurable", "FlushAll", "Wait", "ParallelFor", "ParallelCollect"))
+# Parallel regions block whether called as a method or a free function.
+PARALLEL_REGIONS = frozenset(("ParallelFor", "ParallelCollect"))
 
 
 class ConcurrencyModel:
@@ -836,7 +839,7 @@ def concurrency_findings(model, latch_floor=None):
         if info is not None:
             return info[0]
         # Compound expressions the textual engine cannot type (`shard.latch`,
-        # `pool->merge_mu`) resolve by their final component when that name
+        # `impl_->pool_mu`) resolve by their final component when that name
         # has exactly one declared rank tree-wide.
         m = re.search(r"(\w+)$", ident)
         if m:
@@ -915,7 +918,7 @@ def concurrency_findings(model, latch_floor=None):
         for name, receiver, site, held in f["calls"]:
             blocking = (name in model.blocking_names
                         or (receiver and name in BLOCKING_REGISTRY)
-                        or name == "ParallelFor")
+                        or name in PARALLEL_REGIONS)
             if not blocking:
                 continue
             if name == "Wait":
@@ -1335,6 +1338,15 @@ SELF_TEST_FIXTURES = [
      "    Helper();\n"
      "  }\n"
      "  void Helper() { file_->WriteAt(0, buf, 8); }\n"
+     "  Mutex latch_ XST_LOCK_RANK(20);\n"
+     "};\n"),
+    # A parallel region waits for its chunks, free-function call included.
+    ("blocking-under-latch", True,
+     "class C {\n"
+     "  void F() {\n"
+     "    MutexLock l(&latch_);\n"
+     "    auto rest = ParallelCollect(n, 1024, &out, body);\n"
+     "  }\n"
      "  Mutex latch_ XST_LOCK_RANK(20);\n"
      "};\n"),
     # CondVar::Wait releases the innermost lock while blocked: not a finding.
