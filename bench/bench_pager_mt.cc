@@ -1,15 +1,13 @@
-// BEN-PAGER-MT: concurrent read-hit throughput through the pager latch.
-// Each benchmark runs the same read mix against two store configurations:
-// the default sharded latch (optimistic read path) and the coarse baseline
-// (serialize_reads=true, pager_latch_shards=1). The sharded/coarse ratio at
-// 8 threads is the PR10 acceptance figure; single-core hosts can only show
-// parity, so read multi-thread numbers from a multi-core runner.
+// BEN-PAGER-MT: concurrent read-hit throughput through the store's one read
+// path (optimistic views over the sharded pager latch), at 1, 4 and 8
+// threads. The 4- and 8-thread rows against the 1-thread row are the
+// scaling figure; single-core hosts can only show parity, so read
+// multi-thread numbers from a multi-core runner.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -36,42 +34,34 @@ XSet DenseSet(int n) {
   return XSet::FromMembers(std::move(members));
 }
 
-// One static read-only store per configuration, built on first use and kept
-// for the process lifetime: google-benchmark re-enters the function from
-// every thread, so construction must be single-shot and race-free.
-SetStore* GetStore(bool coarse) {
-  static std::unique_ptr<SetStore> stores[2];
-  static std::mutex mu;
-  std::lock_guard<std::mutex> lock(mu);
-  std::unique_ptr<SetStore>& slot = stores[coarse ? 1 : 0];
-  if (!slot) {
-    const std::string path = BenchPath(coarse ? "coarse" : "sharded");
+// One read-only store, built on first use and kept for the process
+// lifetime: google-benchmark re-enters the function from every thread, and
+// a function-local static is initialized exactly once, race-free.
+SetStore* GetStore() {
+  static const std::unique_ptr<SetStore> store = [] {
+    const std::string path = BenchPath("store");
     std::remove(path.c_str());
     std::remove((path + ".wal").c_str());
     SetStoreOptions options;
     options.buffer_pool_pages = 512;  // everything stays resident: pure hits
-    if (coarse) {
-      options.serialize_reads = true;
-      options.pager_latch_shards = 1;
-    }
-    Result<std::unique_ptr<SetStore>> store = SetStore::Open(path, options);
-    if (!store.ok()) return nullptr;
+    Result<std::unique_ptr<SetStore>> opened = SetStore::Open(path, options);
+    if (!opened.ok()) return std::unique_ptr<SetStore>();
     for (int i = 0; i < kKeys; ++i) {
-      if (!(*store)->Put("set" + std::to_string(i), DenseSet(24)).ok()) {
-        return nullptr;
+      if (!(*opened)->Put("set" + std::to_string(i), DenseSet(24)).ok()) {
+        return std::unique_ptr<SetStore>();
       }
     }
-    if (!(*store)->PutIndexed("idx", DenseSet(kIndexMembers)).ok()) {
-      return nullptr;
+    if (!(*opened)->PutIndexed("idx", DenseSet(kIndexMembers)).ok()) {
+      return std::unique_ptr<SetStore>();
     }
-    slot = std::move(*store);
-  }
-  return slot.get();
+    return std::move(*opened);
+  }();
+  return store.get();
 }
 
 // Full Get round-trips: pin + decode of a cached page per key.
 void BM_PagerConcurrentGet(benchmark::State& state) {
-  SetStore* store = GetStore(state.range(0) != 0);
+  SetStore* store = GetStore();
   if (store == nullptr) {
     state.SkipWithError("open failed");
     return;
@@ -87,21 +77,16 @@ void BM_PagerConcurrentGet(benchmark::State& state) {
     benchmark::DoNotOptimize(got);
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(state.range(0) != 0 ? "coarse" : "sharded");
 }
 BENCHMARK(BM_PagerConcurrentGet)
-    ->ArgName("coarse")
-    ->Arg(0)
-    ->Arg(1)
     ->Threads(1)
     ->Threads(4)
     ->Threads(8)
     ->UseRealTime();
 
-// B+tree point probes: short pin times, so latch hand-off dominates — the
-// read mix where a coarse latch hurts most.
+// B+tree point probes: short pin times, so latch hand-off dominates.
 void BM_PagerConcurrentProbe(benchmark::State& state) {
-  SetStore* store = GetStore(state.range(0) != 0);
+  SetStore* store = GetStore();
   if (store == nullptr) {
     state.SkipWithError("open failed");
     return;
@@ -119,12 +104,8 @@ void BM_PagerConcurrentProbe(benchmark::State& state) {
     benchmark::DoNotOptimize(has);
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(state.range(0) != 0 ? "coarse" : "sharded");
 }
 BENCHMARK(BM_PagerConcurrentProbe)
-    ->ArgName("coarse")
-    ->Arg(0)
-    ->Arg(1)
     ->Threads(1)
     ->Threads(4)
     ->Threads(8)

@@ -7,14 +7,14 @@
 // pairs with MutexLock for wait/notify.
 //
 // House rules (enforced by -Werror=thread-safety on Clang CI and by
-// tools/xst_astcheck.py's bare-mutex rule everywhere else):
+// tools/xst_lint.py's bare-mutex rule everywhere else):
 //   * No bare std::mutex / std::shared_mutex / std::condition_variable
 //     outside this file. All shared state goes behind xst::Mutex.
 //   * Every field a Mutex protects is annotated XST_GUARDED_BY(mu) — even
 //     fields of function-local structs (the analysis resolves member-
 //     relative capabilities).
 //   * Never hold a MutexLock across a ParallelFor: the pool inverts control
-//     and a chunk that re-acquires the same lock self-deadlocks (astcheck's
+//     and a chunk that re-acquires the same lock self-deadlocks (xst_lint's
 //     lock-across-parallelfor rule).
 //   * Every Mutex declaration carries XST_LOCK_RANK(n): the locksmith rules
 //     (lock-rank, blocking-under-latch; DESIGN.md §15) prove acquisitions

@@ -55,12 +55,13 @@ size_t FloorPow2(size_t n) {
   return p;
 }
 
-size_t EffectiveShards(size_t requested, size_t capacity) {
-  // A power of two (page-id masking) no larger than requested, and small
-  // enough that every shard keeps >= 4 frames — thinner slices would turn
-  // pin pressure into spurious ResourceExhausted. One shard reproduces the
-  // historical coarse pager exactly (same LRU order, same eviction counts).
-  return FloorPow2(std::min(requested, std::max<size_t>(1, capacity / 4)));
+size_t ShardsFor(size_t capacity) {
+  // A power of two (page-id masking), at most 16, and small enough that
+  // every shard keeps >= 4 frames — thinner slices would turn pin pressure
+  // into spurious ResourceExhausted. Pools under 8 frames get one shard,
+  // which is exactly the coarse pager (same LRU order, same eviction
+  // counts).
+  return FloorPow2(std::min<size_t>(16, std::max<size_t>(1, capacity / 4)));
 }
 
 }  // namespace
@@ -141,36 +142,32 @@ PageWriteGuard::~PageWriteGuard() {
   shard_->latch.Unlock();
 }
 
-Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path, size_t capacity,
-                                           size_t latch_shards) {
+Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path, size_t capacity) {
   Result<std::unique_ptr<File>> file = StdioFile::Open(path);
   if (!file.ok()) return file.status();
-  return Open(std::move(*file), capacity, path, latch_shards);
+  return Open(std::move(*file), capacity, path);
 }
 
 Result<std::unique_ptr<Pager>> Pager::Open(std::unique_ptr<File> file,
-                                           size_t capacity, const std::string& name,
-                                           size_t latch_shards) {
+                                           size_t capacity, const std::string& name) {
   if (capacity == 0) return Status::Invalid("buffer pool capacity must be >= 1");
-  if (latch_shards == 0) return Status::Invalid("latch_shards must be >= 1");
   Result<uint64_t> size = file->Size();
   if (!size.ok()) return size.status().WithContext(name);
   if (*size % kPageSize != 0) {
     return Status::Corruption(name + ": file size " + std::to_string(*size) +
                               " is not a whole number of pages");
   }
-  return std::unique_ptr<Pager>(
-      new Pager(std::move(file), name, capacity,
-                static_cast<uint32_t>(*size / kPageSize), latch_shards));
+  return std::unique_ptr<Pager>(new Pager(std::move(file), name, capacity,
+                                          static_cast<uint32_t>(*size / kPageSize)));
 }
 
 Pager::Pager(std::unique_ptr<File> file, std::string name, size_t capacity,
-             uint32_t page_count, size_t latch_shards)
+             uint32_t page_count)
     : file_(std::move(file)),
       name_(std::move(name)),
-      capacity_per_shard_(capacity / EffectiveShards(latch_shards, capacity)),
+      capacity_per_shard_(capacity / ShardsFor(capacity)),
       page_count_(page_count) {
-  size_t shards = EffectiveShards(latch_shards, capacity);
+  const size_t shards = ShardsFor(capacity);
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<internal::PagerShard>());

@@ -27,10 +27,10 @@
 // by ApplyCheckpointImage — the no-steal ordering that keeps uncommitted
 // (and committed-but-unsynced) pages from ever overtaking the log.
 //
-// Thread safety (DESIGN.md §15): the frame table is split into
-// `latch_shards` shards keyed by page id, each holding its own LRU list and
-// map behind a rank-20 latch. Concurrent readers stream page copies out
-// through ReadPageSnapshot while a single writer (serialized externally on
+// Thread safety (DESIGN.md §15): the frame table is split into latch
+// shards keyed by page id, each holding its own LRU list and map behind a
+// rank-20 latch. Concurrent readers stream page copies out through
+// ReadPageSnapshot while a single writer (serialized externally on
 // SetStore::mu_) mutates content under PageWriteGuard; per-frame pin counts
 // are atomic so a reader-triggered eviction scan can race the writer's
 // pins. The latch protocol:
@@ -43,9 +43,10 @@
 //   * Frame content and the dirty/logged flags are read and written only
 //     under the owning shard's latch (a per-instance capability Clang's
 //     TSA cannot name; the locksmith rules and TSan cover it).
-// `Open` defaults to one shard — exactly the historical coarse pager, which
-// direct users (tests, single-threaded tools) rely on for deterministic
-// LRU/eviction accounting. SetStore requests a real split.
+// The shard count follows the pool size: a power of two, at most 16, with
+// at least 4 frames per shard. Pools under 8 frames keep one shard —
+// exactly the coarse pager, whose LRU order and eviction counts the
+// exact-accounting tests rely on.
 
 #pragma once
 
@@ -231,18 +232,15 @@ class [[nodiscard]] PageWriteGuard {
 class Pager {
  public:
   /// \brief Opens (creating if needed) a page file through StdioFile.
-  /// `capacity` is the buffer-pool size in pages (≥ 1); `latch_shards`
-  /// splits the frame table (see the file comment — 1 preserves the exact
-  /// coarse LRU accounting).
+  /// `capacity` is the buffer-pool size in pages (≥ 1); it also sets the
+  /// latch-shard count (see the file comment).
   static Result<std::unique_ptr<Pager>> Open(const std::string& path,
-                                             size_t capacity = 64,
-                                             size_t latch_shards = 1);
+                                             size_t capacity = 64);
 
   /// \brief Opens over a caller-supplied File (fault injection, alternate
   /// backends). `name` labels error messages.
   static Result<std::unique_ptr<Pager>> Open(std::unique_ptr<File> file,
-                                             size_t capacity, const std::string& name,
-                                             size_t latch_shards = 1);
+                                             size_t capacity, const std::string& name);
 
   ~Pager();
   Pager(const Pager&) = delete;
@@ -313,7 +311,7 @@ class Pager {
   friend class PageWriteGuard;
 
   Pager(std::unique_ptr<File> file, std::string name, size_t capacity,
-        uint32_t page_count, size_t latch_shards);
+        uint32_t page_count);
 
   internal::PagerShard& ShardFor(uint32_t page_id) const {
     return *shards_[page_id & shard_mask_];

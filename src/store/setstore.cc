@@ -53,6 +53,16 @@ obs::Counter& RecoveryReplayedCounter() {
       internal::kWalRecoveryReplayedCounter);
   return c;
 }
+obs::Counter& ReadRetriesCounter() {
+  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
+      internal::kStoreReadRetriesCounter);
+  return c;
+}
+obs::Counter& ReadFallbacksCounter() {
+  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
+      internal::kStoreReadFallbacksCounter);
+  return c;
+}
 
 }  // namespace
 
@@ -60,8 +70,7 @@ Result<std::unique_ptr<Pager>> SetStore::OpenPager(const std::string& path) cons
   Result<std::unique_ptr<File>> file =
       options_.file_factory ? options_.file_factory(path) : StdioFile::Open(path);
   if (!file.ok()) return file.status();
-  return Pager::Open(std::move(*file), options_.buffer_pool_pages, path,
-                     options_.pager_latch_shards);
+  return Pager::Open(std::move(*file), options_.buffer_pool_pages, path);
 }
 
 Result<SetStore::ReadView> SetStore::CaptureView(const std::string* name) const {
@@ -80,6 +89,29 @@ bool SetStore::ValidateView(const ReadView& view) const {
   MutexLock lock(&mu_);
   return pager_ != nullptr && pager_.get() == view.pager.get() &&
          mutation_epoch_ == view.epoch;
+}
+
+template <typename ReadFn>
+std::invoke_result_t<const ReadFn&, Pager&, const CatalogEntry&>
+SetStore::ReadConsistent(const std::string* name, const ReadFn& read) {
+  // Optimistic attempts: stream pages with no store lock held, and return a
+  // result (or error) only if nothing invalidated the view meanwhile — an
+  // error under an invalidated view may be an artifact of racing a writer.
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    XST_ASSIGN_OR_RAISE(ReadView view, CaptureView(name));
+    auto result = read(*view.pager, view.entry);
+    if (ValidateView(view)) return result;
+    ReadRetriesCounter().Increment();
+  }
+  // Writers kept winning: the same read under mu_ guarantees progress.
+  ReadFallbacksCounter().Increment();
+  MutexLock lock(&mu_);
+  XST_RETURN_NOT_OK(CheckOpen());
+  CatalogEntry entry;
+  if (name != nullptr) {
+    XST_ASSIGN_OR_RAISE(entry, catalog_.Get(*name));
+  }
+  return read(*pager_, entry);
 }
 
 Status SetStore::CheckOpen() const {
@@ -542,31 +574,21 @@ Result<size_t> SetStore::Scrub() {
 
 Result<XSet> SetStore::Get(const std::string& name) {
   XST_TRACE_SPAN("store.get");
-  if (!options_.serialize_reads) {
-    // Optimistic read: capture a view, stream pages with no store lock
-    // held, and return the result only if nothing invalidated the view.
-    // Bounded retries, then the coarse path below guarantees progress.
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      XST_ASSIGN_OR_RAISE(ReadView view, CaptureView(&name));
-      Result<XSet> value = view.entry.kind == CatalogEntry::kKindIndex
-                               ? MaterializeIndex(*view.pager, name, view.entry)
-                               : DecodeBlobSet(*view.pager, name, view.entry);
-      // An error under an invalidated view may be an artifact of racing a
-      // writer; only a validated result (or error) is real.
-      if (ValidateView(view)) return value;
-    }
-  }
-  MutexLock lock(&mu_);
-  return GetLocked(name);
+  return ReadConsistent(&name, [&](Pager& pager, const CatalogEntry& entry) {
+    return ReadSet(pager, name, entry);
+  });
 }
 
 Result<XSet> SetStore::GetLocked(const std::string& name) {
   XST_RETURN_NOT_OK(CheckOpen());
   XST_ASSIGN_OR_RAISE(CatalogEntry entry, catalog_.Get(name));
-  if (entry.kind == CatalogEntry::kKindIndex) {
-    return MaterializeIndex(*pager_, name, entry);
-  }
-  return DecodeBlobSet(*pager_, name, entry);
+  return ReadSet(*pager_, name, entry);
+}
+
+Result<XSet> SetStore::ReadSet(Pager& pager, const std::string& name,
+                               const CatalogEntry& entry) {
+  return entry.kind == CatalogEntry::kKindIndex ? MaterializeIndex(pager, name, entry)
+                                                : DecodeBlobSet(pager, name, entry);
 }
 
 Result<XSet> SetStore::MaterializeIndex(Pager& pager, const std::string& name,
@@ -742,36 +764,14 @@ Result<uint64_t> SetStore::EraseMemberLocked(const std::string& name,
 
 Result<bool> SetStore::ContainsMember(const std::string& name, const Membership& m) {
   XST_TRACE_SPAN("store.contains_member");
-  if (!options_.serialize_reads) {
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      XST_ASSIGN_OR_RAISE(ReadView view, CaptureView(&name));
-      Result<bool> found = [&]() -> Result<bool> {
-        if (view.entry.kind == CatalogEntry::kKindIndex) {
-          BTree tree(view.pager.get(), IndexInfoOf(view.entry));
-          return tree.Contains(m);
-        }
-        Result<XSet> value = DecodeBlobSet(*view.pager, name, view.entry);
-        if (!value.ok()) return value.status();
-        for (const Membership& member : value->members()) {
-          if (CompareMembership(member, m) == 0) return true;
-        }
-        return false;
-      }();
-      if (ValidateView(view)) return found;
+  return ReadConsistent(&name, [&](Pager& pager,
+                                   const CatalogEntry& entry) -> Result<bool> {
+    if (entry.kind == CatalogEntry::kKindIndex) {
+      return BTree(&pager, IndexInfoOf(entry)).Contains(m);
     }
-  }
-  MutexLock lock(&mu_);
-  XST_RETURN_NOT_OK(CheckOpen());
-  XST_ASSIGN_OR_RAISE(CatalogEntry entry, catalog_.Get(name));
-  if (entry.kind == CatalogEntry::kKindIndex) {
-    BTree tree(pager_.get(), IndexInfoOf(entry));
-    return tree.Contains(m);
-  }
-  XST_ASSIGN_OR_RAISE(XSet value, GetLocked(name));
-  for (const Membership& member : value.members()) {
-    if (CompareMembership(member, m) == 0) return true;
-  }
-  return false;
+    XST_ASSIGN_OR_RAISE(XSet value, DecodeBlobSet(pager, name, entry));
+    return value.Contains(m.element, m.scope);
+  });
 }
 
 Result<StorageMode> SetStore::ModeOf(const std::string& name) const {
@@ -783,123 +783,57 @@ Result<StorageMode> SetStore::ModeOf(const std::string& name) const {
 }
 
 Result<std::unique_ptr<MemberCursor>> SetStore::OpenCursor(const std::string& name) {
-  if (!options_.serialize_reads) {
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      XST_ASSIGN_OR_RAISE(ReadView view, CaptureView(&name));
-      if (view.entry.kind == CatalogEntry::kKindIndex) {
+  return ReadConsistent(&name, [&](Pager& pager, const CatalogEntry& entry)
+                                   -> Result<std::unique_ptr<MemberCursor>> {
+    if (entry.kind == CatalogEntry::kKindIndex) {
 #if XST_VALIDATE_LEVEL >= 2
-        Status valid = ValidateBTree(*view.pager, IndexInfoOf(view.entry));
-        if (!valid.ok()) {
-          if (!ValidateView(view)) continue;
-          return valid.WithContext("set '" + name + "'");
-        }
+      XST_RETURN_NOT_OK(
+          ValidateBTree(pager, IndexInfoOf(entry)).WithContext("set '" + name + "'"));
 #endif
-        BTree tree(view.pager.get(), IndexInfoOf(view.entry));
-        Result<BTreeCursorPos> pos = tree.SeekFirst();
-        if (!ValidateView(view)) continue;
-        if (!pos.ok()) return pos.status();
-        return std::unique_ptr<MemberCursor>(
-            new BTreeCursor(*this, *pos, std::nullopt));
-      }
-      Result<XSet> value = DecodeBlobSet(*view.pager, name, view.entry);
-      if (!ValidateView(view)) continue;
-      if (!value.ok()) return value.status();
-      return std::unique_ptr<MemberCursor>(new StoredSetCursor(std::move(*value)));
+      BTree tree(&pager, IndexInfoOf(entry));
+      XST_ASSIGN_OR_RAISE(BTreeCursorPos pos, tree.SeekFirst());
+      return std::unique_ptr<MemberCursor>(new BTreeCursor(*this, pos, std::nullopt));
     }
-  }
-  MutexLock lock(&mu_);
-  XST_RETURN_NOT_OK(CheckOpen());
-  XST_ASSIGN_OR_RAISE(CatalogEntry entry, catalog_.Get(name));
-  if (entry.kind == CatalogEntry::kKindIndex) {
-#if XST_VALIDATE_LEVEL >= 2
-    XST_RETURN_NOT_OK(
-        ValidateBTree(*pager_, IndexInfoOf(entry)).WithContext("set '" + name + "'"));
-#endif
-    BTree tree(pager_.get(), IndexInfoOf(entry));
-    XST_ASSIGN_OR_RAISE(BTreeCursorPos pos, tree.SeekFirst());
-    return std::unique_ptr<MemberCursor>(new BTreeCursor(*this, pos, std::nullopt));
-  }
-  XST_ASSIGN_OR_RAISE(XSet value, GetLocked(name));
-  return std::unique_ptr<MemberCursor>(new StoredSetCursor(std::move(value)));
+    XST_ASSIGN_OR_RAISE(XSet value, DecodeBlobSet(pager, name, entry));
+    return std::unique_ptr<MemberCursor>(new StoredSetCursor(std::move(value)));
+  });
 }
 
 Result<std::unique_ptr<MemberCursor>> SetStore::OpenElementRange(
     const std::string& name, const XSet& lo, const XSet& hi) {
-  if (!options_.serialize_reads) {
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      XST_ASSIGN_OR_RAISE(ReadView view, CaptureView(&name));
-      if (view.entry.kind == CatalogEntry::kKindIndex) {
+  return ReadConsistent(&name, [&](Pager& pager, const CatalogEntry& entry)
+                                   -> Result<std::unique_ptr<MemberCursor>> {
+    if (entry.kind == CatalogEntry::kKindIndex) {
 #if XST_VALIDATE_LEVEL >= 2
-        Status valid = ValidateBTree(*view.pager, IndexInfoOf(view.entry));
-        if (!valid.ok()) {
-          if (!ValidateView(view)) continue;
-          return valid.WithContext("set '" + name + "'");
-        }
+      XST_RETURN_NOT_OK(
+          ValidateBTree(pager, IndexInfoOf(entry)).WithContext("set '" + name + "'"));
 #endif
-        // Seek the lower edge now; batches then touch only in-range leaves.
-        BTree tree(view.pager.get(), IndexInfoOf(view.entry));
-        Result<BTreeCursorPos> pos = tree.SeekElement(lo);
-        if (!ValidateView(view)) continue;
-        if (!pos.ok()) return pos.status();
-        return std::unique_ptr<MemberCursor>(new BTreeCursor(*this, *pos, hi));
-      }
-      Result<XSet> value = DecodeBlobSet(*view.pager, name, view.entry);
-      if (!ValidateView(view)) continue;
-      if (!value.ok()) return value.status();
-      return std::unique_ptr<MemberCursor>(new ElementRangeCursor(
-          std::unique_ptr<MemberCursor>(new StoredSetCursor(std::move(*value))), lo,
-          hi));
+      // Seek the lower edge now; batches then touch only in-range leaves.
+      BTree tree(&pager, IndexInfoOf(entry));
+      XST_ASSIGN_OR_RAISE(BTreeCursorPos pos, tree.SeekElement(lo));
+      return std::unique_ptr<MemberCursor>(new BTreeCursor(*this, pos, hi));
     }
-  }
-  MutexLock lock(&mu_);
-  XST_RETURN_NOT_OK(CheckOpen());
-  XST_ASSIGN_OR_RAISE(CatalogEntry entry, catalog_.Get(name));
-  if (entry.kind == CatalogEntry::kKindIndex) {
-#if XST_VALIDATE_LEVEL >= 2
-    XST_RETURN_NOT_OK(
-        ValidateBTree(*pager_, IndexInfoOf(entry)).WithContext("set '" + name + "'"));
-#endif
-    // Seek the lower edge now; batches then touch only in-range leaves.
-    BTree tree(pager_.get(), IndexInfoOf(entry));
-    XST_ASSIGN_OR_RAISE(BTreeCursorPos pos, tree.SeekElement(lo));
-    return std::unique_ptr<MemberCursor>(new BTreeCursor(*this, pos, hi));
-  }
-  XST_ASSIGN_OR_RAISE(XSet value, GetLocked(name));
-  return std::unique_ptr<MemberCursor>(new ElementRangeCursor(
-      std::unique_ptr<MemberCursor>(new StoredSetCursor(std::move(value))), lo, hi));
+    XST_ASSIGN_OR_RAISE(XSet value, DecodeBlobSet(pager, name, entry));
+    return std::unique_ptr<MemberCursor>(new ElementRangeCursor(
+        std::unique_ptr<MemberCursor>(new StoredSetCursor(std::move(value))), lo, hi));
+  });
 }
 
 Status SetStore::ReadIndexBatch(BTreeCursorPos* pos, const XSet* hi_element,
                                 std::vector<Membership>* out) {
+  const BTreeCursorPos saved = *pos;
   const size_t before = out->size();
-  if (!options_.serialize_reads) {
-    const BTreeCursorPos saved = *pos;
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      XST_ASSIGN_OR_RAISE(ReadView view, CaptureView(nullptr));
-      BTree tree(view.pager.get(), BTreeInfo{});  // position-only: root unused
-      Status st = Status::OK();
-      for (;;) {
-        Result<bool> more = tree.ReadLeafBatch(pos, hi_element, out);
-        if (!more.ok()) {
-          st = more.status();
-          break;
-        }
-        if (!*more || out->size() > before) break;
-      }
-      if (ValidateView(view)) return st;
-      // Invalidated mid-batch: roll the cursor and the output back and
-      // retry from the captured position.
-      out->resize(before);
-      *pos = saved;
+  return ReadConsistent(nullptr, [&](Pager& pager, const CatalogEntry&) -> Status {
+    // Every attempt starts from the captured position with the output
+    // rolled back, so a discarded attempt leaves no trace.
+    *pos = saved;
+    out->resize(before);
+    BTree tree(&pager, BTreeInfo{});  // position-only reads ignore the root
+    for (;;) {
+      XST_ASSIGN_OR_RAISE(bool more, tree.ReadLeafBatch(pos, hi_element, out));
+      if (!more || out->size() > before) return Status::OK();
     }
-  }
-  MutexLock lock(&mu_);
-  XST_RETURN_NOT_OK(CheckOpen());
-  BTree tree(pager_.get(), BTreeInfo{});  // position-only reads ignore the root
-  for (;;) {
-    XST_ASSIGN_OR_RAISE(bool more, tree.ReadLeafBatch(pos, hi_element, out));
-    if (!more || out->size() > before) return Status::OK();
-  }
+  });
 }
 
 Status SetStore::Delete(const std::string& name) {

@@ -51,6 +51,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/result.h"
@@ -71,18 +72,20 @@ enum class StorageMode {
   kOrderedIndex,  ///< B+tree of memberships in canonical order (btree.h)
 };
 
+namespace internal {
+
+// Registry names of the optimistic-read counters: views that failed
+// validation (each one costs a re-read), and reads that gave up on views
+// and ran under the store lock.
+inline constexpr const char* kStoreReadRetriesCounter = "store.read.retries";
+inline constexpr const char* kStoreReadFallbacksCounter = "store.read.fallbacks";
+
+}  // namespace internal
+
 struct SetStoreOptions {
+  /// \brief Buffer-pool size in pages; the pager derives its latch-shard
+  /// count from it (pager.h).
   size_t buffer_pool_pages = 64;
-
-  /// \brief Number of pager latch shards for the concurrent read path
-  /// (power of two; the pager clamps so every shard keeps >= 4 frames).
-  /// 1 reproduces the historical coarse pager.
-  size_t pager_latch_shards = 16;
-
-  /// \brief Serialize every read on the store lock instead of taking the
-  /// optimistic sharded-latch path — the coarse baseline bench_pager_mt
-  /// compares against, and a diagnostic escape hatch.
-  bool serialize_reads = false;
 
   /// \brief Opens the store's backing files; StdioFile::Open when unset.
   /// Applied to every file the store opens, including Compact's temp file —
@@ -123,10 +126,11 @@ struct SetStoreOptions {
 /// held, and re-take `mu_` at the end to validate the view. A mutation,
 /// checkpoint, or pager reopen that overlapped the read bumps the epoch (or
 /// swaps the pager), so validation fails and the read retries — after a few
-/// optimistic attempts it falls back to the coarse path under `mu_`, which
+/// optimistic attempts it runs the same read once under `mu_`, which
 /// guarantees progress. Errors observed under an invalidated view are
 /// discarded, never reported (they may be artifacts of racing a writer).
-/// `serialize_reads` turns the whole optimistic path off.
+/// Every read goes through one helper (ReadConsistent), which counts the
+/// retries and locked runs (`store.read.retries` / `store.read.fallbacks`).
 class SetStore {
  public:
   /// \brief Opens (creating if necessary) a store at `path`. Replays the
@@ -249,7 +253,7 @@ class SetStore {
     MutexLock lock(&mu_);
     return pager_->page_count();
   }
-  /// \brief Pager latch shards actually in use (after the pager's clamp).
+  /// \brief Pager latch shards in use (derived from the pool size).
   size_t pager_latch_shards() const XST_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return pager_->latch_shards();
@@ -284,6 +288,14 @@ class SetStore {
   /// same mutation epoch, store still open. Results computed under a view
   /// may be returned only when this holds.
   bool ValidateView(const ReadView& view) const XST_EXCLUDES(mu_);
+  /// The one read protocol: runs `read(pager, entry)` under up to three
+  /// captured views and returns the first result whose view validates
+  /// (results from invalidated views, errors included, are discarded), then
+  /// runs it once under mu_ against pager_ and catalog_. `name` selects the
+  /// catalog entry; null skips the lookup (the entry is then empty).
+  template <typename ReadFn>
+  std::invoke_result_t<const ReadFn&, Pager&, const CatalogEntry&> ReadConsistent(
+      const std::string* name, const ReadFn& read) XST_EXCLUDES(mu_);
   Result<CatalogEntry> WriteBlob(const std::string& bytes) XST_REQUIRES(mu_);
   /// Streams a blob's pages out of `pager` via latched snapshot reads; no
   /// store lock needed (static on purpose: the concurrent read path runs it
@@ -296,6 +308,9 @@ class SetStore {
   /// static for the same reason as ReadBlobFrom).
   static Result<XSet> MaterializeIndex(Pager& pager, const std::string& name,
                                        const CatalogEntry& entry);
+  /// The whole stored value, per storage mode (Get's reader).
+  static Result<XSet> ReadSet(Pager& pager, const std::string& name,
+                              const CatalogEntry& entry);
   /// Writes `staged`'s blob + superblock pointer into the pool (no I/O to
   /// the main file; durability comes from the WAL commit that follows).
   Status StageCatalog(const Catalog& staged) XST_REQUIRES(mu_);

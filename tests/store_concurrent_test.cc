@@ -1,7 +1,9 @@
 // Concurrent readers against the sharded pager latch: a static store read
 // from many threads must serve exact values, and readers racing a writer on
 // the optimistic read path must only ever observe fully-published versions
-// (never a torn mix of two commits). CI runs this suite under TSan with
+// (never a torn mix of two commits). A reader parked inside its optimistic
+// window must retry, then run under the store lock, exactly as often as
+// writers invalidate it. CI runs this suite under TSan with
 // XST_NUM_THREADS=4; gtest assertions are not thread-safe, so worker threads
 // count failures atomically and the main thread asserts at the end.
 
@@ -10,6 +12,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -18,6 +22,8 @@
 
 #include "src/core/cursor.h"
 #include "src/core/order.h"
+#include "src/obs/metrics.h"
+#include "src/store/catalog.h"
 #include "src/store/setstore.h"
 #include "tests/testing.h"
 
@@ -235,32 +241,138 @@ TEST(StoreConcurrentTest, IndexProbesMonotoneUnderRewrites) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// The serialize_reads escape hatch (the coarse baseline the benchmark
-// compares against) must stay correct under the same contention.
-TEST(StoreConcurrentTest, SerializedReadsBaselineStillCorrect) {
-  TempFile tmp("coarse");
+// Shared by the test thread and the store's main-file ParkingFile: which
+// page read to park, how many more times, and the hand-off counters.
+struct ReadGate {
+  std::atomic<uint64_t> park_offset{UINT64_MAX};
+  std::atomic<int> parks_left{0};  // reads of park_offset still to park
+  std::atomic<int> arrivals{0};    // reads parked so far
+  std::atomic<int> releases{0};    // parked reads the test has let go
+};
+
+// A main file whose reads of one page park until the test releases them, so
+// the test can commit a write inside a reader's optimistic window.
+class ParkingFile : public File {
+ public:
+  ParkingFile(std::unique_ptr<File> inner, std::shared_ptr<ReadGate> gate)
+      : inner_(std::move(inner)), gate_(std::move(gate)) {}
+
+  Result<uint64_t> Size() override { return inner_->Size(); }
+  Status ReadAt(uint64_t offset, char* dst, size_t n) override {
+    if (offset == gate_->park_offset.load() && gate_->parks_left.load() > 0) {
+      gate_->parks_left.fetch_sub(1);
+      const int ticket = gate_->arrivals.fetch_add(1) + 1;
+      while (gate_->releases.load() < ticket) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    return inner_->ReadAt(offset, dst, n);
+  }
+  Status WriteAt(uint64_t offset, const char* src, size_t n) override {
+    return inner_->WriteAt(offset, src, n);
+  }
+  Status Flush() override { return inner_->Flush(); }
+  Status Truncate(uint64_t size) override { return inner_->Truncate(size); }
+
+ private:
+  std::unique_ptr<File> inner_;
+  std::shared_ptr<ReadGate> gate_;
+};
+
+// True once `n` reads have parked; false after ten seconds without them.
+bool WaitForArrivals(const ReadGate& gate, int n) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (gate.arrivals.load() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+// A Get whose view a writer invalidates is retried, and after three
+// invalidated views it runs under the store lock; both paths return the
+// stored value, and the store.read counters record each step.
+TEST(StoreConcurrentTest, InvalidatedReadsRetryThenRunUnderTheStoreLock) {
+  TempFile tmp("park");
+  auto gate = std::make_shared<ReadGate>();
   SetStoreOptions options;
-  options.buffer_pool_pages = 8;
-  options.serialize_reads = true;
-  options.pager_latch_shards = 1;
+  options.buffer_pool_pages = 4;  // one shard, smaller than the blob
+  options.file_factory = [gate](const std::string& path) {
+    Result<std::unique_ptr<File>> file = StdioFile::Open(path);
+    if (file.ok() && !path.ends_with(".wal")) {
+      file = std::unique_ptr<File>(std::make_unique<ParkingFile>(std::move(*file), gate));
+    }
+    return file;
+  };
   Result<std::unique_ptr<SetStore>> store = SetStore::Open(tmp.path(), options);
   ASSERT_TRUE(store.ok());
-  EXPECT_EQ((*store)->pager_latch_shards(), 1u);
 
-  const XSet value = X(DenseSetText(16));
-  ASSERT_TRUE((*store)->Put("s", value).ok());
-  std::atomic<int> failures{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        Result<XSet> got = (*store)->Get("s");
-        if (!got.ok() || !(*got == value)) failures.fetch_add(1);
-      }
-    });
+  std::vector<Membership> wide;
+  for (int i = 0; i < 64; ++i) {
+    wide.push_back(Membership{XSet::String(std::string(512, 'x') + std::to_string(i)),
+                              XSet::Empty()});
   }
-  for (std::thread& t : readers) t.join();
-  EXPECT_EQ(failures.load(), 0);
+  const XSet big = XSet::FromMembers(std::move(wide));
+  ASSERT_TRUE((*store)->Put("big", big).ok());
+  // After the checkpoint the blob lives only in the main file, and the
+  // blob's later pages evict its first from the 4-frame pool, so every
+  // attempt re-reads that first page through ReadAt.
+  ASSERT_TRUE((*store)->Checkpoint().ok());
+  Result<Catalog> catalog = Catalog::FromXSet((*store)->CatalogAsXSet());
+  ASSERT_TRUE(catalog.ok());
+  Result<CatalogEntry> entry = catalog->Get("big");
+  ASSERT_TRUE(entry.ok());
+  ASSERT_GT(entry->page_span, 4u);
+  gate->park_offset.store(uint64_t{entry->first_page} * kPageSize);
+
+  obs::Counter& retries =
+      obs::MetricsRegistry::Global().GetCounter(internal::kStoreReadRetriesCounter);
+  obs::Counter& fallbacks =
+      obs::MetricsRegistry::Global().GetCounter(internal::kStoreReadFallbacksCounter);
+  int writes = 0;
+  // One Get whose first `parks` attempts each park on the blob's first page
+  // until a Put of another name commits.
+  const auto get_under_writes = [&](int parks) {
+    gate->arrivals.store(0);
+    gate->releases.store(0);
+    gate->parks_left.store(parks);
+    Result<XSet> got = Status::Invalid("unset");
+    std::thread reader([&] { got = (*store)->Get("big"); });
+    for (int k = 1; k <= parks; ++k) {
+      if (!WaitForArrivals(*gate, k)) break;
+      EXPECT_TRUE((*store)->Put("w" + std::to_string(++writes), X("{1}")).ok());
+      gate->releases.store(k);
+    }
+    gate->releases.store(parks);  // never leave the reader parked
+    reader.join();
+    EXPECT_EQ(gate->arrivals.load(), parks);
+    gate->parks_left.store(0);  // disarm, even if the reader never parked
+    return got;
+  };
+
+  uint64_t retries_before = retries.value();
+  uint64_t fallbacks_before = fallbacks.value();
+  Result<XSet> once = get_under_writes(1);
+  ASSERT_TRUE(once.ok()) << once.status().ToString();
+  EXPECT_TRUE(*once == big);
+  EXPECT_EQ(retries.value() - retries_before, 1u);
+  EXPECT_EQ(fallbacks.value() - fallbacks_before, 0u);
+
+  retries_before = retries.value();
+  fallbacks_before = fallbacks.value();
+  Result<XSet> every = get_under_writes(3);
+  ASSERT_TRUE(every.ok()) << every.status().ToString();
+  EXPECT_TRUE(*every == big);
+  EXPECT_EQ(retries.value() - retries_before, 3u);
+  EXPECT_EQ(fallbacks.value() - fallbacks_before, 1u);
+
+  // An undisturbed read validates its first view and touches neither.
+  retries_before = retries.value();
+  fallbacks_before = fallbacks.value();
+  Result<XSet> quiet = (*store)->Get("big");
+  ASSERT_TRUE(quiet.ok());
+  EXPECT_EQ(retries.value(), retries_before);
+  EXPECT_EQ(fallbacks.value(), fallbacks_before);
 }
 
 }  // namespace

@@ -33,11 +33,25 @@ Rules (see DESIGN.md section 7 for rationale):
                          `--`, or assignment inside one changes behavior
                          between build types.
 
-  raw-page-pointer       Outside src/store/, buffer-pool pages must be held
-                         as PageRef pins — binding a raw `Page*` from
-                         FetchPage/AllocatePage recreates the use-after-evict
-                         the pin API exists to prevent (the pointed-to frame
-                         can be recycled by any later pager call).
+  raw-page-pointer       Outside store/pager.*, buffer-pool pages must be
+                         held as PageRef pins — binding a raw `Page*` from
+                         FetchPage/AllocatePage or from a PageRef deref
+                         (`.get()`, `&*`, `operator->`) recreates the
+                         use-after-evict the pin API exists to prevent (the
+                         pointed-to frame can be recycled by any later pager
+                         call).
+
+  bare-mutex             std::mutex / lock_guard / unique_lock /
+                         condition_variable (and their variants) are
+                         forbidden outside src/common/sync.* — shared state
+                         synchronizes through the annotated xst::Mutex so
+                         Clang's thread-safety analysis sees every lock.
+
+  lock-across-parallelfor  A scoped lock alive at a ParallelFor /
+                         ParallelCollect call: worker chunks that take the
+                         same lock deadlock the region, and even uncontended
+                         it serializes the pool. Brace-scope heuristic: a
+                         lock is alive until its declaring block closes.
 
   obs-doc-comments       Every public function in src/obs/ headers must be
                          preceded by a doc comment. The observability layer
@@ -65,6 +79,9 @@ Rules (see DESIGN.md section 7 for rationale):
                          lock) is a potential deadlock; establish a single
                          lock order instead. Member locks unify class-wide
                          (`Class::mu_`); locals stay scoped to their function.
+                         When several files are scanned, the edges are also
+                         pooled tree-wide, so a cycle split across
+                         translation units is caught too.
 
   lock-rank              Every XST_LOCK_RANK(n)-annotated mutex lives in one
                          global hierarchy. The checker builds a call graph,
@@ -80,7 +97,7 @@ Rules (see DESIGN.md section 7 for rationale):
                          ThreadPool::ParallelFor/ParallelCollect, plus
                          anything declared XST_BLOCKING — must not be
                          reachable while a lock of rank >= the latch floor
-                         (default 20) is held.
+                         (20, the pager latch) is held.
                          CondVar::Wait exempts the innermost held lock (Wait
                          releases it while blocked). Locks below the floor
                          (the store's outer mu_) may legally cover I/O.
@@ -99,7 +116,6 @@ Usage:
   tools/xst_lint.py [paths...]   # default: src/ relative to the repo root
   tools/xst_lint.py --list-rules
   tools/xst_lint.py --self-test
-  tools/xst_lint.py --latch-floor N [paths...]   # blocking-under-latch floor
 """
 
 import argparse
@@ -238,6 +254,15 @@ SIDE_EFFECT_RE = re.compile(
 )
 PAGE_FETCH_RE = re.compile(r"\b(FetchPage|AllocatePage)\s*\(")
 PAGE_PTR_RE = re.compile(r"\bPage\s*\*")
+PAGE_PTR_DECL_RE = re.compile(r"\bPage\s*\*\s*\w+\s*=")
+PAGEREF_DEREF_RE = re.compile(r"\.get\(\)|&\s*\*|operator->")
+BARE_MUTEX_RE = re.compile(
+    r"std::(mutex|recursive_mutex|shared_mutex|timed_mutex|recursive_timed_mutex|"
+    r"lock_guard|unique_lock|shared_lock|scoped_lock|"
+    r"condition_variable|condition_variable_any)\b")
+SCOPED_LOCK_DECL_RE = re.compile(
+    r"\b(MutexLock|lock_guard|unique_lock|scoped_lock)\b\s*[<\w]*\s*\w+\s*[({]")
+PARALLEL_CALL_RE = re.compile(r"\b(Parallel(?:For|Collect))\s*\(")
 
 
 def rule_thread_primitives(rel_path, lines, _raw):
@@ -298,19 +323,53 @@ def rule_dcheck_side_effects(rel_path, lines, _raw):
 
 
 def rule_raw_page_pointer(rel_path, lines, _raw):
-    if rel_path.startswith("src/store/"):
+    if _exempt(rel_path, ("store/pager.h", "store/pager.cc")):
+        return  # the PageRef implementation itself
+    for i, line in enumerate(lines, 1):
+        if not PAGE_PTR_RE.search(line):
+            continue
+        # The fetch may sit on the declaring line or the two after it (a
+        # multi-line statement); a pin deref within a line either side.
+        fetch = PAGE_FETCH_RE.search("\n".join(lines[i - 1:i + 2]))
+        if fetch:
+            source = fetch.group(1)
+        elif (PAGE_PTR_DECL_RE.search(line) and
+              PAGEREF_DEREF_RE.search("\n".join(lines[max(0, i - 2):i + 1]))):
+            source = "a PageRef deref"
+        else:
+            continue
+        yield i, (f"raw Page* bound from {source}; hold the PageRef pin (a "
+                  "raw frame pointer dangles as soon as the pool evicts the "
+                  "page)")
+
+
+def rule_bare_mutex(rel_path, lines, _raw):
+    if _exempt(rel_path, ("common/sync.h", "common/sync.cc")):
         return
     for i, line in enumerate(lines, 1):
-        m = PAGE_FETCH_RE.search(line)
-        if not m:
-            continue
-        # The raw pointer may be declared on the call line or just above
-        # (multi-line statement), so check a 3-line window ending here.
-        window = "\n".join(lines[max(0, i - 3):i])
-        if PAGE_PTR_RE.search(window):
-            yield i, (f"raw Page* bound from {m.group(1)}; hold a PageRef pin "
-                      "(a raw frame pointer dangles as soon as the pool "
-                      "evicts the page)")
+        m = BARE_MUTEX_RE.search(line)
+        if m:
+            yield i, (f"bare std::{m.group(1)}; use xst::Mutex / MutexLock / "
+                      "CondVar (src/common/sync.h) so the thread-safety "
+                      "analysis sees the lock")
+
+
+def rule_lock_across_parallelfor(rel_path, lines, _raw):
+    # A lock declared at brace depth d stays alive until the depth drops
+    # below d again.
+    depth = 0
+    live_locks = []  # (depth_declared, line_no)
+    for i, line in enumerate(lines, 1):
+        if SCOPED_LOCK_DECL_RE.search(line):
+            live_locks.append((depth + line.count("{"), i))
+        m = PARALLEL_CALL_RE.search(line)
+        if m and live_locks:
+            yield i, (f"{m.group(1)} reached with a lock held (acquired line "
+                      f"{live_locks[-1][1]}); worker chunks that contend on it "
+                      "deadlock the region — copy what you need, drop the "
+                      "lock, then go parallel")
+        depth += line.count("{") - line.count("}")
+        live_locks = [(d, ln) for d, ln in live_locks if d <= depth]
 
 
 OBS_ACCESS_RE = re.compile(r"^\s*(public|private|protected)\s*:")
@@ -453,9 +512,8 @@ def rule_vm_opcode_dispatch(rel_path, lines, _raw):
 # ---------------------------------------------------------------------------
 # lock-order-cycle: build the static lock-acquisition graph and reject
 # cycles. The edge extractor is textual (brace-depth state machine over the
-# stripped lines) and is shared with tools/xst_astcheck.py, whose AST engine
-# re-derives the same edges from clang cursors and whose cross-file pass
-# aggregates these edges over the whole tree.
+# stripped lines); lint_paths also pools the edges of every scanned file, so
+# a cycle split across translation units is caught.
 # ---------------------------------------------------------------------------
 
 LOCK_ACQ_RE = re.compile(r"\b(?:xst::)?MutexLock\s+\w+\s*\(\s*([^();]+)\)")
@@ -563,8 +621,8 @@ def collect_lock_edges(rel_path, lines):
 
 def lock_cycle_findings(edges):
     """Yields (site, message) for every edge on a lock-order cycle. `site`
-    is whatever third element the edges carry (a line number here; a
-    (path, line) pair in the astcheck cross-file pass)."""
+    is whatever third element the edges carry (a line number in the
+    per-file rule; a (path, line) pair in lint_paths' tree-wide pass)."""
     graph = {}
     for holder, acquired, _site in edges:
         graph.setdefault(holder, set()).add(acquired)
@@ -608,17 +666,13 @@ def rule_lock_order_cycle(rel_path, lines, _raw):
 # guarded-field-inference). One textual collector builds a ConcurrencyModel —
 # ranked locks, XST_BLOCKING declarations, guarded/unguarded fields, and per-
 # function acquisition/call/write sites with the locks held at each — and one
-# checker walks it. tools/xst_astcheck.py reuses both: its AST engine parses
-# the same facts from clang cursors and unions them into this model, so the
-# AST findings are a superset of the textual ones by construction and one
-# `xst-lint: allow(rule)` pragma suppresses the same site in both engines.
+# checker walks it.
 # ---------------------------------------------------------------------------
 
 # Locks with rank >= this floor are latch-class: blocking calls under them
 # are findings. SetStore::mu_ (rank 10) sits below the floor on purpose —
 # the single-writer store lock legally covers WAL waits and file I/O.
-LATCH_FLOOR_DEFAULT = 20
-LATCH_FLOOR = LATCH_FLOOR_DEFAULT
+LATCH_FLOOR = 20
 
 RANK_DECL_RE = re.compile(
     r"\b(?:xst::)?Mutex\s+(\w+)\s+XST_LOCK_RANK\s*\(\s*(\d+)\s*\)")
@@ -830,10 +884,8 @@ def _collect_file(model, rel_path, lines):
                 func = None
 
 
-def concurrency_findings(model, latch_floor=None):
+def concurrency_findings(model):
     """Yields (rule, (path, line), message) over a ConcurrencyModel."""
-    floor = LATCH_FLOOR if latch_floor is None else latch_floor
-
     def rank_of(ident):
         info = model.ranks.get(ident)
         if info is not None:
@@ -931,10 +983,10 @@ def concurrency_findings(model, latch_floor=None):
                     hrank, hname = (-1, None)
             else:
                 hrank, hname = best_held(held, entry[id(f)])
-            if hname is not None and hrank >= floor:
+            if hname is not None and hrank >= LATCH_FLOOR:
                 yield ("blocking-under-latch", site,
                        f"blocking call '{name}' reached while '{hname}' "
-                       f"(rank {hrank} >= latch floor {floor}) is held; "
+                       f"(rank {hrank} >= latch floor {LATCH_FLOOR}) is held; "
                        "latch-class locks must never cover blocking points")
 
     flagged = set()
@@ -972,6 +1024,8 @@ RULES = {
     "sorted-members-dcheck": rule_sorted_members_dcheck,
     "dcheck-side-effects": rule_dcheck_side_effects,
     "raw-page-pointer": rule_raw_page_pointer,
+    "bare-mutex": rule_bare_mutex,
+    "lock-across-parallelfor": rule_lock_across_parallelfor,
     "obs-doc-comments": rule_obs_doc_comments,
     "vm-opcode-dispatch": rule_vm_opcode_dispatch,
     "lock-order-cycle": rule_lock_order_cycle,
@@ -980,14 +1034,13 @@ RULES = {
     "guarded-field-inference": rule_guarded_field_inference,
 }
 
-# Rules whose facts span translation units: lint_paths re-runs them over a
-# tree-wide ConcurrencyModel so a rank declared in a header constrains
-# acquisitions in every .cc, and a field declared in a header is matched
-# with writes in the out-of-line method bodies.
-CROSS_FILE_RULES = ("lock-rank", "blocking-under-latch",
-                    "guarded-field-inference")
-
 ALLOW_RE = re.compile(r"xst-lint:\s*allow\(([a-z-]+)\)")
+
+
+def _allowed(raw_lines, line_no, rule_name):
+    raw_line = raw_lines[line_no - 1] if line_no <= len(raw_lines) else ""
+    allow = ALLOW_RE.search(raw_line)
+    return bool(allow and allow.group(1) == rule_name)
 
 
 def lint_text(rel_path, raw_text):
@@ -997,11 +1050,8 @@ def lint_text(rel_path, raw_text):
     findings = []
     for rule_name, rule_fn in RULES.items():
         for line_no, message in rule_fn(rel_path, lines, raw_lines):
-            raw_line = raw_lines[line_no - 1] if line_no <= len(raw_lines) else ""
-            allow = ALLOW_RE.search(raw_line)
-            if allow and allow.group(1) == rule_name:
-                continue
-            findings.append(Finding(rel_path, line_no, rule_name, message))
+            if not _allowed(raw_lines, line_no, rule_name):
+                findings.append(Finding(rel_path, line_no, rule_name, message))
     return findings
 
 
@@ -1028,20 +1078,23 @@ def lint_paths(paths):
         raw_by_rel[rel] = text.split("\n")
         stripped_by_rel[rel] = strip_comments_and_strings(text).split("\n")
         findings.extend(lint_text(rel, text))
-    # Whole-tree pass: the concurrency rules see every file at once, so
-    # cross-file facts (ranks in headers, fields vs. their .cc writes,
-    # held sets flowing through calls into another TU) land as findings
-    # the per-file pass could not derive.
+    # Whole-tree pass: the lock graph and the concurrency rules see every
+    # file at once, so cross-file facts (a lock-order cycle split across
+    # TUs, ranks in headers, fields vs. their .cc writes, held sets flowing
+    # through calls into another TU) land as findings the per-file pass
+    # could not derive.
     if len(stripped_by_rel) > 1:
-        model = collect_concurrency_model(sorted(stripped_by_rel.items()))
+        by_rel = sorted(stripped_by_rel.items())
+        edges = [(holder, acquired, (rel, line_no))
+                 for rel, lines in by_rel
+                 for holder, acquired, line_no in collect_lock_edges(rel, lines)]
+        tree_wide = [("lock-order-cycle", site, message)
+                     for site, message in lock_cycle_findings(edges)]
+        tree_wide += concurrency_findings(collect_concurrency_model(by_rel))
         reported = {(x.path, x.line, x.rule) for x in findings}
-        for rule_id, (rel, line_no), message in concurrency_findings(model):
-            if (rel, line_no, rule_id) in reported:
-                continue
-            raw_lines = raw_by_rel.get(rel, ())
-            raw_line = raw_lines[line_no - 1] if line_no <= len(raw_lines) else ""
-            allow = ALLOW_RE.search(raw_line)
-            if allow and allow.group(1) == rule_id:
+        for rule_id, (rel, line_no), message in tree_wide:
+            if ((rel, line_no, rule_id) in reported
+                    or _allowed(raw_by_rel[rel], line_no, rule_id)):
                 continue
             findings.append(Finding(rel, line_no, rule_id, message))
     return findings, len(files)
@@ -1057,6 +1110,10 @@ SELF_TEST_FIXTURES = [
     ("thread-primitives", True, "auto f = std::async(work);\n"),
     ("thread-primitives", False, "// std::thread is banned here\n"),
     ("thread-primitives", False, "std::thread::id owner = std::this_thread::get_id();\n"),
+    ("thread-primitives", False, "ThreadPool::Global().ParallelFor(n, 1, body);\n"),
+    ("thread-primitives", False, "std::thread t;\n", "src/common/thread_pool.cc"),
+    ("thread-primitives", False,
+     "std::thread t([] {});  // xst-lint: allow(thread-primitives)\n"),
     ("raw-new-delete", True, "auto* n = new Node();\n"),
     ("raw-new-delete", True, "delete node;\n"),
     ("raw-new-delete", False, "auto p = std::unique_ptr<Node>(new Node());\n"),
@@ -1068,6 +1125,7 @@ SELF_TEST_FIXTURES = [
     ("interner-mutation", True, "Interner::Global().Set(std::move(ms));\n"),
     ("interner-mutation", False, "Interner::Global().EmptySet();\n"),
     ("interner-mutation", False, "auto snap = Interner::Global().SnapshotNodes();\n"),
+    ("interner-mutation", False, "Interner::Global().Int(7);\n", "src/core/xset.cc"),
     ("sorted-members-dcheck", True, "return XSet::FromSortedMembers(std::move(out));\n"),
     ("sorted-members-dcheck", False,
      "XST_DCHECK(IsCanonicalMemberList(out));\n"
@@ -1095,6 +1153,36 @@ SELF_TEST_FIXTURES = [
     ("raw-page-pointer", False, "// FetchPage used to return Page*\n"),
     ("raw-page-pointer", False,
      "Page* raw = *pager.FetchPage(0);  // xst-lint: allow(raw-page-pointer)\n"),
+    ("raw-page-pointer", True, "Page* p = ref.get();\n"),
+    ("raw-page-pointer", True, "Page* p = &*pager->FetchPage(0);\n"),
+    ("raw-page-pointer", True, "Page* p = ref.operator->();\n", "src/store/btree.cc"),
+    ("raw-page-pointer", False, "PageRef ref = *pager.FetchPage(id);\n"),
+    ("raw-page-pointer", False, "Page* frame;\n"),  # no pin on the RHS
+    ("raw-page-pointer", False, "Page* p = ref.get();\n", "src/store/pager.cc"),
+    ("bare-mutex", True, "std::mutex mu;\n"),
+    ("bare-mutex", True, "std::lock_guard<std::mutex> lock(mu);\n"),
+    ("bare-mutex", True, "std::condition_variable cv;\n"),
+    ("bare-mutex", False, "xst::Mutex mu;\nMutexLock lock(&mu);\n"),
+    ("bare-mutex", False, "// std::mutex is banned outside sync.h\n"),
+    ("bare-mutex", False, "std::mutex mu_;\n", "src/common/sync.h"),
+    ("bare-mutex", False, "std::mutex mu;  // xst-lint: allow(bare-mutex)\n"),
+    ("lock-across-parallelfor", True,
+     "void F() {\n"
+     "  MutexLock lock(&mu_);\n"
+     "  ThreadPool::Global().ParallelFor(n, 1, body);\n"
+     "}\n"),
+    ("lock-across-parallelfor", False,
+     "void F() {\n"
+     "  {\n"
+     "    MutexLock lock(&mu_);\n"
+     "    total = Sum();\n"
+     "  }\n"
+     "  ThreadPool::Global().ParallelFor(n, 1, body);\n"
+     "}\n"),
+    ("lock-across-parallelfor", False,
+     "void F() {\n"
+     "  ThreadPool::Global().ParallelFor(n, 1, body);\n"
+     "}\n"),
     # obs-doc-comments fixtures carry an explicit path: the rule only
     # applies under src/obs/*.h.
     ("obs-doc-comments", True,
@@ -1256,6 +1344,14 @@ SELF_TEST_FIXTURES = [
      "    MutexLock l(&hi_);\n"
      "    Helper();\n"
      "  }\n"
+     "  void Helper() { MutexLock l(&lo_); }\n"
+     "  Mutex hi_ XST_LOCK_RANK(30);\n"
+     "  Mutex lo_ XST_LOCK_RANK(10);\n"
+     "};\n"),
+    # Interprocedural from an XST_REQUIRES entry set.
+    ("lock-rank", True,
+     "class S {\n"
+     "  void F() XST_REQUIRES(hi_) { Helper(); }\n"
      "  void Helper() { MutexLock l(&lo_); }\n"
      "  Mutex hi_ XST_LOCK_RANK(30);\n"
      "  Mutex lo_ XST_LOCK_RANK(10);\n"
@@ -1463,14 +1559,7 @@ def main(argv):
     parser.add_argument("paths", nargs="*", help="files or directories (default: src/)")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--self-test", action="store_true")
-    parser.add_argument("--latch-floor", type=int, default=LATCH_FLOOR_DEFAULT,
-                        metavar="N",
-                        help="minimum lock rank treated as a latch by "
-                             "blocking-under-latch (default: %(default)s)")
     args = parser.parse_args(argv)
-
-    global LATCH_FLOOR
-    LATCH_FLOOR = args.latch_floor
 
     if args.list_rules:
         for name in RULES:

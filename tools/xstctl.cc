@@ -340,6 +340,15 @@ int main(int argc, char** argv) {
                 (unsigned long long)registry
                     .GetCounter(internal::kPagerLatchContentionCounter)
                     .value());
+    // Optimistic-read telemetry: views that failed validation, and reads
+    // that gave up on views and ran under the store lock.
+    std::printf("reads:      retries: %llu, locked fallbacks: %llu\n",
+                (unsigned long long)registry
+                    .GetCounter(internal::kStoreReadRetriesCounter)
+                    .value(),
+                (unsigned long long)registry
+                    .GetCounter(internal::kStoreReadFallbacksCounter)
+                    .value());
     // Arena size: the value system's startup atoms plus everything this
     // invocation decoded (opening the store reads its catalog).
     std::printf("interner:   %lld nodes, %lld KiB\n",
