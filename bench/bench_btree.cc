@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -40,26 +41,88 @@ void BM_BTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeBuild)->Arg(1 << 10)->Arg(1 << 13);
 
+// Probe and range cases run over a pool that holds the whole index, as
+// the browse workload's does, so they time the in-page search rather than
+// file reads.
+constexpr size_t kCachedIndexPool = 1024;
+
+// Spread offsets in [0, n): an odd multiplier permutes a power-of-two
+// range, so successive probes land in different leaves.
+int64_t SpreadOffset(int64_t i, int64_t n) { return (i * 40503) % n; }
+
 void BM_BTreeContains(benchmark::State& state) {
+  // Alternating hits ⟨j, j⟩ and misses ⟨j, j+1⟩ at spread j: a miss sorts
+  // right beside a hit, so both search all the way into the leaf.
   std::string path = BenchPath("contains");
   std::remove(path.c_str());
-  auto store = SetStore::Open(path, SetStoreOptions{.buffer_pool_pages = 256});
-  if (!store.ok() ||
-      !(*store)->PutIndexed("r", bench::PairRelation(state.range(0))).ok()) {
+  const int64_t n = state.range(0);
+  auto store =
+      SetStore::Open(path, SetStoreOptions{.buffer_pool_pages = kCachedIndexPool});
+  if (!store.ok() || !(*store)->PutIndexed("r", bench::PairRelation(n)).ok()) {
     state.SkipWithError("setup failed");
     return;
   }
-  int64_t i = 0;
+  std::vector<Membership> probes;
+  for (int64_t i = 0; i < 1024; ++i) {
+    const int64_t j = SpreadOffset(i, n);
+    probes.push_back(
+        Membership{XSet::Pair(XSet::Int(j), XSet::Int(j + i % 2)), XSet::Empty()});
+  }
+  size_t i = 0;
   for (auto _ : state) {
-    Membership probe{XSet::Pair(XSet::Int(i % state.range(0)), XSet::Int(i % state.range(0))),
-                     XSet::Empty()};
-    benchmark::DoNotOptimize((*store)->ContainsMember("r", probe));
+    Result<bool> has = (*store)->ContainsMember("r", probes[i % probes.size()]);
+    if (!has.ok() || *has != (i % 2 == 0)) {
+      state.SkipWithError("wrong probe answer");
+      return;
+    }
     ++i;
   }
   state.SetItemsProcessed(state.iterations());
   std::remove(path.c_str());
 }
-BENCHMARK(BM_BTreeContains)->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK(BM_BTreeContains)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 16);
+
+void BM_BTreeRange24(benchmark::State& state) {
+  // A 24-member element range at spread offsets: one seek plus a slice of
+  // the member list, the shape of a browse anchor lookup.
+  std::string path = BenchPath("range24");
+  std::remove(path.c_str());
+  const int64_t n = state.range(0);
+  auto store =
+      SetStore::Open(path, SetStoreOptions{.buffer_pool_pages = kCachedIndexPool});
+  if (!store.ok() || !(*store)->PutIndexed("r", bench::PairRelation(n)).ok()) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  std::vector<std::pair<XSet, XSet>> bounds;
+  for (int64_t i = 0; i < 1024; ++i) {
+    const int64_t lo = SpreadOffset(i, n - 24);
+    bounds.emplace_back(XSet::Pair(XSet::Int(lo), XSet::Int(lo)),
+                        XSet::Pair(XSet::Int(lo + 23), XSet::Int(lo + 23)));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [lo, hi] = bounds[i++ % bounds.size()];
+    auto cursor = (*store)->OpenElementRange("r", lo, hi);
+    if (!cursor.ok()) {
+      state.SkipWithError("cursor failed");
+      return;
+    }
+    size_t read = 0;
+    for (;;) {
+      auto batch = (*cursor)->NextBatch();
+      if (batch.empty()) break;
+      read += batch.size();
+    }
+    if (read != 24 || !(*cursor)->status().ok()) {
+      state.SkipWithError("range did not read 24 members");
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 24);
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_BTreeRange24)->Arg(1 << 16);
 
 void BM_BTreeInsertErase(benchmark::State& state) {
   // One member in, same member out: the tree touches a root-to-leaf spine

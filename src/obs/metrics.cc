@@ -102,13 +102,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
-void MetricsRegistry::ResetAll() {
-  MutexLock lock(&impl_->registry_mu);
-  for (auto& [name, c] : impl_->counters) c->Reset();
-  for (auto& [name, g] : impl_->gauges) g->Reset();
-  for (auto& [name, h] : impl_->histograms) h->Reset();
-}
-
 namespace {
 
 // Metric names are code-controlled (dots and identifiers), but escape

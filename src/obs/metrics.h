@@ -174,10 +174,6 @@ class MetricsRegistry {
   /// writers are concurrent, exact once they quiesce.
   MetricsSnapshot Snapshot() const;
 
-  /// \brief Zeroes every registered metric (names and objects survive, so
-  /// cached references stay valid) — per-phase attribution and tests.
-  void ResetAll();
-
  private:
   MetricsRegistry();
   ~MetricsRegistry() = delete;  // immortal

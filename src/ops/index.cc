@@ -36,10 +36,6 @@ ImageIndex::ImageIndex(XSet r, Sigma sigma) : r_(std::move(r)), sigma_(std::move
   }
 }
 
-XSet ImageIndex::LookupOne(const XSet& probe_element) const {
-  return Lookup(XSet::Classical({probe_element}));
-}
-
 XSet ImageIndex::Lookup(const XSet& probes) const {
   XST_TRACE_SPAN("op.image_index.lookup");
   std::vector<Membership> out;

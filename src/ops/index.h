@@ -34,9 +34,6 @@ class ImageIndex {
   /// \brief Extensionally equal to Image(relation(), probes, sigma()).
   XSet Lookup(const XSet& probes) const;
 
-  /// \brief Convenience for one probe member (element under ∅ scope).
-  XSet LookupOne(const XSet& probe_element) const;
-
   const XSet& relation() const { return r_; }
   const Sigma& sigma() const { return sigma_; }
 

@@ -63,6 +63,11 @@ struct Node {
 
   size_t entry_count() const { return leaf ? members.size() : children.size(); }
 
+  /// Entry i's key payload (the search accessor; see Search).
+  Result<std::string_view> Key(size_t i) const {
+    return std::string_view(leaf ? members[i] : children[i].key);
+  }
+
   size_t used_bytes() const {
     size_t total = 0;
     if (leaf) {
@@ -74,6 +79,89 @@ struct Node {
     }
     return total;
   }
+};
+
+/// Splits an internal-node record into its child page and key payload.
+Status SplitChildRecord(uint32_t page_id, std::string_view record, uint32_t* child,
+                        std::string_view* key) {
+  size_t pos = 0;
+  uint64_t raw = 0;
+  if (!GetVarint(record, &pos, &raw) || raw > kInvalidPageId || pos >= record.size()) {
+    return Corrupt(page_id, "malformed internal entry");
+  }
+  *child = static_cast<uint32_t>(raw);
+  *key = record.substr(pos);
+  return Status::OK();
+}
+
+/// A read-only view of one node page snapshot, and the one node parser:
+/// Parse checks the header once, then entries are served in place as
+/// string_views through the page's slot directory. The page must outlive
+/// the view unmodified.
+class NodeView {
+ public:
+  Status Parse(uint32_t page_id, const Page& page) {
+    page_ = &page;
+    page_id_ = page_id;
+    if (page.slot_count() == 0) return Corrupt(page_id, "missing node header");
+    Result<std::string_view> header = page.GetRecord(0);
+    if (!header.ok()) return Corrupt(page_id, "unreadable node header");
+    uint8_t kind = static_cast<uint8_t>((*header)[0]);
+    if (kind != kLeafNode && kind != kInternalNode) {
+      return Corrupt(page_id, "unknown node kind " + std::to_string(kind));
+    }
+    leaf_ = kind == kLeafNode;
+    next_ = kInvalidPageId;
+    if (leaf_) {
+      size_t offset = 1;
+      uint64_t next_plus_1 = 0;
+      if (!GetVarint(*header, &offset, &next_plus_1) || offset != header->size() ||
+          next_plus_1 > kInvalidPageId) {
+        return Corrupt(page_id, "malformed leaf header");
+      }
+      if (next_plus_1 != 0) next_ = static_cast<uint32_t>(next_plus_1 - 1);
+    } else if (header->size() != 1) {
+      return Corrupt(page_id, "malformed internal header");
+    }
+    return Status::OK();
+  }
+
+  uint32_t page_id() const { return page_id_; }
+  bool leaf() const { return leaf_; }
+  uint32_t next() const { return next_; }
+  size_t entry_count() const { return page_->slot_count() - 1; }
+
+  /// Entry i's record: a leaf entry payload, or varint(child) ‖ key.
+  Result<std::string_view> Record(size_t i) const {
+    Result<std::string_view> record = page_->GetRecord(static_cast<uint32_t>(i + 1));
+    if (!record.ok()) return Corrupt(page_id_, "unreadable entry record");
+    return record;
+  }
+
+  /// Entry i's key payload (the search accessor; see Search).
+  Result<std::string_view> Key(size_t i) const {
+    XST_ASSIGN_OR_RAISE(std::string_view record, Record(i));
+    if (leaf_) return record;
+    uint32_t child = kInvalidPageId;
+    std::string_view key;
+    XST_RETURN_NOT_OK(SplitChildRecord(page_id_, record, &child, &key));
+    return key;
+  }
+
+  /// Internal entry i's child page.
+  Result<uint32_t> Child(size_t i) const {
+    XST_ASSIGN_OR_RAISE(std::string_view record, Record(i));
+    uint32_t child = kInvalidPageId;
+    std::string_view key;
+    XST_RETURN_NOT_OK(SplitChildRecord(page_id_, record, &child, &key));
+    return child;
+  }
+
+ private:
+  const Page* page_ = nullptr;
+  uint32_t page_id_ = kInvalidPageId;
+  bool leaf_ = true;
+  uint32_t next_ = kInvalidPageId;
 };
 
 Status FillPage(Page* page, const Node& node) {
@@ -116,49 +204,29 @@ Result<uint32_t> AllocateNode(Pager& pager, const Node& node) {
   return page.id();
 }
 
+/// Copies a node into the vector form mutations and Validate work on.
 Status ReadNode(Pager& pager, uint32_t page_id, Node* node) {
   // Snapshot read: no pin held, safe on the concurrent optimistic read path
   // (the copy is taken under the page's shard latch).
   Page snapshot;
   XST_RETURN_NOT_OK(pager.ReadPageSnapshot(page_id, &snapshot));
-  const Page* page = &snapshot;
-  if (page->slot_count() == 0) return Corrupt(page_id, "missing node header");
-  Result<std::string_view> header = page->GetRecord(0);
-  if (!header.ok()) return Corrupt(page_id, "unreadable node header");
-  uint8_t kind = static_cast<uint8_t>((*header)[0]);
-  if (kind != kLeafNode && kind != kInternalNode) {
-    return Corrupt(page_id, "unknown node kind " + std::to_string(kind));
-  }
-  node->leaf = kind == kLeafNode;
-  node->next = kInvalidPageId;
+  NodeView view;
+  XST_RETURN_NOT_OK(view.Parse(page_id, snapshot));
+  node->leaf = view.leaf();
+  node->next = view.next();
   node->members.clear();
   node->children.clear();
-  size_t offset = 1;
-  if (node->leaf) {
-    uint64_t next_plus_1 = 0;
-    if (!GetVarint(*header, &offset, &next_plus_1) || offset != header->size() ||
-        next_plus_1 > kInvalidPageId) {
-      return Corrupt(page_id, "malformed leaf header");
-    }
-    if (next_plus_1 != 0) node->next = static_cast<uint32_t>(next_plus_1 - 1);
-  } else if (header->size() != 1) {
-    return Corrupt(page_id, "malformed internal header");
-  }
-  for (uint32_t slot = 1; slot < page->slot_count(); ++slot) {
-    Result<std::string_view> record = page->GetRecord(slot);
-    if (!record.ok()) return Corrupt(page_id, "unreadable entry record");
+  for (size_t i = 0; i < view.entry_count(); ++i) {
+    XST_ASSIGN_OR_RAISE(std::string_view record, view.Record(i));
     if (node->leaf) {
-      node->members.emplace_back(*record);
-    } else {
-      size_t pos = 0;
-      uint64_t child = 0;
-      if (!GetVarint(*record, &pos, &child) || child > kInvalidPageId ||
-          pos >= record->size()) {
-        return Corrupt(page_id, "malformed internal entry");
-      }
-      node->children.push_back(
-          ChildEntry{static_cast<uint32_t>(child), std::string(record->substr(pos))});
+      node->members.emplace_back(record);
+      continue;
     }
+    ChildEntry entry;
+    std::string_view key;
+    XST_RETURN_NOT_OK(SplitChildRecord(page_id, record, &entry.child, &key));
+    entry.key.assign(key);
+    node->children.push_back(std::move(entry));
   }
   return Status::OK();
 }
@@ -191,99 +259,135 @@ Result<std::string> EncodeEntry(Pager& pager, const Membership& m) {
   return ref;
 }
 
-Result<Membership> DecodeEntry(Pager& pager, std::string_view payload) {
+/// The encoded membership an entry payload stands for: the payload itself
+/// when inline, or the overflow chain it references, read into *buffer.
+Result<std::string_view> ResolveEntry(Pager& pager, std::string_view payload,
+                                      std::string* buffer) {
   if (payload.empty()) return Status::Corruption("btree: empty entry payload");
-  std::string overflow;
-  if (static_cast<uint8_t>(payload[0]) == kOverflowTag) {
-    size_t pos = 1;
-    uint64_t first = 0, span = 0, length = 0;
-    if (!GetVarint(payload, &pos, &first) || !GetVarint(payload, &pos, &span) ||
-        !GetVarint(payload, &pos, &length) || pos != payload.size() ||
-        first == 0 || first >= kInvalidPageId || span == 0 || span > pager.page_count() ||
-        first > pager.page_count() - span) {
-      return Status::Corruption("btree: malformed overflow reference");
-    }
-    overflow.reserve(length);
-    for (uint64_t i = 0; i < span; ++i) {
-      Page chunk_page;
-      XST_RETURN_NOT_OK(
-          pager.ReadPageSnapshot(static_cast<uint32_t>(first + i), &chunk_page));
-      Result<std::string_view> record = chunk_page.GetRecord(0);
-      if (!record.ok()) {
-        return Status::Corruption("btree: unreadable overflow chunk");
-      }
-      overflow.append(*record);
-    }
-    if (overflow.size() != length) {
-      return Status::Corruption("btree: overflow length mismatch");
-    }
-    payload = overflow;
+  if (static_cast<uint8_t>(payload[0]) != kOverflowTag) return payload;
+  size_t pos = 1;
+  uint64_t first = 0, span = 0, length = 0;
+  if (!GetVarint(payload, &pos, &first) || !GetVarint(payload, &pos, &span) ||
+      !GetVarint(payload, &pos, &length) || pos != payload.size() ||
+      first == 0 || first >= kInvalidPageId || span == 0 || span > pager.page_count() ||
+      first > pager.page_count() - span || length > span * kPageSize) {
+    return Status::Corruption("btree: malformed overflow reference");
   }
+  buffer->clear();
+  buffer->reserve(length);
+  Page chunk_page;
+  for (uint64_t i = 0; i < span; ++i) {
+    XST_RETURN_NOT_OK(
+        pager.ReadPageSnapshot(static_cast<uint32_t>(first + i), &chunk_page));
+    Result<std::string_view> record = chunk_page.GetRecord(0);
+    if (!record.ok()) {
+      return Status::Corruption("btree: unreadable overflow chunk");
+    }
+    buffer->append(*record);
+  }
+  if (buffer->size() != length) {
+    return Status::Corruption("btree: overflow length mismatch");
+  }
+  return std::string_view(*buffer);
+}
+
+/// Decodes resolved entry bytes (see ResolveEntry) into a membership.
+Result<Membership> DecodeEntryBytes(std::string_view bytes) {
   size_t offset = 0;
-  XST_ASSIGN_OR_RAISE(XSet element, DecodeXSet(payload, &offset));
-  XST_ASSIGN_OR_RAISE(XSet scope, DecodeXSet(payload, &offset));
-  if (offset != payload.size()) {
+  XST_ASSIGN_OR_RAISE(XSet element, DecodeXSet(bytes, &offset));
+  XST_ASSIGN_OR_RAISE(XSet scope, DecodeXSet(bytes, &offset));
+  if (offset != bytes.size()) {
     return Status::Corruption("btree: trailing bytes after entry");
   }
   return Membership{std::move(element), std::move(scope)};
 }
 
-/// First index in `entries` whose membership is ≥ m; *found set when the
-/// entry at that index equals m. Decode-on-probe binary search.
-Result<size_t> LeafLowerBound(Pager& pager, const std::vector<std::string>& entries,
-                              const Membership& m, bool* found) {
-  size_t lo = 0, hi = entries.size();
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    XST_ASSIGN_OR_RAISE(Membership probe, DecodeEntry(pager, entries[mid]));
-    if (CompareMembership(probe, m) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  *found = false;
-  if (lo < entries.size()) {
-    XST_ASSIGN_OR_RAISE(Membership probe, DecodeEntry(pager, entries[lo]));
-    *found = CompareMembership(probe, m) == 0;
-  }
-  return lo;
+Result<Membership> DecodeEntry(Pager& pager, std::string_view payload) {
+  std::string overflow;
+  XST_ASSIGN_OR_RAISE(std::string_view bytes, ResolveEntry(pager, payload, &overflow));
+  return DecodeEntryBytes(bytes);
 }
 
-/// Descent child for membership m: the last child whose min key is ≤ m
-/// (clamped to 0 when m precedes the whole tree).
-Result<size_t> DescentIndex(Pager& pager, const std::vector<ChildEntry>& children,
-                            const Membership& m) {
-  size_t lo = 0, hi = children.size();
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    XST_ASSIGN_OR_RAISE(Membership key, DecodeEntry(pager, children[mid].key));
-    if (CompareMembership(key, m) <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+/// What a search orders entries against: a whole membership, or, with a
+/// null scope, the ghost ⟨element, -∞⟩ that precedes every membership with
+/// that element (the lower edge of an element interval).
+struct SearchKey {
+  const XSet* element = nullptr;
+  const XSet* scope = nullptr;
+
+  static SearchKey Of(const Membership& m) { return SearchKey{&m.element, &m.scope}; }
+};
+
+/// Three-way order of resolved entry bytes against `key`, compared in
+/// their encoded form (nothing is decoded or interned).
+Result<int> CompareEntryBytes(std::string_view bytes, const SearchKey& key) {
+  size_t offset = 0;
+  int cmp = 0;
+  XST_RETURN_NOT_OK(CompareEncoded(bytes, &offset, *key.element, &cmp));
+  if (cmp != 0) return cmp;
+  if (key.scope == nullptr) return 1;  // ⟨element, s⟩ follows the ghost
+  XST_RETURN_NOT_OK(CompareEncoded(bytes, &offset, *key.scope, &cmp));
+  if (cmp == 0 && offset != bytes.size()) {
+    return Status::Corruption("btree: trailing bytes after entry");
   }
-  return lo == 0 ? 0 : lo - 1;
+  return cmp;
 }
 
-/// Descent child for the element-interval lower edge: the last child whose
-/// min key has element < lo_element (a key with element ≥ lo_element roots a
-/// subtree entirely ≥ the ghost probe ⟨lo_element, -∞⟩).
-Result<size_t> DescentIndexByElement(Pager& pager,
-                                     const std::vector<ChildEntry>& children,
-                                     const XSet& lo_element) {
-  size_t lo = 0, hi = children.size();
+/// Where a key falls among a node's ascending entries.
+struct SearchResult {
+  size_t index = 0;    // the first entry ≥ the key (entry_count() if none)
+  bool equal = false;  // that entry equals the key
+
+  /// The child to descend into: the last whose minimum key is ≤ the key,
+  /// clamped to 0 when the key precedes the whole subtree.
+  size_t child() const { return equal || index == 0 ? index : index - 1; }
+};
+
+/// The one binary search, over any node form with entry_count() and a
+/// Key(i) accessor (a NodeView searches its page snapshot in place).
+template <typename NodeT>
+Result<SearchResult> Search(Pager& pager, const NodeT& node, const SearchKey& key) {
+  std::string overflow;
+  const size_t n = node.entry_count();
+  size_t lo = 0, hi = n;
+  int hi_cmp = 1;  // the order of the entry at hi against the key
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    XST_ASSIGN_OR_RAISE(Membership key, DecodeEntry(pager, children[mid].key));
-    if (Compare(key.element, lo_element) < 0) {
+    XST_ASSIGN_OR_RAISE(std::string_view payload, node.Key(mid));
+    XST_ASSIGN_OR_RAISE(std::string_view bytes, ResolveEntry(pager, payload, &overflow));
+    XST_ASSIGN_OR_RAISE(int cmp, CompareEntryBytes(bytes, key));
+    if (cmp < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
+      hi_cmp = cmp;
     }
   }
-  return lo == 0 ? 0 : lo - 1;
+  return SearchResult{lo, lo < n && hi_cmp == 0};
+}
+
+/// Root-to-leaf descent toward `key`, or down the leftmost spine when key
+/// is null, searching each node's snapshot in place. One Page serves every
+/// level (the copy-assign reuses its buffers); on success it holds the
+/// leaf's snapshot, which `*view` parses.
+Status DescendToLeaf(Pager& pager, uint32_t root, const SearchKey* key, Page* page,
+                     NodeView* view) {
+  uint32_t page_id = root;
+  for (uint32_t depth = 0; depth <= kMaxHeight; ++depth) {
+    XST_RETURN_NOT_OK(pager.ReadPageSnapshot(page_id, page));
+    XST_RETURN_NOT_OK(view->Parse(page_id, *page));
+    if (view->leaf()) return Status::OK();
+    if (view->entry_count() == 0) {
+      return Corrupt(page_id, "internal node has no children");
+    }
+    size_t idx = 0;
+    if (key != nullptr) {
+      XST_ASSIGN_OR_RAISE(SearchResult at, Search(pager, *view, *key));
+      idx = at.child();
+    }
+    XST_ASSIGN_OR_RAISE(page_id, view->Child(idx));
+  }
+  return Corrupt(root, "descent exceeds max height");
 }
 
 /// Byte-midpoint split index: entries [0, cut) stay, [cut, n) move right.
@@ -345,11 +449,14 @@ Result<bool> TreeOps::InsertRec(uint32_t page_id, const Membership& m,
   if (depth > kMaxHeight) return Corrupt(page_id, "descent exceeds max height");
   Node node;
   XST_RETURN_NOT_OK(ReadNode(pager, page_id, &node));
+  if (!node.leaf && node.children.empty()) {
+    return Corrupt(page_id, "internal node has no children");
+  }
+  XST_ASSIGN_OR_RAISE(SearchResult at, Search(pager, node, SearchKey::Of(m)));
 
   if (node.leaf) {
-    bool found = false;
-    XST_ASSIGN_OR_RAISE(size_t idx, LeafLowerBound(pager, node.members, m, &found));
-    if (found) return false;
+    if (at.equal) return false;
+    const size_t idx = at.index;
     node.members.insert(node.members.begin() + idx, entry);
     report->min_changed = idx == 0;
     if (node.used_bytes() <= kNodeCapacity) {
@@ -373,8 +480,7 @@ Result<bool> TreeOps::InsertRec(uint32_t page_id, const Membership& m,
     return true;
   }
 
-  if (node.children.empty()) return Corrupt(page_id, "internal node has no children");
-  XST_ASSIGN_OR_RAISE(size_t idx, DescentIndex(pager, node.children, m));
+  const size_t idx = at.child();
   ChildReport child;
   XST_ASSIGN_OR_RAISE(
       bool inserted, InsertRec(node.children[idx].child, m, entry, depth + 1, &child));
@@ -485,11 +591,14 @@ Result<bool> TreeOps::EraseRec(uint32_t page_id, const Membership& m, uint32_t d
   if (depth > kMaxHeight) return Corrupt(page_id, "descent exceeds max height");
   Node node;
   XST_RETURN_NOT_OK(ReadNode(pager, page_id, &node));
+  if (!node.leaf && node.children.empty()) {
+    return Corrupt(page_id, "internal node has no children");
+  }
+  XST_ASSIGN_OR_RAISE(SearchResult at, Search(pager, node, SearchKey::Of(m)));
 
   if (node.leaf) {
-    bool found = false;
-    XST_ASSIGN_OR_RAISE(size_t idx, LeafLowerBound(pager, node.members, m, &found));
-    if (!found) return false;
+    if (!at.equal) return false;
+    const size_t idx = at.index;
     node.members.erase(node.members.begin() + idx);
     XST_RETURN_NOT_OK(WriteNode(pager, page_id, node));
     report->min_changed = idx == 0;
@@ -498,8 +607,7 @@ Result<bool> TreeOps::EraseRec(uint32_t page_id, const Membership& m, uint32_t d
     return true;
   }
 
-  if (node.children.empty()) return Corrupt(page_id, "internal node has no children");
-  XST_ASSIGN_OR_RAISE(size_t idx, DescentIndex(pager, node.children, m));
+  const size_t idx = at.child();
   ChildReport child;
   XST_ASSIGN_OR_RAISE(bool erased,
                       EraseRec(node.children[idx].child, m, depth + 1, &child));
@@ -663,76 +771,61 @@ Result<bool> BTree::Erase(const Membership& m) {
 }
 
 Result<bool> BTree::Contains(const Membership& m) const {
-  uint32_t page_id = info_.root;
-  for (uint32_t depth = 0; depth <= kMaxHeight; ++depth) {
-    Node node;
-    XST_RETURN_NOT_OK(ReadNode(*pager_, page_id, &node));
-    if (node.leaf) {
-      bool found = false;
-      XST_RETURN_NOT_OK(LeafLowerBound(*pager_, node.members, m, &found).status());
-      return found;
-    }
-    if (node.children.empty()) return Corrupt(page_id, "internal node has no children");
-    XST_ASSIGN_OR_RAISE(size_t idx, DescentIndex(*pager_, node.children, m));
-    page_id = node.children[idx].child;
-  }
-  return Corrupt(info_.root, "descent exceeds max height");
+  const SearchKey key = SearchKey::Of(m);
+  Page page;
+  NodeView leaf;
+  XST_RETURN_NOT_OK(DescendToLeaf(*pager_, info_.root, &key, &page, &leaf));
+  XST_ASSIGN_OR_RAISE(SearchResult at, Search(*pager_, leaf, key));
+  return at.equal;
 }
 
 Result<BTreeCursorPos> BTree::SeekFirst() const {
-  uint32_t page_id = info_.root;
-  for (uint32_t depth = 0; depth <= kMaxHeight; ++depth) {
-    Node node;
-    XST_RETURN_NOT_OK(ReadNode(*pager_, page_id, &node));
-    if (node.leaf) return BTreeCursorPos{page_id, 1};
-    if (node.children.empty()) return Corrupt(page_id, "internal node has no children");
-    page_id = node.children.front().child;
-  }
-  return Corrupt(info_.root, "descent exceeds max height");
+  Page page;
+  NodeView leaf;
+  XST_RETURN_NOT_OK(DescendToLeaf(*pager_, info_.root, nullptr, &page, &leaf));
+  return BTreeCursorPos{leaf.page_id(), 1};
 }
 
 Result<BTreeCursorPos> BTree::SeekElement(const XSet& lo) const {
-  uint32_t page_id = info_.root;
-  for (uint32_t depth = 0; depth <= kMaxHeight; ++depth) {
-    Node node;
-    XST_RETURN_NOT_OK(ReadNode(*pager_, page_id, &node));
-    if (node.leaf) {
-      // First entry whose element is ≥ lo; past-the-end positions resolve
-      // through the leaf chain on the first ReadLeafBatch.
-      size_t a = 0, b = node.members.size();
-      while (a < b) {
-        size_t mid = a + (b - a) / 2;
-        XST_ASSIGN_OR_RAISE(Membership probe, DecodeEntry(*pager_, node.members[mid]));
-        if (Compare(probe.element, lo) < 0) {
-          a = mid + 1;
-        } else {
-          b = mid;
-        }
-      }
-      return BTreeCursorPos{page_id, static_cast<uint32_t>(a) + 1};
-    }
-    if (node.children.empty()) return Corrupt(page_id, "internal node has no children");
-    XST_ASSIGN_OR_RAISE(size_t idx, DescentIndexByElement(*pager_, node.children, lo));
-    page_id = node.children[idx].child;
-  }
-  return Corrupt(info_.root, "descent exceeds max height");
+  // The ghost key ⟨lo, -∞⟩ lands on the first entry whose element is ≥ lo;
+  // past-the-end positions resolve through the leaf chain on the first
+  // ReadLeafBatch.
+  const SearchKey key{&lo, nullptr};
+  Page page;
+  NodeView leaf;
+  XST_RETURN_NOT_OK(DescendToLeaf(*pager_, info_.root, &key, &page, &leaf));
+  XST_ASSIGN_OR_RAISE(SearchResult at, Search(*pager_, leaf, key));
+  return BTreeCursorPos{leaf.page_id(), static_cast<uint32_t>(at.index) + 1};
 }
 
 Result<bool> BTree::ReadLeafBatch(BTreeCursorPos* pos, const XSet* hi_element,
                                   std::vector<Membership>* out) const {
   if (pos->leaf == kInvalidPageId) return false;
-  Node node;
-  XST_RETURN_NOT_OK(ReadNode(*pager_, pos->leaf, &node));
-  if (!node.leaf) return Corrupt(pos->leaf, "cursor landed on an internal node");
-  for (size_t i = pos->slot >= 1 ? pos->slot - 1 : 0; i < node.members.size(); ++i) {
-    XST_ASSIGN_OR_RAISE(Membership m, DecodeEntry(*pager_, node.members[i]));
-    if (hi_element != nullptr && Compare(m.element, *hi_element) > 0) {
-      pos->leaf = kInvalidPageId;
-      return true;
+  Page page;
+  XST_RETURN_NOT_OK(pager_->ReadPageSnapshot(pos->leaf, &page));
+  NodeView leaf;
+  XST_RETURN_NOT_OK(leaf.Parse(pos->leaf, page));
+  if (!leaf.leaf()) return Corrupt(pos->leaf, "cursor landed on an internal node");
+  std::string overflow;
+  for (size_t i = pos->slot >= 1 ? pos->slot - 1 : 0; i < leaf.entry_count(); ++i) {
+    XST_ASSIGN_OR_RAISE(std::string_view payload, leaf.Record(i));
+    XST_ASSIGN_OR_RAISE(std::string_view bytes,
+                        ResolveEntry(*pager_, payload, &overflow));
+    if (hi_element != nullptr) {
+      // The bound is checked on the encoded element: an entry past it is
+      // never decoded.
+      size_t offset = 0;
+      int cmp = 0;
+      XST_RETURN_NOT_OK(CompareEncoded(bytes, &offset, *hi_element, &cmp));
+      if (cmp > 0) {
+        pos->leaf = kInvalidPageId;
+        return true;
+      }
     }
+    XST_ASSIGN_OR_RAISE(Membership m, DecodeEntryBytes(bytes));
     out->push_back(std::move(m));
   }
-  pos->leaf = node.next;
+  pos->leaf = leaf.next();
   pos->slot = 1;
   return true;
 }

@@ -34,8 +34,11 @@
 // the byte midpoint, and underflow is repaired by borrow (when the sibling
 // is byte-rich) or merge (when both halves fit one page).
 //
-// Not thread-safe; like the Pager it is only reachable through SetStore's
-// mutex-guarded members. All page access goes through pinned PageRefs.
+// Reads (Contains, SeekFirst, SeekElement, ReadLeafBatch) take no store
+// lock: each node visit copies one ReadPageSnapshot and searches it in
+// place, comparing encoded keys against the probe (CompareEncoded) and
+// decoding only the members a read returns (DESIGN.md §13.1, §15.2).
+// Mutations run under SetStore::mu_ and write through pinned PageRefs.
 
 #pragma once
 

@@ -27,6 +27,21 @@ Status DecodeStringPayload(std::string_view data, size_t* offset, std::string_vi
   return Status::OK();
 }
 
+// A kTagSet member count, checked the same way for decode and compare.
+Status DecodeSetCount(std::string_view data, size_t* offset, uint64_t* count) {
+  if (!GetVarint(data, offset, count)) return CorruptAt(*offset, "truncated count");
+  // The empty set encodes as kTagEmpty, never as a zero-count kTagSet:
+  // admitting both would give ∅ two on-disk spellings and break the
+  // equal-sets-have-equal-encodings property checksums and dedup rely on.
+  if (*count == 0) return CorruptAt(*offset, "non-canonical zero-count set");
+  // Each membership needs at least 2 tag bytes; reject absurd counts
+  // before reserving memory.
+  if (*count > (data.size() - *offset) / 2) {
+    return CorruptAt(*offset, "member count overruns buffer");
+  }
+  return Status::OK();
+}
+
 Status DecodeImpl(std::string_view data, size_t* offset, uint32_t depth, XSet* out) {
   if (depth > kMaxDecodeDepth) return CorruptAt(*offset, "nesting too deep");
   if (*offset >= data.size()) return CorruptAt(*offset, "truncated value");
@@ -57,21 +72,13 @@ Status DecodeImpl(std::string_view data, size_t* offset, uint32_t depth, XSet* o
     }
     case kTagSet: {
       uint64_t count;
-      if (!GetVarint(data, offset, &count)) return CorruptAt(*offset, "truncated count");
-      // The empty set encodes as kTagEmpty, never as a zero-count kTagSet:
-      // admitting both would give ∅ two on-disk spellings and break the
-      // equal-sets-have-equal-encodings property checksums and dedup rely on.
-      if (count == 0) return CorruptAt(*offset, "non-canonical zero-count set");
-      // Each membership needs at least 2 tag bytes; reject absurd counts
-      // before reserving memory.
-      if (count > (data.size() - *offset) / 2) {
-        return CorruptAt(*offset, "member count overruns buffer");
-      }
+      Status st = DecodeSetCount(data, offset, &count);
+      if (!st.ok()) return st;
       std::vector<Membership> members;
       members.reserve(count);
       for (uint64_t i = 0; i < count; ++i) {
         XSet element, scope;
-        Status st = DecodeImpl(data, offset, depth + 1, &element);
+        st = DecodeImpl(data, offset, depth + 1, &element);
         if (!st.ok()) return st;
         st = DecodeImpl(data, offset, depth + 1, &scope);
         if (!st.ok()) return st;
@@ -83,6 +90,67 @@ Status DecodeImpl(std::string_view data, size_t* offset, uint32_t depth, XSet* o
     default:
       return CorruptAt(*offset - 1, "unknown tag");
   }
+}
+
+template <typename T>
+int Sign(const T& a, const T& b) {
+  return a < b ? -1 : (b < a ? 1 : 0);
+}
+
+Status CompareImpl(std::string_view data, size_t* offset, const internal::Node* x,
+                   uint32_t depth, int* cmp) {
+  if (depth > kMaxDecodeDepth) return CorruptAt(*offset, "nesting too deep");
+  if (*offset >= data.size()) return CorruptAt(*offset, "truncated value");
+  const uint8_t tag = static_cast<uint8_t>(data[(*offset)++]);
+  NodeKind kind;
+  switch (tag) {
+    case kTagInt: kind = NodeKind::kInt; break;
+    case kTagSymbol: kind = NodeKind::kSymbol; break;
+    case kTagString: kind = NodeKind::kString; break;
+    case kTagEmpty:  // ∅ is the set of cardinality 0
+    case kTagSet: kind = NodeKind::kSet; break;
+    default: return CorruptAt(*offset - 1, "unknown tag");
+  }
+  if (kind != x->kind) {  // rank: int < symbol < string < set
+    *cmp = Sign(kind, x->kind);
+    return Status::OK();
+  }
+  switch (kind) {
+    case NodeKind::kInt: {
+      uint64_t raw;
+      if (!GetVarint(data, offset, &raw)) return CorruptAt(*offset, "truncated int");
+      *cmp = Sign(ZigZagDecode(raw), x->int_value);
+      return Status::OK();
+    }
+    case NodeKind::kSymbol:
+    case NodeKind::kString: {
+      std::string_view payload;
+      Status st = DecodeStringPayload(data, offset, &payload);
+      if (!st.ok()) return st;
+      *cmp = Sign(payload.compare(x->str_value), 0);
+      return Status::OK();
+    }
+    case NodeKind::kSet: {
+      uint64_t count = 0;
+      if (tag == kTagSet) {
+        Status st = DecodeSetCount(data, offset, &count);
+        if (!st.ok()) return st;
+      }
+      if (count != x->members.size()) {
+        *cmp = Sign<uint64_t>(count, x->members.size());
+        return Status::OK();
+      }
+      for (const Membership& m : x->members) {
+        Status st = CompareImpl(data, offset, m.element.node(), depth + 1, cmp);
+        if (!st.ok() || *cmp != 0) return st;
+        st = CompareImpl(data, offset, m.scope.node(), depth + 1, cmp);
+        if (!st.ok() || *cmp != 0) return st;
+      }
+      *cmp = 0;
+      return Status::OK();
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -181,6 +249,10 @@ Result<XSet> DecodeXSetWhole(std::string_view data) {
                               std::to_string(data.size() - offset));
   }
   return r;
+}
+
+Status CompareEncoded(std::string_view data, size_t* offset, const XSet& x, int* cmp) {
+  return CompareImpl(data, offset, x.node(), 0, cmp);
 }
 
 }  // namespace xst

@@ -38,6 +38,16 @@ Result<XSet> DecodeXSet(std::string_view data, size_t* offset);
 /// \brief Decodes a buffer that must contain exactly one value.
 Result<XSet> DecodeXSetWhole(std::string_view data);
 
+/// \brief Compares the value encoded at data[*offset..] against `x` under
+/// core/order's structural order, without decoding: *cmp gets the sign of
+/// Compare(value, x). Allocates and interns nothing, and walks only as far
+/// as the first difference. When *cmp == 0, *offset is left just past the
+/// value; otherwise it is unspecified. Corruption on malformed bytes it
+/// walks (DecodeXSet's checks). Exact for canonical encodings; a
+/// non-canonical member order compares as encoded, not as DecodeXSet would
+/// re-sort it.
+Status CompareEncoded(std::string_view data, size_t* offset, const XSet& x, int* cmp);
+
 // Exposed for the page layer and tests.
 void PutVarint(uint64_t v, std::string* out);
 bool GetVarint(std::string_view data, size_t* offset, uint64_t* out);

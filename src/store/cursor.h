@@ -7,7 +7,7 @@
 //    fixed-size batch slices of the decoded member list;
 //  - ordered-index sets (SetStore::PutIndexed) stream leaf-by-leaf off the
 //    B+tree via BTreeCursor, never materializing the whole set — one leaf
-//    page pinned per batch.
+//    page snapshot copied per batch.
 // StoreCursorSource picks per name through SetStore::OpenCursor, so VM
 // consumers of the kLoadBinding path are storage-mode agnostic. Atoms are
 // handed over via WholeSet(), which is the only representation that

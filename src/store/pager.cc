@@ -243,7 +243,7 @@ Result<PageRef> Pager::FetchPage(uint32_t page_id) {
   }
   internal::PagerShard& shard = ShardFor(page_id);
   bool counted_miss = false;
-  std::string bytes(kPageSize, '\0');
+  std::string bytes;  // sized only for a main-file read; LookupPage assigns it
   for (;;) {
     uint64_t ticks_before = 0;
     {
@@ -289,6 +289,7 @@ Result<PageRef> Pager::FetchPage(uint32_t page_id) {
     // whole operations, so the page image cannot tear against a concurrent
     // checkpoint write — at worst it is one committed version stale, which
     // phase 3 catches.
+    bytes.resize(kPageSize);
     Status read_st;
     {
       XST_TRACE_SPAN("io.page_read");
@@ -347,7 +348,7 @@ Status Pager::ReadPageSnapshot(uint32_t page_id, Page* out) {
   }
   internal::PagerShard& shard = ShardFor(page_id);
   bool counted_miss = false;
-  std::string bytes(kPageSize, '\0');
+  std::string bytes;  // sized only for a main-file read; LookupPage assigns it
   for (;;) {
     uint64_t ticks_before = 0;
     {
@@ -381,6 +382,7 @@ Status Pager::ReadPageSnapshot(uint32_t page_id, Page* out) {
     }
     // Phase 2 (no latch held): main-file read; see FetchPage for why the
     // image cannot tear.
+    bytes.resize(kPageSize);
     Status read_st;
     {
       XST_TRACE_SPAN("io.page_read");

@@ -336,6 +336,123 @@ TEST(BTreeOverflow, EntriesBeyondInlineLimitSpillAndRoundTrip) {
   EXPECT_EQ(tree.info().member_count, members.size());
 }
 
+TEST(BTreeOverflow, SearchesThroughOverflowKeysMatchAModel) {
+  // Every membership encodes past kMaxInlineEntry, so every leaf entry and
+  // every internal key is an overflow reference: each search step resolves
+  // a chain before it compares. Elements are the even-numbered strings of
+  // a 1,100-byte common prefix with scopes 0..6 each, so odd numbers and
+  // scopes -1 and 7 are absent neighbours, and an element's run of seven
+  // memberships can straddle a leaf boundary.
+  TempFile file("overflow_search");
+  std::unique_ptr<Pager> pager = OpenPager(file.path(), 256);
+  auto element = [](int k) {
+    char suffix[16];
+    std::snprintf(suffix, sizeof suffix, "%06d", k);
+    return XSet::String(std::string(1100, 'p') + suffix);
+  };
+  auto less = [](const Membership& a, const Membership& b) {
+    return CompareMembership(a, b) < 0;
+  };
+  std::set<Membership, decltype(less)> model(less);
+  for (int k = 0; k < 200; k += 2) {
+    for (int64_t scope = 0; scope < 7; ++scope) {
+      model.insert(Membership{element(k), XSet::Int(scope)});
+    }
+  }
+  std::vector<Membership> members(model.begin(), model.end());
+  ASSERT_EQ(members.size(), 700u);
+  Result<BTreeInfo> info = BTree::Build(*pager, members);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  BTree tree(pager.get(), *info);
+  ASSERT_GE(tree.info().height, 2u);
+  ASSERT_TRUE(tree.Validate().ok());
+
+  auto contains = [&](const Membership& m) {
+    Result<bool> has = tree.Contains(m);
+    EXPECT_TRUE(has.ok()) << has.status().ToString();
+    return has.ok() && *has;
+  };
+  for (int k = -1; k <= 200; ++k) {
+    for (int64_t scope = -1; scope <= 7; ++scope) {
+      Membership probe{element(k), XSet::Int(scope)};
+      ASSERT_EQ(contains(probe), model.count(probe) > 0)
+          << "k=" << k << " scope=" << scope;
+    }
+  }
+
+  // Streams the element interval [element(lo), element(hi)] and checks it
+  // against the model.
+  auto range = [&](int lo, int hi) {
+    Result<BTreeCursorPos> pos = tree.SeekElement(element(lo));
+    ASSERT_TRUE(pos.ok()) << pos.status().ToString();
+    const XSet hi_element = element(hi);
+    std::vector<Membership> got;
+    for (;;) {
+      Result<bool> more = tree.ReadLeafBatch(&*pos, &hi_element, &got);
+      ASSERT_TRUE(more.ok()) << more.status().ToString();
+      if (!*more) break;
+    }
+    std::vector<Membership> want;
+    for (const Membership& m : model) {
+      if (Compare(m.element, element(lo)) >= 0 && Compare(m.element, hi_element) <= 0) {
+        want.push_back(m);
+      }
+    }
+    SCOPED_TRACE("range [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    ExpectSameMembers(got, want);
+  };
+  // A seek whose element's run begins in the previous leaf must descend
+  // left of the internal key that carries that element.
+  Result<BTreeCursorPos> leaf = tree.SeekFirst();
+  ASSERT_TRUE(leaf.ok());
+  int split_runs = 0;
+  std::vector<Membership> prev;
+  for (;;) {
+    std::vector<Membership> batch;
+    Result<bool> more = tree.ReadLeafBatch(&*leaf, nullptr, &batch);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    if (!prev.empty() && !batch.empty() &&
+        Compare(prev.back().element, batch.front().element) == 0) {
+      ++split_runs;
+      const std::string& text = batch.front().element.str_value();
+      const int k = std::stoi(text.substr(text.size() - 6));
+      range(k, k);
+      range(k - 1, k + 1);
+    }
+    prev = std::move(batch);
+  }
+  ASSERT_GT(split_runs, 0) << "no element run straddles a leaf boundary";
+
+  std::mt19937_64 rng(4242);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int lo = static_cast<int>(rng() % 203) - 1;
+    range(lo, lo + static_cast<int>(rng() % 40) - 4);
+  }
+
+  for (int step = 0; step < 40; ++step) {
+    Membership m{element(static_cast<int>(rng() % 202)),
+                 XSet::Int(static_cast<int64_t>(rng() % 9) - 1)};
+    if (step % 2 == 0) {
+      Result<bool> inserted = tree.Insert(m);
+      ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+      EXPECT_EQ(*inserted, model.insert(m).second);
+    } else {
+      Result<bool> erased = tree.Erase(m);
+      ASSERT_TRUE(erased.ok()) << erased.status().ToString();
+      EXPECT_EQ(*erased, model.erase(m) > 0);
+    }
+    Status valid = tree.Validate();
+    ASSERT_TRUE(valid.ok()) << "after step " << step << ": " << valid.ToString();
+    EXPECT_EQ(contains(m), model.count(m) > 0);
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    const int lo = static_cast<int>(rng() % 203) - 1;
+    range(lo, lo + static_cast<int>(rng() % 20));
+  }
+  ExpectSameMembers(Drain(tree), std::vector<Membership>(model.begin(), model.end()));
+}
+
 TEST(BTreeValidate, DetectsTamperedNodesAndWrongCounts) {
   TempFile file("detect");
   std::unique_ptr<Pager> pager = OpenPager(file.path());

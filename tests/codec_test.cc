@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <random>
+#include <vector>
 
+#include "src/core/order.h"
 #include "src/core/validate.h"
 #include "src/store/codec.h"
 #include "tests/testing.h"
@@ -218,6 +221,127 @@ TEST(CodecFuzz, MutatedEncodingsNeverYieldInvalidSets) {
   // Some mutants survive (bit flips inside atom payloads); the interesting
   // assertion is that every survivor validates.
   SUCCEED() << decoded_ok << " mutants decoded OK";
+}
+
+int Sign(int c) { return (c > 0) - (c < 0); }
+
+// CompareEncoded(Encode(a), b) against Compare(a, b); on equality the
+// offset must land just past a's encoding.
+void ExpectCompareEncodedAgrees(const XSet& a, const XSet& b) {
+  const std::string bytes = EncodeXSetToString(a);
+  size_t offset = 0;
+  int cmp = 7;
+  Status st = CompareEncoded(bytes, &offset, b, &cmp);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(Sign(cmp), Sign(Compare(a, b))) << a.ToString() << " vs " << b.ToString();
+  if (cmp == 0) {
+    EXPECT_EQ(offset, bytes.size()) << a.ToString();
+  }
+}
+
+TEST(Codec, CompareEncodedOrdersEveryKindLikeCompare) {
+  // Rank boundaries, multi-byte and negative varints, byte order above
+  // 0x7f, prefixes, symbol vs string with the same text, ∅ against sets,
+  // and sets that tie on cardinality and differ only in a scope.
+  const std::vector<XSet> values = {
+      XSet::Int(INT64_MIN), XSet::Int(-300), XSet::Int(-1), XSet::Int(0),
+      XSet::Int(1), XSet::Int(127), XSet::Int(128), XSet::Int(INT64_MAX),
+      XSet::Symbol(""), XSet::Symbol("a"), XSet::Symbol("ab"), XSet::Symbol("b"),
+      XSet::String(""), XSet::String("a"), XSet::String("a\x7f"),
+      XSet::String("a\x80"), XSet::String("a\xff"), XSet::String(std::string(300, 'q')),
+      XSet::Empty(), X("{a}"), X("{b}"), X("{a^1}"), X("{a^2}"), X("{a, b}"),
+      X("{<a, 1>, b^{c}}"), X("{<a, 1>, b^{d}}"), X("{{{}}}")};
+  for (const XSet& a : values) {
+    for (const XSet& b : values) ExpectCompareEncodedAgrees(a, b);
+  }
+}
+
+TEST(Codec, CompareEncodedReportsCorruptionItWalks) {
+  int cmp = 0;
+  size_t offset = 0;
+  EXPECT_TRUE(CompareEncoded("", &offset, X("1"), &cmp).IsCorruption());
+  offset = 0;
+  EXPECT_TRUE(CompareEncoded("\x7f", &offset, X("1"), &cmp).IsCorruption());
+  std::string zero_count("\x04\x00", 2);
+  offset = 0;
+  EXPECT_TRUE(CompareEncoded(zero_count, &offset, X("{a}"), &cmp).IsCorruption());
+  std::string overrun(1, '\x04');
+  PutVarint(1000, &overrun);
+  offset = 0;
+  EXPECT_TRUE(CompareEncoded(overrun, &offset, X("{a}"), &cmp).IsCorruption());
+  std::string truncated = EncodeXSetToString(X("{abc}"));
+  truncated.pop_back();
+  offset = 0;
+  EXPECT_TRUE(CompareEncoded(truncated, &offset, X("{abc}"), &cmp).IsCorruption());
+  // A rank difference is decided by the tag alone; the bytes after it are
+  // never walked.
+  offset = 0;
+  ASSERT_TRUE(CompareEncoded(std::string("\x03\x7f", 2), &offset, X("{a}"), &cmp).ok());
+  EXPECT_LT(cmp, 0);
+}
+
+// Seeded comparator fuzz: CompareEncoded(Encode(a), b) must have the sign of
+// Compare(a, b) for random pairs, including a against itself and against a
+// with one member added or removed. Mutated encodings get a weaker oracle,
+// because decode re-sorts members: a mutant that decodes and re-encodes to
+// the same bytes must agree with Compare(decoded, b); any other must come
+// back OK or Corruption without crashing. Replay with XST_FUZZ_SEED=<seed>.
+TEST(CodecFuzz, CompareEncodedAgreesWithCompare) {
+  const uint64_t seed = FuzzSeed();
+  SCOPED_TRACE("XST_FUZZ_SEED=" + std::to_string(seed));
+  testing::RandomSetGen gen(seed);
+  std::mt19937_64 rng(seed ^ 0xc0de5eedc0ffeeull);
+  int checked_mutants = 0;
+  for (int round = 0; round < 300; ++round) {
+    const XSet a = gen.Value(4, 5);
+    std::vector<XSet> others = {a, gen.Value(4, 5), gen.Value(4, 5)};
+    if (a.is_set()) {
+      std::vector<Membership> members(a.members().begin(), a.members().end());
+      std::vector<Membership> grown = members;
+      grown.push_back(Membership{gen.Value(2, 3), gen.Value(1, 2)});
+      others.push_back(XSet::FromMembers(std::move(grown)));
+      if (!members.empty()) {
+        members.erase(members.begin() + static_cast<ptrdiff_t>(rng() % members.size()));
+        others.push_back(XSet::FromMembers(std::move(members)));
+      }
+    }
+    for (const XSet& b : others) {
+      ExpectCompareEncodedAgrees(a, b);
+      ExpectCompareEncodedAgrees(b, a);
+    }
+
+    const std::string clean = EncodeXSetToString(a);
+    for (int variant = 0; variant < 8; ++variant) {
+      std::string buf = clean;
+      switch (rng() % 3) {
+        case 0:  // flip one bit
+          buf[rng() % buf.size()] ^= static_cast<char>(1u << (rng() % 8));
+          break;
+        case 1:  // overwrite one byte
+          buf[rng() % buf.size()] = static_cast<char>(rng() & 0xff);
+          break;
+        default:  // truncate to a prefix
+          buf.resize(rng() % (buf.size() + 1));
+          break;
+      }
+      const XSet& b = others[rng() % others.size()];
+      size_t offset = 0;
+      int cmp = 0;
+      Status st = CompareEncoded(buf, &offset, b, &cmp);
+      ASSERT_TRUE(st.ok() || st.IsCorruption()) << st.ToString();
+      Result<XSet> decoded = DecodeXSetWhole(buf);
+      if (decoded.ok() && EncodeXSetToString(*decoded) == buf) {
+        ++checked_mutants;
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        ASSERT_EQ(Sign(cmp), Sign(Compare(*decoded, b)))
+            << decoded->ToString() << " vs " << b.ToString();
+        if (cmp == 0) {
+          EXPECT_EQ(offset, buf.size());
+        }
+      }
+    }
+  }
+  SUCCEED() << checked_mutants << " canonical mutants checked against Compare";
 }
 
 TEST(Codec, DecodeRejectsTrailingBytes) {

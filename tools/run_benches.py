@@ -45,6 +45,26 @@ BENCH_BINARIES = [
 ]
 
 
+def usable_cpus():
+    """The CPUs this process may run on, as `nproc` reports them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count()
+
+
+def cmake_build_type(build_dir):
+    """CMAKE_BUILD_TYPE from <build_dir>/CMakeCache.txt, or None if unreadable."""
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith("CMAKE_BUILD_TYPE:"):
+                    return line.split("=", 1)[1].strip() or None
+    except OSError:
+        pass
+    return None
+
+
 def run_binary(path, min_time, bench_filter, allow_missing, want_metrics):
     """Runs one benchmark binary; returns (google-benchmark JSON, metrics JSON).
 
@@ -181,9 +201,12 @@ def main():
             ctx = raw.get("context", {})
             report["context"] = {
                 "date": ctx.get("date"),
+                "nproc": usable_cpus(),
                 "num_cpus": ctx.get("num_cpus"),
                 "mhz_per_cpu": ctx.get("mhz_per_cpu"),
-                "library_build_type": ctx.get("library_build_type"),
+                "cmake_build_type": cmake_build_type(args.build_dir),
+                # google-benchmark's own build, not this project's.
+                "benchmark_library_build_type": ctx.get("library_build_type"),
             }
         entries = []
         for b in raw.get("benchmarks", []):
