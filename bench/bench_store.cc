@@ -7,6 +7,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "src/obs/metrics.h"
 #include "src/store/codec.h"
 #include "src/store/pager.h"
 #include "src/store/setstore.h"
@@ -82,6 +83,10 @@ void BM_StoreGetColdPool(benchmark::State& state) {
   // 4-page cache — the block-device regime the 1977 backend assumed.
   std::string path = BenchPath("get_cold");
   std::remove(path.c_str());
+  // Registry counters are process-wide: count this run's store from its open.
+  obs::Counter& misses =
+      obs::MetricsRegistry::Global().GetCounter(internal::kPagerMissesCounter);
+  const uint64_t misses_before = misses.value();
   auto store = SetStore::Open(path, SetStoreOptions{.buffer_pool_pages = 4});
   if (!store.ok() || !(*store)->Put("r", bench::PairRelation(state.range(0))).ok()) {
     state.SkipWithError("setup failed");
@@ -91,8 +96,7 @@ void BM_StoreGetColdPool(benchmark::State& state) {
     benchmark::DoNotOptimize((*store)->Get("r"));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.counters["pool_misses"] =
-      static_cast<double>((*store)->pager_stats().misses);
+  state.counters["pool_misses"] = static_cast<double>(misses.value() - misses_before);
   std::remove(path.c_str());
 }
 BENCHMARK(BM_StoreGetColdPool)->Arg(1 << 14);
@@ -103,6 +107,8 @@ void BM_PagerPinnedFetch(benchmark::State& state) {
   // (LRU splice + pin/unpin bookkeeping) that every blob read pays per page.
   std::string path = BenchPath("pinned_fetch");
   std::remove(path.c_str());
+  obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter(internal::kPagerHitsCounter);
+  const uint64_t hits_before = hits.value();
   auto pager_or = Pager::Open(path, 64);
   if (!pager_or.ok()) {
     state.SkipWithError("open failed");
@@ -128,7 +134,7 @@ void BM_PagerPinnedFetch(benchmark::State& state) {
     id = (id + 1) % pages;
   }
   state.SetItemsProcessed(state.iterations());
-  state.counters["hits"] = static_cast<double>(pager.stats().hits);
+  state.counters["hits"] = static_cast<double>(hits.value() - hits_before);
   std::remove(path.c_str());
 }
 BENCHMARK(BM_PagerPinnedFetch);

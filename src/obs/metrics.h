@@ -14,11 +14,12 @@
 //     under concurrency, exact once writers quiesce (the property the
 //     registry tests pin down).
 //
-// The registry is the one place the five historical stats structs
-// (EvalStats, OptimizerStats, RescopeCacheStats, PagerStats, InternerStats)
-// meet: their accessor APIs survive, but the counters behind them live (or
-// are mirrored) here, so `DumpMetricsJson()` is a whole-system answer to
-// "what did this process do" — see DESIGN.md §9.
+// The registry is where the stats structs (EvalStats, OptimizerStats,
+// RescopeCacheStats, InternerStats) meet: their accessor APIs survive, but
+// the counters behind them live (or are mirrored) here. The pager has no
+// struct at all; its registry counters are its only statistics. So
+// `DumpMetricsJson()` is a whole-system answer to "what did this process
+// do" — see DESIGN.md §9.
 
 #pragma once
 

@@ -64,8 +64,7 @@ struct RescopeCacheStats {
 RescopeCacheStats GetRescopeCacheStats();
 
 /// \brief Zeroes the hit/miss counters (resident entries stay cached), so
-/// back-to-back query phases report per-phase hit rates — the counterpart of
-/// Pager::ResetStats.
+/// back-to-back query phases report per-phase hit rates.
 void ResetRescopeCacheStats();
 
 namespace internal {

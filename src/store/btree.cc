@@ -238,24 +238,11 @@ Result<std::string> EncodeEntry(Pager& pager, const Membership& m) {
   EncodeXSet(m.element, &bytes);
   EncodeXSet(m.scope, &bytes);
   if (bytes.size() <= kMaxInlineEntry) return bytes;
-  const size_t chunk_capacity = Page().FreeSpace();
-  uint32_t first = kInvalidPageId;
-  uint32_t span = 0;
-  size_t offset = 0;
-  while (offset < bytes.size()) {
-    size_t chunk = std::min(chunk_capacity, bytes.size() - offset);
-    XST_ASSIGN_OR_RAISE(PageRef page, pager.AllocatePage());
-    if (span == 0) first = page.id();
-    PageWriteGuard guard(page);
-    XST_RETURN_NOT_OK(
-        guard->AddRecord(std::string_view(bytes).substr(offset, chunk)).status());
-    offset += chunk;
-    ++span;
-  }
+  XST_ASSIGN_OR_RAISE(internal::PageSpan span, internal::WritePageSpan(pager, bytes));
   std::string ref(1, static_cast<char>(kOverflowTag));
-  PutVarint(first, &ref);
-  PutVarint(span, &ref);
-  PutVarint(bytes.size(), &ref);
+  PutVarint(span.first_page, &ref);
+  PutVarint(span.pages, &ref);
+  PutVarint(span.byte_length, &ref);
   return ref;
 }
 
@@ -266,28 +253,17 @@ Result<std::string_view> ResolveEntry(Pager& pager, std::string_view payload,
   if (payload.empty()) return Status::Corruption("btree: empty entry payload");
   if (static_cast<uint8_t>(payload[0]) != kOverflowTag) return payload;
   size_t pos = 1;
-  uint64_t first = 0, span = 0, length = 0;
-  if (!GetVarint(payload, &pos, &first) || !GetVarint(payload, &pos, &span) ||
-      !GetVarint(payload, &pos, &length) || pos != payload.size() ||
-      first == 0 || first >= kInvalidPageId || span == 0 || span > pager.page_count() ||
-      first > pager.page_count() - span || length > span * kPageSize) {
+  uint64_t first = 0, pages = 0, length = 0;
+  if (!GetVarint(payload, &pos, &first) || !GetVarint(payload, &pos, &pages) ||
+      !GetVarint(payload, &pos, &length) || pos != payload.size()) {
     return Status::Corruption("btree: malformed overflow reference");
   }
-  buffer->clear();
-  buffer->reserve(length);
-  Page chunk_page;
-  for (uint64_t i = 0; i < span; ++i) {
-    XST_RETURN_NOT_OK(
-        pager.ReadPageSnapshot(static_cast<uint32_t>(first + i), &chunk_page));
-    Result<std::string_view> record = chunk_page.GetRecord(0);
-    if (!record.ok()) {
-      return Status::Corruption("btree: unreadable overflow chunk");
-    }
-    buffer->append(*record);
-  }
-  if (buffer->size() != length) {
-    return Status::Corruption("btree: overflow length mismatch");
-  }
+  XST_RETURN_NOT_OK(internal::ValidatePageSpan(
+      "btree overflow reference", static_cast<int64_t>(first), static_cast<int64_t>(pages),
+      static_cast<int64_t>(length), pager.page_count()));
+  const internal::PageSpan span{static_cast<uint32_t>(first),
+                                static_cast<uint32_t>(pages), length};
+  XST_RETURN_NOT_OK(internal::ReadPageSpan(pager, span, buffer));
   return std::string_view(*buffer);
 }
 

@@ -21,9 +21,10 @@
 //   overflow          entries longer than kMaxInlineEntry store
 //                     0xFE ‖ varint(first_page, page_span, byte_length) and
 //                     spill the payload across a contiguous page span (one
-//                     record per page, like SetStore blobs). Chains are
-//                     immutable once written; stale ones are garbage until
-//                     Compact rewrites the store.
+//                     record per page), written, read and validated by the
+//                     same page-span helper as SetStore blobs (pager.h).
+//                     Spans are immutable once written; stale ones are
+//                     garbage until Compact rewrites the store.
 //
 // Mutations rewrite whole nodes (slotted pages have no in-place update), so
 // a crash mid-mutation leaves either a consistent pre-/post-state or a tree

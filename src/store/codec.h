@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -53,5 +54,29 @@ void PutVarint(uint64_t v, std::string* out);
 bool GetVarint(std::string_view data, size_t* offset, uint64_t* out);
 uint64_t ZigZagEncode(int64_t v);
 int64_t ZigZagDecode(uint64_t v);
+
+// Fixed-width integers in host byte order (little-endian on every supported
+// target): the page header and slot directory, and the log's header and
+// record framing.
+inline void PutFixed32(uint32_t v, std::string* out) {
+  char buf[sizeof v];
+  std::memcpy(buf, &v, sizeof v);
+  out->append(buf, sizeof v);
+}
+inline void PutFixed64(uint64_t v, std::string* out) {
+  char buf[sizeof v];
+  std::memcpy(buf, &v, sizeof v);
+  out->append(buf, sizeof v);
+}
+inline uint32_t DecodeFixed32(const char* src) {
+  uint32_t v = 0;
+  std::memcpy(&v, src, sizeof v);
+  return v;
+}
+inline uint64_t DecodeFixed64(const char* src) {
+  uint64_t v = 0;
+  std::memcpy(&v, src, sizeof v);
+  return v;
+}
 
 }  // namespace xst

@@ -1,8 +1,7 @@
 #include "src/store/page.h"
 
-#include <cstring>
-
 #include "src/common/hash.h"
+#include "src/store/codec.h"
 
 namespace xst {
 
@@ -10,30 +9,6 @@ namespace {
 
 constexpr size_t kHeaderSize = 16;  // checksum(8) + slot count(4) + free offset(4)
 constexpr size_t kSlotEntrySize = 8;
-
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-uint32_t ReadU32(std::string_view bytes, size_t offset) {
-  uint32_t v;
-  std::memcpy(&v, bytes.data() + offset, 4);
-  return v;
-}
-
-uint64_t ReadU64(std::string_view bytes, size_t offset) {
-  uint64_t v;
-  std::memcpy(&v, bytes.data() + offset, 8);
-  return v;
-}
 
 // Folds the caller's seed into the FNV-1a offset basis. Seed 0 maps to the
 // plain basis, so unseeded images keep the historical checksum value.
@@ -49,14 +24,14 @@ Result<Page> Page::FromBytes(std::string_view bytes, uint64_t seed) {
   if (bytes.size() != kPageSize) {
     return Status::Corruption("page image has wrong size " + std::to_string(bytes.size()));
   }
-  uint64_t stored_checksum = ReadU64(bytes, 0);
+  uint64_t stored_checksum = DecodeFixed64(bytes.data());
   uint64_t actual = HashBytes(bytes.data() + 8, kPageSize - 8, ChecksumBasis(seed));
   if (stored_checksum != actual) {
     return Status::Corruption("page checksum mismatch");
   }
   Page page;
-  page.slot_count_ = ReadU32(bytes, 8);
-  page.free_offset_ = ReadU32(bytes, 12);
+  page.slot_count_ = DecodeFixed32(bytes.data() + 8);
+  page.free_offset_ = DecodeFixed32(bytes.data() + 12);
   size_t dir_end = kHeaderSize + static_cast<size_t>(page.slot_count_) * kSlotEntrySize;
   if (page.slot_count_ > (kPageSize - kHeaderSize) / kSlotEntrySize ||
       page.free_offset_ > kPageSize - dir_end) {
@@ -64,8 +39,8 @@ Result<Page> Page::FromBytes(std::string_view bytes, uint64_t seed) {
   }
   page.slots_.reserve(page.slot_count_);
   for (uint32_t i = 0; i < page.slot_count_; ++i) {
-    size_t entry = kHeaderSize + static_cast<size_t>(i) * kSlotEntrySize;
-    Slot slot{ReadU32(bytes, entry), ReadU32(bytes, entry + 4)};
+    const char* entry = bytes.data() + kHeaderSize + static_cast<size_t>(i) * kSlotEntrySize;
+    Slot slot{DecodeFixed32(entry), DecodeFixed32(entry + 4)};
     if (slot.length > 0 &&
         (slot.offset > page.free_offset_ || slot.length > page.free_offset_ - slot.offset)) {
       return Status::Corruption("slot " + std::to_string(i) + " out of bounds");
@@ -79,17 +54,17 @@ Result<Page> Page::FromBytes(std::string_view bytes, uint64_t seed) {
 std::string Page::ToBytes(uint64_t seed) const {
   std::string body;
   body.reserve(kPageSize - 8);
-  PutU32(slot_count_, &body);
-  PutU32(free_offset_, &body);
+  PutFixed32(slot_count_, &body);
+  PutFixed32(free_offset_, &body);
   for (const Slot& slot : slots_) {
-    PutU32(slot.offset, &body);
-    PutU32(slot.length, &body);
+    PutFixed32(slot.offset, &body);
+    PutFixed32(slot.length, &body);
   }
   body.append(data_);
   body.resize(kPageSize - 8, '\0');
   std::string out;
   out.reserve(kPageSize);
-  PutU64(HashBytes(body.data(), body.size(), ChecksumBasis(seed)), &out);
+  PutFixed64(HashBytes(body.data(), body.size(), ChecksumBasis(seed)), &out);
   out.append(body);
   return out;
 }

@@ -1,8 +1,10 @@
 #include "src/store/pager.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/common/check.h"
+#include "src/common/macros.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/store/wal.h"
@@ -11,7 +13,8 @@ namespace xst {
 
 namespace {
 
-// Process-wide mirrors of the per-instance stats (see pager.h internal).
+// The pager's counters (see pager.h internal): one process-wide registry
+// counter per statistic.
 obs::Counter& HitsCounter() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter(internal::kPagerHitsCounter);
@@ -53,6 +56,13 @@ size_t FloorPow2(size_t n) {
   size_t p = 1;
   while (p * 2 <= n) p *= 2;
   return p;
+}
+
+// A page-span chunk fills a fresh page: the page's free space for its one
+// record.
+size_t ChunkCapacity() {
+  static const size_t capacity = Page().FreeSpace();
+  return capacity;
 }
 
 size_t ShardsFor(size_t capacity) {
@@ -125,21 +135,15 @@ void Pager::MarkFrameDirty(internal::PageFrame* frame) {
   frame->logged = false;
 }
 
-PageWriteGuard::PageWriteGuard(PageRef& ref) : frame_(ref.frame_) {
-  shard_ = &ref.pager_->ShardFor(frame_->page_id);
-  LatchAcquisitionsCounter().Increment();
-  if (!shard_->latch.TryLock()) {
-    LatchContentionCounter().Increment();
-    shard_->latch.Lock();
-  }
-}
+PageWriteGuard::PageWriteGuard(PageRef& ref)
+    : frame_(ref.frame_), latch_(&ref.pager_->ShardFor(ref.frame_->page_id)) {}
 
 PageWriteGuard::~PageWriteGuard() {
   // The write window closes dirty: content changed, so any previously
   // logged image no longer matches and must not satisfy a commit drain.
+  // latch_ unlocks after this body, so the flags flip under it.
   frame_->dirty = true;
   frame_->logged = false;
-  shard_->latch.Unlock();
 }
 
 Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path, size_t capacity) {
@@ -198,24 +202,6 @@ void Pager::AttachWal(Wal* wal) {
   }
 }
 
-PagerStats Pager::stats() const {
-  PagerStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.writebacks = writebacks_.load(std::memory_order_relaxed);
-  s.allocations = allocations_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void Pager::ResetStats() {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  writebacks_.store(0, std::memory_order_relaxed);
-  allocations_.store(0, std::memory_order_relaxed);
-}
-
 Result<PageRef> Pager::AllocatePage() {
   // Allocation (like all mutation) is externally serialized — the store
   // holds SetStore::mu_ — so the id handoff below cannot race another
@@ -230,12 +216,12 @@ Result<PageRef> Pager::AllocatePage() {
   frame.dirty = true;
   shard.frames[id] = shard.lru.begin();
   page_count_.store(id + 1, std::memory_order_release);
-  allocations_.fetch_add(1, std::memory_order_relaxed);
   AllocationsCounter().Increment();
   return PageRef(this, &frame);
 }
 
-Result<PageRef> Pager::FetchPage(uint32_t page_id) {
+template <typename Use>
+Status Pager::Load(uint32_t page_id, Page* snapshot, const Use& use) {
   if (page_id >= page_count_.load(std::memory_order_acquire)) {
     return Status::OutOfRange(
         "page " + std::to_string(page_id) + " of " +
@@ -244,51 +230,73 @@ Result<PageRef> Pager::FetchPage(uint32_t page_id) {
   internal::PagerShard& shard = ShardFor(page_id);
   bool counted_miss = false;
   std::string bytes;  // sized only for a main-file read; LookupPage assigns it
+  // The page as decoded from a log image, or from the previous pass's
+  // main-file read (decoded with no latch held); and the file-write tick
+  // taken before that read began.
+  std::optional<Result<Page>> decoded;
+  uint64_t ticks_before = 0;
   for (;;) {
-    uint64_t ticks_before = 0;
     {
-      // Phase 1 (latched): resident hit, or WAL image-table read-through.
-      // Wal::LookupPage takes Wal::mu_ (rank 30) over this latch (rank 20):
-      // rank-increasing and non-blocking (an in-memory map probe).
+      // Latched probe: the pool, then the log's image table, then the
+      // previous pass's file read. Wal::LookupPage takes Wal::mu_ (rank 30)
+      // over this latch (rank 20): rank-increasing and non-blocking (an
+      // in-memory map probe).
       internal::ShardLatchLock latch(&shard);
       auto it = shard.frames.find(page_id);
       if (it != shard.frames.end()) {
-        if (!counted_miss) {
-          hits_.fetch_add(1, std::memory_order_relaxed);
-          HitsCounter().Increment();
-        }
+        // Resident — or cached by another thread during our file read, with
+        // the same version or a newer one.
+        if (!counted_miss) HitsCounter().Increment();
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // touch
-        return PageRef(this, &*it->second);
+        use(*it->second);
+        return Status::OK();
       }
       if (!counted_miss) {
-        // Counted exactly once per logical fetch, no matter how many times
-        // the race below makes us retry.
+        // Counted exactly once per load, no matter how many times the race
+        // below makes us retry.
         counted_miss = true;
-        misses_.fetch_add(1, std::memory_order_relaxed);
         MissesCounter().Increment();
       }
-      if (wal_ != nullptr && wal_->LookupPage(page_id, &bytes)) {
-        Result<Page> page = Page::FromBytes(bytes, page_id);
-        if (!page.ok()) {
-          return page.status().WithContext("page " + std::to_string(page_id));
+      const bool logged = wal_ != nullptr && wal_->LookupPage(page_id, &bytes);
+      if (logged) {
+        // The log wins over the file, including an image a concurrent
+        // eviction spilled after our file read.
+        decoded = Page::FromBytes(bytes, page_id);
+      } else if (decoded && file_write_ticks_.load() != ticks_before) {
+        // A file write (a checkpoint, or a legacy write-back) completed
+        // during our unlatched read, so our bytes may be stale: read again.
+        // The newest version is now cached, logged, or durably in the file.
+        decoded.reset();
+      }
+      if (decoded) {
+        Result<Page>& page = *decoded;
+        if (!page.ok()) return page.status().WithContext("page " + std::to_string(page_id));
+        // A snapshot's two exemptions: it never caches a log image, and a
+        // shard with every frame pinned costs it only the caching, never the
+        // read itself.
+        Status st = Status::OK();
+        if (snapshot == nullptr || !logged) st = EvictIfFullLocked(shard);
+        if (snapshot != nullptr && (logged || !st.ok())) {
+          *snapshot = std::move(*page);
+          return Status::OK();
         }
-        Status st = EvictIfFullLocked(shard);
         if (!st.ok()) return st;
         internal::PageFrame& frame = shard.lru.emplace_front();
         frame.page = std::move(*page);
         frame.page_id = page_id;
         shard.frames[page_id] = shard.lru.begin();
-        return PageRef(this, &frame);
+        use(frame);
+        return Status::OK();
       }
-      // Neither resident nor in the log: the newest version of this page is
-      // in the main file. Remember the file-write tick so the re-latch below
-      // can tell whether a checkpoint made the file newer than what we read.
+      // The newest version of this page is in the main file. Remember the
+      // file-write tick so the next pass can tell whether a write made the
+      // file newer than what we read.
       ticks_before = file_write_ticks_.load();
     }
-    // Phase 2 (no latch held): the main-file read. StdioFile serializes
-    // whole operations, so the page image cannot tear against a concurrent
+    // No latch held: the main-file read and its decode. StdioFile serializes
+    // whole operations, so the image cannot tear against a concurrent
     // checkpoint write — at worst it is one committed version stale, which
-    // phase 3 catches.
+    // the next pass catches.
     bytes.resize(kPageSize);
     Status read_st;
     {
@@ -296,136 +304,20 @@ Result<PageRef> Pager::FetchPage(uint32_t page_id) {
       read_st = file_->ReadAt(static_cast<uint64_t>(page_id) * kPageSize,
                               bytes.data(), kPageSize);
     }
-    Result<Page> page =
-        read_st.ok() ? Page::FromBytes(bytes, page_id) : Result<Page>(read_st);
-    // Phase 3 (re-latched): adopt whatever version won the race.
-    internal::ShardLatchLock latch(&shard);
-    auto it = shard.frames.find(page_id);
-    if (it != shard.frames.end()) {
-      // Another thread cached it (the same version or a newer one).
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return PageRef(this, &*it->second);
-    }
-    if (wal_ != nullptr && wal_->LookupPage(page_id, &bytes)) {
-      // A concurrent eviction spilled a newer image into the log after our
-      // phase-1 probe; the log wins over whatever the file said.
-      Result<Page> logged = Page::FromBytes(bytes, page_id);
-      if (!logged.ok()) {
-        return logged.status().WithContext("page " + std::to_string(page_id));
-      }
-      Status st = EvictIfFullLocked(shard);
-      if (!st.ok()) return st;
-      internal::PageFrame& frame = shard.lru.emplace_front();
-      frame.page = std::move(*logged);
-      frame.page_id = page_id;
-      shard.frames[page_id] = shard.lru.begin();
-      return PageRef(this, &frame);
-    }
-    if (file_write_ticks_.load() != ticks_before) {
-      // A file write completed during our unlatched read (a checkpoint, or a
-      // legacy write-back); our bytes may be stale. Retry from the top — the
-      // newest version is now cached, logged, or durably in the file.
-      continue;
-    }
-    if (!page.ok()) {
-      return page.status().WithContext("page " + std::to_string(page_id));
-    }
-    Status st = EvictIfFullLocked(shard);
-    if (!st.ok()) return st;
-    internal::PageFrame& frame = shard.lru.emplace_front();
-    frame.page = std::move(*page);
-    frame.page_id = page_id;
-    shard.frames[page_id] = shard.lru.begin();
-    return PageRef(this, &frame);
+    decoded = read_st.ok() ? Page::FromBytes(bytes, page_id) : Result<Page>(read_st);
   }
 }
 
+Result<PageRef> Pager::FetchPage(uint32_t page_id) {
+  PageRef ref;
+  XST_RETURN_NOT_OK(
+      Load(page_id, nullptr, [&](internal::PageFrame& frame) { ref = PageRef(this, &frame); }));
+  return ref;
+}
+
 Status Pager::ReadPageSnapshot(uint32_t page_id, Page* out) {
-  if (page_id >= page_count_.load(std::memory_order_acquire)) {
-    return Status::OutOfRange(
-        "page " + std::to_string(page_id) + " of " +
-        std::to_string(page_count_.load(std::memory_order_relaxed)));
-  }
-  internal::PagerShard& shard = ShardFor(page_id);
-  bool counted_miss = false;
-  std::string bytes;  // sized only for a main-file read; LookupPage assigns it
-  for (;;) {
-    uint64_t ticks_before = 0;
-    {
-      // Phase 1 (latched): copy a resident frame, or decode straight out of
-      // the WAL image table (see FetchPage for the rank argument).
-      internal::ShardLatchLock latch(&shard);
-      auto it = shard.frames.find(page_id);
-      if (it != shard.frames.end()) {
-        if (!counted_miss) {
-          hits_.fetch_add(1, std::memory_order_relaxed);
-          HitsCounter().Increment();
-        }
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // touch
-        *out = it->second->page;  // in-pool copy under the latch, no pin
-        return Status::OK();
-      }
-      if (!counted_miss) {
-        counted_miss = true;
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        MissesCounter().Increment();
-      }
-      if (wal_ != nullptr && wal_->LookupPage(page_id, &bytes)) {
-        Result<Page> page = Page::FromBytes(bytes, page_id);
-        if (!page.ok()) {
-          return page.status().WithContext("page " + std::to_string(page_id));
-        }
-        *out = std::move(*page);
-        return Status::OK();
-      }
-      ticks_before = file_write_ticks_.load();
-    }
-    // Phase 2 (no latch held): main-file read; see FetchPage for why the
-    // image cannot tear.
-    bytes.resize(kPageSize);
-    Status read_st;
-    {
-      XST_TRACE_SPAN("io.page_read");
-      read_st = file_->ReadAt(static_cast<uint64_t>(page_id) * kPageSize,
-                              bytes.data(), kPageSize);
-    }
-    Result<Page> page =
-        read_st.ok() ? Page::FromBytes(bytes, page_id) : Result<Page>(read_st);
-    // Phase 3 (re-latched): prefer any version that raced in; otherwise our
-    // file bytes are current iff no file write completed in between, and
-    // only then is caching them safe.
-    internal::ShardLatchLock latch(&shard);
-    auto it = shard.frames.find(page_id);
-    if (it != shard.frames.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      *out = it->second->page;
-      return Status::OK();
-    }
-    if (wal_ != nullptr && wal_->LookupPage(page_id, &bytes)) {
-      Result<Page> logged = Page::FromBytes(bytes, page_id);
-      if (!logged.ok()) {
-        return logged.status().WithContext("page " + std::to_string(page_id));
-      }
-      *out = std::move(*logged);
-      return Status::OK();
-    }
-    if (file_write_ticks_.load() != ticks_before) {
-      continue;  // a checkpoint rewrote the file under us; retry
-    }
-    if (!page.ok()) {
-      return page.status().WithContext("page " + std::to_string(page_id));
-    }
-    // Cache the clean copy for later readers if a frame is available; a
-    // fully pinned shard only costs us the caching, never the read itself.
-    if (EvictIfFullLocked(shard).ok()) {
-      internal::PageFrame& frame = shard.lru.emplace_front();
-      frame.page = *page;
-      frame.page_id = page_id;
-      shard.frames[page_id] = shard.lru.begin();
-    }
-    *out = std::move(*page);
-    return Status::OK();
-  }
+  // An in-pool copy under the latch; no pin is taken.
+  return Load(page_id, out, [&](const internal::PageFrame& frame) { *out = frame.page; });
 }
 
 Status Pager::WriteBack(internal::PagerShard& shard, internal::PageFrame& frame) {
@@ -440,7 +332,6 @@ Status Pager::WriteBack(internal::PagerShard& shard, internal::PageFrame& frame)
       kPageSize);
   if (!st.ok()) return st.WithContext("page " + std::to_string(frame.page_id));
   file_write_ticks_.fetch_add(1);
-  writebacks_.fetch_add(1, std::memory_order_relaxed);
   WritebacksCounter().Increment();
   return Status::OK();
 }
@@ -482,7 +373,6 @@ Status Pager::EvictIfFullLocked(internal::PagerShard& shard) {
     }
     shard.frames.erase(victim->page_id);
     shard.lru.erase(victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
     EvictionsCounter().Increment();
   }
   return Status::OK();
@@ -546,7 +436,6 @@ Status Pager::ApplyCheckpointImage(uint32_t page_id, const std::string& bytes) {
     if (!st.ok()) return st.WithContext("page " + std::to_string(page_id));
   }
   file_write_ticks_.fetch_add(1);
-  writebacks_.fetch_add(1, std::memory_order_relaxed);
   WritebacksCounter().Increment();
   internal::PagerShard& shard = ShardFor(page_id);
   internal::ShardLatchLock latch(&shard);
@@ -561,5 +450,73 @@ Status Pager::ApplyCheckpointImage(uint32_t page_id, const std::string& bytes) {
 }
 
 Status Pager::SyncFile() { return file_->Flush(); }
+
+namespace internal {
+
+Result<PageSpan> WritePageSpan(Pager& pager, std::string_view bytes) {
+  PageSpan span;
+  span.byte_length = bytes.size();
+  size_t offset = 0;
+  do {
+    // AllocatePage returns the frame pinned and already dirty; the pin drops
+    // at the end of each iteration, so even a capacity-1 pool makes progress.
+    XST_ASSIGN_OR_RAISE(PageRef page, pager.AllocatePage());
+    if (span.pages++ == 0) span.first_page = page.id();
+    // Content goes in under the shard latch (PageWriteGuard), so a concurrent
+    // reader's in-pool copy or an eviction spill never sees it half-written.
+    const std::string_view chunk = bytes.substr(offset, ChunkCapacity());
+    PageWriteGuard guard(page);
+    XST_RETURN_NOT_OK(guard->AddRecord(chunk).status());
+    offset += chunk.size();
+  } while (offset < bytes.size());
+  return span;
+}
+
+Status ReadPageSpan(Pager& pager, const PageSpan& span, std::string* out) {
+  out->clear();
+  out->reserve(span.byte_length);
+  Page snapshot;
+  for (uint32_t i = 0; i < span.pages; ++i) {
+    // Snapshot reads copy each page under its shard latch, so this streams
+    // safely with no store lock held; the chunk view aliases our own copy.
+    const uint32_t page_id = span.first_page + i;
+    XST_RETURN_NOT_OK(pager.ReadPageSnapshot(page_id, &snapshot));
+    Result<std::string_view> chunk = snapshot.GetRecord(0);
+    if (!chunk.ok()) {
+      return Status::Corruption("page " + std::to_string(page_id) +
+                                ": page-span chunk missing");
+    }
+    out->append(*chunk);
+  }
+  if (out->size() != span.byte_length) {
+    return Status::Corruption("page-span length mismatch: expected " +
+                              std::to_string(span.byte_length) + ", got " +
+                              std::to_string(out->size()));
+  }
+  return Status::OK();
+}
+
+Status ValidatePageSpan(std::string_view what, int64_t first_page, int64_t pages,
+                        int64_t byte_length, uint32_t page_count) {
+  const auto fail = [&](const char* detail) {
+    return Status::Corruption(std::string(what) + ": " + detail + " (first_page=" +
+                              std::to_string(first_page) +
+                              ", page_span=" + std::to_string(pages) +
+                              ", byte_length=" + std::to_string(byte_length) +
+                              ", file has " + std::to_string(page_count) + " pages)");
+  };
+  // Page 0 is the store's superblock, so every span lives in [1, page_count).
+  if (first_page < 1) return fail("first page out of range");
+  if (pages < 1) return fail("page span out of range");
+  if (byte_length < 0) return fail("negative byte length");
+  if (first_page > int64_t{page_count} - pages) return fail("page range beyond end of file");
+  // pages < page_count here, so the product cannot overflow.
+  if (byte_length > pages * static_cast<int64_t>(ChunkCapacity())) {
+    return fail("byte length exceeds what the page span can hold");
+  }
+  return Status::OK();
+}
+
+}  // namespace internal
 
 }  // namespace xst

@@ -3,11 +3,12 @@
 //
 // The 1977 paper's backend context (block devices, scarce memory) is
 // simulated with a page file plus a bounded write-back cache. The pager
-// tracks hit/miss/eviction counters so the benchmarks can report locality
-// behavior, and validates checksums on every fill — a torn or tampered page
-// surfaces as Corruption, never as silent bad data. The checksum is seeded
-// with the page id, so a misdirected write (right bytes, wrong offset) is
-// also Corruption.
+// counts hits, misses, evictions, write-backs and allocations in the
+// process-wide metrics registry (the only source of those statistics), so
+// the benchmarks can report locality behavior. It validates checksums on
+// every fill — a torn or tampered page surfaces as Corruption, never as
+// silent bad data. The checksum is seeded with the page id, so a
+// misdirected write (right bytes, wrong offset) is also Corruption.
 //
 // Access is exclusively through PageRef, an RAII pin handle: a pinned frame
 // is never evicted, so the reference stays valid for the handle's entire
@@ -35,8 +36,15 @@
 // are atomic so a reader-triggered eviction scan can race the writer's
 // pins. The latch protocol:
 //   * A shard latch is held only for map/LRU surgery and in-pool byte
-//     copies — never across main-file I/O on the fetch path (misses read
-//     the file unlatched, then re-latch and double-check).
+//     copies — never across main-file I/O on the load path.
+//   * FetchPage and ReadPageSnapshot share one load protocol (Load): a
+//     latched probe of the pool and the log's image table; on a miss, an
+//     unlatched main-file read and decode; then a re-latched re-check that
+//     prefers a frame or log image that raced in, and reads again if a
+//     file write (file_write_ticks_) completed meanwhile. Under the latch a
+//     fetch pins the frame and a snapshot copies it. A snapshot keeps two
+//     exemptions: a log image stays uncached, and with every frame of the
+//     shard pinned it keeps its copy instead of failing.
 //   * Shard latches never nest with each other; a WAL spill under a latch
 //     takes Wal::mu_, which ranks above the latch floor (rank order
 //     SetStore::mu_ < shard latch < Wal::mu_; locksmith-checked).
@@ -55,6 +63,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -68,20 +77,12 @@ namespace xst {
 
 class Wal;
 
-struct PagerStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t writebacks = 0;
-  uint64_t allocations = 0;
-};
-
 namespace internal {
 
-// Registry names of the process-wide pager counters. Per-instance stats
-// (Pager::stats) stay exact per pager; these aggregate across every pager in
-// the process, which is what ExplainAnalyze's pages-touched attribution and
-// the benchmark metrics dump read.
+// Registry names of the pager counters, the only source of these statistics.
+// They aggregate across every pager in the process. ExplainAnalyze's
+// pages-touched attribution, `xstctl stats`, the benchmarks and the metrics
+// dump read them; tests read their deltas over steps that run one pager.
 inline constexpr const char* kPagerHitsCounter = "pager.fetch.hits";
 inline constexpr const char* kPagerMissesCounter = "pager.fetch.misses";
 inline constexpr const char* kPagerEvictionsCounter = "pager.evictions";
@@ -226,7 +227,7 @@ class [[nodiscard]] PageWriteGuard {
 
  private:
   internal::PageFrame* frame_;
-  internal::PagerShard* shard_;
+  internal::ShardLatchLock latch_;  // declared last: released after the dtor body
 };
 
 class Pager {
@@ -302,10 +303,6 @@ class Pager {
   /// \brief The number of latch shards the frame table is split into.
   size_t latch_shards() const { return shards_.size(); }
 
-  /// \brief Consistent-enough snapshot of the counters (relaxed loads).
-  PagerStats stats() const;
-  void ResetStats();
-
  private:
   friend class PageRef;
   friend class PageWriteGuard;
@@ -316,6 +313,13 @@ class Pager {
   internal::PagerShard& ShardFor(uint32_t page_id) const {
     return *shards_[page_id & shard_mask_];
   }
+  /// The one page-load protocol behind FetchPage and ReadPageSnapshot (see
+  /// the file comment): `use` runs under the shard latch on the frame that
+  /// holds the page. A snapshot load (non-null `snapshot`) decodes straight
+  /// into *snapshot instead when the page comes from the log, or when every
+  /// frame of the shard is pinned.
+  template <typename Use>
+  Status Load(uint32_t page_id, Page* snapshot, const Use& use);
   /// Legacy-mode (no WAL) dirty-page write-back to the main file.
   Status WriteBack(internal::PagerShard& shard, internal::PageFrame& frame)
       XST_REQUIRES(shard.latch);
@@ -331,19 +335,43 @@ class Pager {
   std::atomic<uint32_t> page_count_;
   std::atomic<size_t> pinned_frames_{0};
   // Counts every main-file write (checkpoint images, legacy write-backs).
-  // A snapshot miss records it before reading the file unlatched and caches
-  // its bytes only if it is unchanged at re-latch — otherwise a checkpoint
-  // may have made the file newer than what was read (see pager.cc).
+  // A load miss records it before reading the file unlatched and uses its
+  // bytes only if it is unchanged at re-latch — otherwise a checkpoint may
+  // have made the file newer than what was read (see Load).
   std::atomic<uint64_t> file_write_ticks_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> writebacks_{0};
-  std::atomic<uint64_t> allocations_{0};
   // Immutable after construction (the vector itself; shards are internally
   // latched). unique_ptr because Mutex is not movable.
   std::vector<std::unique_ptr<internal::PagerShard>> shards_;
   uint32_t shard_mask_;
 };
+
+namespace internal {
+
+/// \brief Where a byte string laid over contiguous pages lives: the store's
+/// catalog, a blob-stored set, or a B+tree overflow entry. Each page holds
+/// one record, the next chunk of the bytes.
+struct PageSpan {
+  uint32_t first_page = kInvalidPageId;
+  uint32_t pages = 0;
+  uint64_t byte_length = 0;
+};
+
+/// \brief Writes non-empty `bytes` over freshly allocated contiguous pages.
+/// The caller serializes allocation, as it does every mutation.
+Result<PageSpan> WritePageSpan(Pager& pager, std::string_view bytes);
+
+/// \brief Reads a span back into *out through page snapshots (no pin, no
+/// store lock). Corruption unless every page holds a chunk and the chunks
+/// total byte_length.
+Status ReadPageSpan(Pager& pager, const PageSpan& span, std::string* out);
+
+/// \brief Corruption, naming `what` and every field, unless the span lies in
+/// pages [1, page_count) and byte_length fits what its pages can hold. The
+/// fields are int64 so that decoded values are checked before any narrowing
+/// cast.
+Status ValidatePageSpan(std::string_view what, int64_t first_page, int64_t pages,
+                        int64_t byte_length, uint32_t page_count);
+
+}  // namespace internal
 
 }  // namespace xst

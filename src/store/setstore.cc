@@ -17,11 +17,16 @@ namespace xst {
 
 namespace {
 
-// A conservative per-page chunk budget: page free space for the first record
-// of a fresh page.
-size_t ChunkCapacity() {
-  static const size_t capacity = Page().FreeSpace();
-  return capacity;
+internal::PageSpan BlobSpanOf(const CatalogEntry& entry) {
+  return internal::PageSpan{entry.first_page, entry.page_span, entry.byte_length};
+}
+
+CatalogEntry BlobEntryOf(const internal::PageSpan& span) {
+  CatalogEntry entry;
+  entry.first_page = span.first_page;
+  entry.page_span = span.pages;
+  entry.byte_length = span.byte_length;
+  return entry;
 }
 
 BTreeInfo IndexInfoOf(const CatalogEntry& entry) {
@@ -208,56 +213,10 @@ Status SetStore::ReplayRecoveredImages() {
       .WithContext("wal recovery reset " + path_);
 }
 
-Result<CatalogEntry> SetStore::WriteBlob(const std::string& bytes) {
-  CatalogEntry entry;
-  entry.byte_length = bytes.size();
-  size_t offset = 0;
-  uint32_t span = 0;
-  do {
-    size_t chunk = std::min(ChunkCapacity(), bytes.size() - offset);
-    // AllocatePage returns the frame pinned and already dirty; the pin drops
-    // at the end of each iteration, so even a capacity-1 pool makes progress.
-    XST_ASSIGN_OR_RAISE(PageRef page, pager_->AllocatePage());
-    if (span == 0) entry.first_page = page.id();
-    if (chunk > 0) {
-      // Content goes in under the shard latch (PageWriteGuard) so the frame
-      // is never observed half-written by a concurrent reader's in-pool
-      // copy or eviction spill.
-      PageWriteGuard guard(page);
-      Result<uint32_t> slot = guard->AddRecord(std::string_view(bytes).substr(offset, chunk));
-      if (!slot.ok()) return slot.status();
-    }
-    offset += chunk;
-    ++span;
-  } while (offset < bytes.size());
-  entry.page_span = span;
-  return entry;
-}
-
-Result<std::string> SetStore::ReadBlobFrom(Pager& pager, const CatalogEntry& entry) {
-  std::string bytes;
-  bytes.reserve(entry.byte_length);
-  Page snapshot;
-  for (uint32_t i = 0; i < entry.page_span; ++i) {
-    // Snapshot reads: each page is copied under its shard latch (no pin
-    // taken), so this streams safely with no store lock held — the record
-    // view below aliases our private copy, never a shared frame.
-    XST_RETURN_NOT_OK(pager.ReadPageSnapshot(entry.first_page + i, &snapshot));
-    if (snapshot.slot_count() == 0) continue;  // empty blob chunk
-    XST_ASSIGN_OR_RAISE(std::string_view record, snapshot.GetRecord(0));
-    bytes.append(record);
-  }
-  if (bytes.size() != entry.byte_length) {
-    return Status::Corruption("blob length mismatch: expected " +
-                              std::to_string(entry.byte_length) + ", got " +
-                              std::to_string(bytes.size()));
-  }
-  return bytes;
-}
-
 Result<XSet> SetStore::DecodeBlobSet(Pager& pager, const std::string& name,
                                      const CatalogEntry& entry) {
-  XST_ASSIGN_OR_RAISE(std::string encoded, ReadBlobFrom(pager, entry));
+  std::string encoded;
+  XST_RETURN_NOT_OK(internal::ReadPageSpan(pager, BlobSpanOf(entry), &encoded));
   Result<XSet> decoded = DecodeXSetWhole(encoded);
   if (!decoded.ok()) return decoded.status().WithContext("set '" + name + "'");
   return decoded;
@@ -268,11 +227,11 @@ Status SetStore::StageCatalog(const Catalog& staged) {
   // order that keeps a half-applied transaction from referencing anything
   // but garbage pages. Pool-only: the WAL commit that follows makes it
   // durable; the main file is untouched until checkpoint.
-  std::string encoded = EncodeXSetToString(staged.ToXSet());
-  XST_ASSIGN_OR_RAISE(CatalogEntry entry, WriteBlob(encoded));
-  XSet pointer = XSet::Pair(XSet::Int(entry.first_page),
-                            XSet::Int(static_cast<int64_t>(entry.byte_length)));
-  XSet with_span = XSet::Pair(pointer, XSet::Int(entry.page_span));
+  XST_ASSIGN_OR_RAISE(internal::PageSpan blob,
+                      internal::WritePageSpan(*pager_, EncodeXSetToString(staged.ToXSet())));
+  XSet pointer = XSet::Pair(XSet::Int(blob.first_page),
+                            XSet::Int(static_cast<int64_t>(blob.byte_length)));
+  XSet with_span = XSet::Pair(pointer, XSet::Int(blob.pages));
   std::string superblock_record = EncodeXSetToString(with_span);
 
   XST_ASSIGN_OR_RAISE(PageRef superblock, pager_->FetchPage(0));
@@ -280,28 +239,6 @@ Status SetStore::StageCatalog(const Catalog& staged) {
   *guard = Page();  // reset: the superblock holds exactly one record
   Result<uint32_t> slot = guard->AddRecord(superblock_record);
   if (!slot.ok()) return slot.status();
-  return Status::OK();
-}
-
-Status SetStore::ValidateBlobRange(const std::string& what, int64_t first_page,
-                                   int64_t page_span, int64_t byte_length) const {
-  const int64_t page_count = pager_->page_count();
-  const auto fail = [&](const std::string& detail) {
-    return Status::Corruption(what + ": " + detail + " (first_page=" +
-                              std::to_string(first_page) +
-                              ", page_span=" + std::to_string(page_span) +
-                              ", byte_length=" + std::to_string(byte_length) +
-                              ", file has " + std::to_string(page_count) + " pages)");
-  };
-  // Page 0 is the superblock, so every blob lives in [1, page_count).
-  if (first_page < 1) return fail("first page out of range");
-  if (page_span < 1) return fail("page span out of range");
-  if (byte_length < 0) return fail("negative byte length");
-  if (first_page > page_count - page_span) return fail("page range beyond end of file");
-  // page_span < page_count here, so the product cannot overflow.
-  if (byte_length > page_span * static_cast<int64_t>(ChunkCapacity())) {
-    return fail("byte length exceeds what the page span can hold");
-  }
   return Status::OK();
 }
 
@@ -324,14 +261,14 @@ Status SetStore::LoadCatalog() {
   // Validate before any narrowing cast: a negative or oversized value must
   // surface here as Corruption, not wrap into a bogus page fetch or a
   // confusing blob-length mismatch downstream.
-  XST_RETURN_NOT_OK(ValidateBlobRange("superblock catalog pointer",
-                                      first_val.int_value(), span_val.int_value(),
-                                      len_val.int_value()));
-  CatalogEntry entry;
-  entry.first_page = static_cast<uint32_t>(first_val.int_value());
-  entry.page_span = static_cast<uint32_t>(span_val.int_value());
-  entry.byte_length = static_cast<uint64_t>(len_val.int_value());
-  XST_ASSIGN_OR_RAISE(std::string encoded, ReadBlobFrom(*pager_, entry));
+  XST_RETURN_NOT_OK(internal::ValidatePageSpan("superblock catalog pointer",
+                                               first_val.int_value(), span_val.int_value(),
+                                               len_val.int_value(), pager_->page_count()));
+  const internal::PageSpan blob{static_cast<uint32_t>(first_val.int_value()),
+                                static_cast<uint32_t>(span_val.int_value()),
+                                static_cast<uint64_t>(len_val.int_value())};
+  std::string encoded;
+  XST_RETURN_NOT_OK(internal::ReadPageSpan(*pager_, blob, &encoded));
   XST_ASSIGN_OR_RAISE(XSet repr, DecodeXSetWhole(encoded));
   XST_ASSIGN_OR_RAISE(Catalog loaded, Catalog::FromXSet(repr));
   for (const std::string& name : loaded.Names()) {
@@ -339,10 +276,9 @@ Status SetStore::LoadCatalog() {
     if (e.kind == CatalogEntry::kKindIndex) {
       XST_RETURN_NOT_OK(ValidateIndexRange("catalog entry '" + name + "'", e));
     } else {
-      XST_RETURN_NOT_OK(ValidateBlobRange("catalog entry '" + name + "'",
-                                          static_cast<int64_t>(e.first_page),
-                                          static_cast<int64_t>(e.page_span),
-                                          static_cast<int64_t>(e.byte_length)));
+      XST_RETURN_NOT_OK(internal::ValidatePageSpan(
+          "catalog entry '" + name + "'", e.first_page, e.page_span,
+          static_cast<int64_t>(e.byte_length), pager_->page_count()));
     }
   }
   catalog_ = std::move(loaded);
@@ -497,24 +433,9 @@ Status SetStore::Put(const std::string& name, const XSet& value) {
   Result<uint64_t> lsn = Status::Invalid("unset");
   {
     MutexLock lock(&mu_);
-    lsn = PutLocked(name, value);
+    lsn = PutBatchLocked({{name, value}});
   }
   return FinishCommit(lsn);
-}
-
-Result<uint64_t> SetStore::PutLocked(const std::string& name, const XSet& value) {
-  XST_RETURN_NOT_OK(CheckOpen());
-  ++mutation_epoch_;  // invalidate in-flight optimistic reads
-  if (name.empty()) return Status::Invalid("set names must be non-empty");
-  std::string encoded = EncodeXSetToString(value);
-  wal_->BeginTxn();
-  Result<CatalogEntry> entry = WriteBlob(encoded);
-  if (!entry.ok()) return FailTxnLocked(entry.status());
-  // Stage-then-commit: the in-memory catalog only advances once the commit
-  // record is appended, so a failed put leaves resident state untouched.
-  Catalog staged = catalog_;
-  staged.Put(name, *entry);
-  return CommitLocked(std::move(staged));
 }
 
 Status SetStore::PutBatch(const std::vector<std::pair<std::string, XSet>>& entries) {
@@ -542,12 +463,14 @@ Result<uint64_t> SetStore::PutBatchLocked(
     }
   }
   wal_->BeginTxn();
+  // Stage-then-commit: the in-memory catalog only advances once the commit
+  // record is appended, so a failed batch leaves resident state untouched.
   Catalog staged = catalog_;
   for (const auto& [name, value] : entries) {
-    std::string encoded = EncodeXSetToString(value);
-    Result<CatalogEntry> entry = WriteBlob(encoded);
-    if (!entry.ok()) return FailTxnLocked(entry.status());
-    staged.Put(name, *entry);
+    Result<internal::PageSpan> blob =
+        internal::WritePageSpan(*pager_, EncodeXSetToString(value));
+    if (!blob.ok()) return FailTxnLocked(blob.status());
+    staged.Put(name, BlobEntryOf(*blob));
   }
   return CommitLocked(std::move(staged));  // the single commit point
 }
@@ -695,37 +618,9 @@ Status SetStore::InsertMember(const std::string& name, const Membership& m) {
   Result<uint64_t> lsn = Status::Invalid("unset");
   {
     MutexLock lock(&mu_);
-    lsn = InsertMemberLocked(name, m);
+    lsn = MutateMemberLocked(name, m, /*insert=*/true);
   }
   return FinishCommit(lsn);
-}
-
-Result<uint64_t> SetStore::InsertMemberLocked(const std::string& name,
-                                              const Membership& m) {
-  XST_RETURN_NOT_OK(CheckOpen());
-  ++mutation_epoch_;  // invalidate in-flight optimistic reads
-  XST_ASSIGN_OR_RAISE(CatalogEntry entry, catalog_.Get(name));
-  if (entry.kind != CatalogEntry::kKindIndex) {
-    return Status::Invalid("'" + name +
-                           "' is blob-stored; member mutation needs PutIndexed");
-  }
-  wal_->BeginTxn();
-  BTree tree(pager_.get(), IndexInfoOf(entry));
-  Result<bool> inserted = tree.Insert(m);
-  if (!inserted.ok()) {
-    return FailTxnLocked(inserted.status().WithContext("insert into '" + name + "'"));
-  }
-  if (!*inserted) {
-    // Already present: the tree's logical identity is untouched, but the
-    // encode path may have dirtied freshly allocated overflow pages before
-    // detecting the duplicate. Commit those as unreferenced garbage
-    // (Compact reclaims them) so the pool never holds uncommitted dirt with
-    // no transaction open; a clean no-op gets the cheap abort.
-    if (pager_->HasUnloggedDirty()) return CommitLocked(catalog_);
-    wal_->AbortTxn();
-    return uint64_t{0};
-  }
-  return CommitTreeMutation(name, tree.info());
 }
 
 Status SetStore::EraseMember(const std::string& name, const Membership& m) {
@@ -733,13 +628,13 @@ Status SetStore::EraseMember(const std::string& name, const Membership& m) {
   Result<uint64_t> lsn = Status::Invalid("unset");
   {
     MutexLock lock(&mu_);
-    lsn = EraseMemberLocked(name, m);
+    lsn = MutateMemberLocked(name, m, /*insert=*/false);
   }
   return FinishCommit(lsn);
 }
 
-Result<uint64_t> SetStore::EraseMemberLocked(const std::string& name,
-                                             const Membership& m) {
+Result<uint64_t> SetStore::MutateMemberLocked(const std::string& name,
+                                              const Membership& m, bool insert) {
   XST_RETURN_NOT_OK(CheckOpen());
   ++mutation_epoch_;  // invalidate in-flight optimistic reads
   XST_ASSIGN_OR_RAISE(CatalogEntry entry, catalog_.Get(name));
@@ -749,12 +644,18 @@ Result<uint64_t> SetStore::EraseMemberLocked(const std::string& name,
   }
   wal_->BeginTxn();
   BTree tree(pager_.get(), IndexInfoOf(entry));
-  Result<bool> erased = tree.Erase(m);
-  if (!erased.ok()) {
-    return FailTxnLocked(erased.status().WithContext("erase from '" + name + "'"));
+  Result<bool> changed = insert ? tree.Insert(m) : tree.Erase(m);
+  if (!changed.ok()) {
+    return FailTxnLocked(changed.status().WithContext(
+        (insert ? "insert into '" : "erase from '") + name + "'"));
   }
-  if (!*erased) {
-    // Absent member: same no-op discipline as a duplicate insert.
+  if (!*changed) {
+    // A duplicate insert or an absent erase: the tree's logical identity is
+    // untouched, but the encode path may have dirtied freshly allocated
+    // overflow pages before detecting the no-op. Commit those as
+    // unreferenced garbage (Compact reclaims them) so the pool never holds
+    // uncommitted dirt with no transaction open; a clean no-op gets the
+    // cheap abort.
     if (pager_->HasUnloggedDirty()) return CommitLocked(catalog_);
     wal_->AbortTxn();
     return uint64_t{0};
@@ -783,24 +684,17 @@ Result<StorageMode> SetStore::ModeOf(const std::string& name) const {
 }
 
 Result<std::unique_ptr<MemberCursor>> SetStore::OpenCursor(const std::string& name) {
-  return ReadConsistent(&name, [&](Pager& pager, const CatalogEntry& entry)
-                                   -> Result<std::unique_ptr<MemberCursor>> {
-    if (entry.kind == CatalogEntry::kKindIndex) {
-#if XST_VALIDATE_LEVEL >= 2
-      XST_RETURN_NOT_OK(
-          ValidateBTree(pager, IndexInfoOf(entry)).WithContext("set '" + name + "'"));
-#endif
-      BTree tree(&pager, IndexInfoOf(entry));
-      XST_ASSIGN_OR_RAISE(BTreeCursorPos pos, tree.SeekFirst());
-      return std::unique_ptr<MemberCursor>(new BTreeCursor(*this, pos, std::nullopt));
-    }
-    XST_ASSIGN_OR_RAISE(XSet value, DecodeBlobSet(pager, name, entry));
-    return std::unique_ptr<MemberCursor>(new StoredSetCursor(std::move(value)));
-  });
+  return OpenMemberCursor(name, nullptr, nullptr);
 }
 
 Result<std::unique_ptr<MemberCursor>> SetStore::OpenElementRange(
     const std::string& name, const XSet& lo, const XSet& hi) {
+  return OpenMemberCursor(name, &lo, &hi);
+}
+
+Result<std::unique_ptr<MemberCursor>> SetStore::OpenMemberCursor(const std::string& name,
+                                                                 const XSet* lo,
+                                                                 const XSet* hi) {
   return ReadConsistent(&name, [&](Pager& pager, const CatalogEntry& entry)
                                    -> Result<std::unique_ptr<MemberCursor>> {
     if (entry.kind == CatalogEntry::kKindIndex) {
@@ -808,14 +702,18 @@ Result<std::unique_ptr<MemberCursor>> SetStore::OpenElementRange(
       XST_RETURN_NOT_OK(
           ValidateBTree(pager, IndexInfoOf(entry)).WithContext("set '" + name + "'"));
 #endif
-      // Seek the lower edge now; batches then touch only in-range leaves.
+      // A range seeks its lower edge now; batches then touch only in-range
+      // leaves.
       BTree tree(&pager, IndexInfoOf(entry));
-      XST_ASSIGN_OR_RAISE(BTreeCursorPos pos, tree.SeekElement(lo));
-      return std::unique_ptr<MemberCursor>(new BTreeCursor(*this, pos, hi));
+      XST_ASSIGN_OR_RAISE(BTreeCursorPos pos,
+                          lo != nullptr ? tree.SeekElement(*lo) : tree.SeekFirst());
+      return std::unique_ptr<MemberCursor>(new BTreeCursor(
+          *this, pos, hi != nullptr ? std::optional<XSet>(*hi) : std::nullopt));
     }
     XST_ASSIGN_OR_RAISE(XSet value, DecodeBlobSet(pager, name, entry));
-    return std::unique_ptr<MemberCursor>(new ElementRangeCursor(
-        std::unique_ptr<MemberCursor>(new StoredSetCursor(std::move(value))), lo, hi));
+    std::unique_ptr<MemberCursor> cursor(new StoredSetCursor(std::move(value)));
+    if (lo == nullptr) return cursor;
+    return std::unique_ptr<MemberCursor>(new ElementRangeCursor(std::move(cursor), *lo, *hi));
   });
 }
 

@@ -11,7 +11,7 @@
 //                    (a fresh store persists an empty catalog immediately,
 //                    so the pointer is always live)
 //   pages 1..N       blob chunks; a blob occupies a contiguous page span,
-//                    one record per page
+//                    one record per page (internal::WritePageSpan, pager.h)
 //
 // Updates are append-only (new blob, catalog pointer swap); stale pages are
 // reclaimed by Compact(), which rewrites the live blobs into a fresh file.
@@ -240,23 +240,17 @@ class SetStore {
   /// \brief Snapshot of the log's segment/durability counters.
   WalStats wal_stats() const { return wal_->stats(); }
 
-  /// \brief Snapshot of the pager's hit/miss/eviction counters.
-  PagerStats pager_stats() const XST_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return pager_->stats();
-  }
-  void ResetPagerStats() XST_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    pager_->ResetStats();
-  }
+  /// \brief Pages in the store's file; 0 once the store is closed (a
+  /// failure-recovery reopen failed; see Compact).
   uint32_t page_count() const XST_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return pager_->page_count();
+    return pager_ != nullptr ? pager_->page_count() : 0;
   }
-  /// \brief Pager latch shards in use (derived from the pool size).
+  /// \brief Pager latch shards in use (derived from the pool size); 0 once
+  /// the store is closed.
   size_t pager_latch_shards() const XST_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return pager_->latch_shards();
+    return pager_ != nullptr ? pager_->latch_shards() : 0;
   }
 
   /// \brief The catalog's set representation (for inspection and tests).
@@ -296,21 +290,24 @@ class SetStore {
   template <typename ReadFn>
   std::invoke_result_t<const ReadFn&, Pager&, const CatalogEntry&> ReadConsistent(
       const std::string* name, const ReadFn& read) XST_EXCLUDES(mu_);
-  Result<CatalogEntry> WriteBlob(const std::string& bytes) XST_REQUIRES(mu_);
-  /// Streams a blob's pages out of `pager` via latched snapshot reads; no
-  /// store lock needed (static on purpose: the concurrent read path runs it
-  /// against a captured view's pager).
-  static Result<std::string> ReadBlobFrom(Pager& pager, const CatalogEntry& entry);
-  /// ReadBlobFrom + whole-set decode with name context.
+  /// Reads a blob's page span and decodes the whole set, with name context.
+  /// No store lock needed (static on purpose: the concurrent read path runs
+  /// it against a captured view's pager).
   static Result<XSet> DecodeBlobSet(Pager& pager, const std::string& name,
                                     const CatalogEntry& entry);
   /// Materializes an ordered-index set from its leaves (count-checked;
-  /// static for the same reason as ReadBlobFrom).
+  /// static for the same reason as DecodeBlobSet).
   static Result<XSet> MaterializeIndex(Pager& pager, const std::string& name,
                                        const CatalogEntry& entry);
   /// The whole stored value, per storage mode (Get's reader).
   static Result<XSet> ReadSet(Pager& pager, const std::string& name,
                               const CatalogEntry& entry);
+  /// OpenCursor (null bounds) and OpenElementRange: one body. Indexed sets
+  /// seek `*lo` (or the first leaf) and stream up to `*hi`; blob sets decode
+  /// once and, when bounded, filter through ElementRangeCursor.
+  Result<std::unique_ptr<MemberCursor>> OpenMemberCursor(const std::string& name,
+                                                         const XSet* lo, const XSet* hi)
+      XST_EXCLUDES(mu_);
   /// Writes `staged`'s blob + superblock pointer into the pool (no I/O to
   /// the main file; durability comes from the WAL commit that follows).
   Status StageCatalog(const Catalog& staged) XST_REQUIRES(mu_);
@@ -337,17 +334,14 @@ class SetStore {
   Status FinishCommit(const Result<uint64_t>& lsn) XST_EXCLUDES(mu_);
   Status CheckpointLocked() XST_REQUIRES(mu_);
   void MaybeCheckpoint() XST_EXCLUDES(mu_);
-  /// Lock-holding bodies of the public mutations (phase 1).
-  Result<uint64_t> PutLocked(const std::string& name, const XSet& value)
-      XST_REQUIRES(mu_);
+  /// Lock-holding bodies of the public mutations (phase 1). Put is a batch
+  /// of one; InsertMember and EraseMember share MutateMemberLocked.
   Result<uint64_t> PutBatchLocked(
       const std::vector<std::pair<std::string, XSet>>& entries) XST_REQUIRES(mu_);
   Result<uint64_t> PutIndexedLocked(const std::string& name, const XSet& value)
       XST_REQUIRES(mu_);
-  Result<uint64_t> InsertMemberLocked(const std::string& name, const Membership& m)
-      XST_REQUIRES(mu_);
-  Result<uint64_t> EraseMemberLocked(const std::string& name, const Membership& m)
-      XST_REQUIRES(mu_);
+  Result<uint64_t> MutateMemberLocked(const std::string& name, const Membership& m,
+                                      bool insert) XST_REQUIRES(mu_);
   Result<uint64_t> DeleteLocked(const std::string& name) XST_REQUIRES(mu_);
   /// Get/Flush bodies for callers already holding the lock (Scrub, Compact).
   Result<XSet> GetLocked(const std::string& name) XST_REQUIRES(mu_);
@@ -363,10 +357,6 @@ class SetStore {
   /// `tmp_path`. A named helper (not a lambda) so the analysis can see the
   /// lock requirement.
   Status CopyLiveTo(const std::string& tmp_path) XST_REQUIRES(mu_);
-  /// Corruption unless the blob range is well-formed for this file.
-  Status ValidateBlobRange(const std::string& what, int64_t first_page,
-                           int64_t page_span, int64_t byte_length) const
-      XST_REQUIRES(mu_);
 
   std::string path_;        // immutable after construction
   SetStoreOptions options_; // immutable after construction

@@ -1,7 +1,5 @@
 #include "src/store/wal.h"
 
-#include <cstring>
-
 #include "src/common/check.h"
 #include "src/common/hash.h"
 #include "src/common/macros.h"
@@ -32,33 +30,6 @@ constexpr uint8_t kCommit = 2;     // payload: empty
 
 // A body is one page image plus small framing; anything larger is torn.
 constexpr uint64_t kMaxRecordBody = kPageSize + 32;
-
-void EncodeFixed32(char* dst, uint32_t v) { std::memcpy(dst, &v, sizeof v); }
-void EncodeFixed64(char* dst, uint64_t v) { std::memcpy(dst, &v, sizeof v); }
-
-uint32_t DecodeFixed32(const char* src) {
-  uint32_t v;
-  std::memcpy(&v, src, sizeof v);
-  return v;
-}
-
-uint64_t DecodeFixed64(const char* src) {
-  uint64_t v;
-  std::memcpy(&v, src, sizeof v);
-  return v;
-}
-
-void PutFixed32(uint32_t v, std::string* out) {
-  char buf[sizeof v];
-  EncodeFixed32(buf, v);
-  out->append(buf, sizeof v);
-}
-
-void PutFixed64(uint64_t v, std::string* out) {
-  char buf[sizeof v];
-  EncodeFixed64(buf, v);
-  out->append(buf, sizeof v);
-}
 
 uint64_t RecordSeed(uint64_t epoch, uint64_t lsn) {
   return HashCombine(HashCombine(kWalMagic, epoch), lsn);
@@ -128,13 +99,14 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path, WalOptions optio
 Status Wal::WriteFreshSegment(uint64_t epoch, uint64_t base_lsn) {
   Status st = file_->Truncate(0);  // xst-lint: allow(blocking-under-latch)
   if (!st.ok()) return st.WithContext("wal " + path_);
-  char hdr[kWalHeaderSize] = {};
-  EncodeFixed64(hdr, kWalMagic);
-  EncodeFixed32(hdr + 8, kWalVersion);
-  EncodeFixed64(hdr + 16, epoch);
-  EncodeFixed64(hdr + 24, base_lsn);
-  EncodeFixed64(hdr + 32, HashBytes(hdr, 32, kWalMagic));
-  st = file_->WriteAt(0, hdr, kWalHeaderSize);  // xst-lint: allow(blocking-under-latch)
+  std::string hdr;
+  PutFixed64(kWalMagic, &hdr);
+  PutFixed32(kWalVersion, &hdr);
+  PutFixed32(0, &hdr);  // pad
+  PutFixed64(epoch, &hdr);
+  PutFixed64(base_lsn, &hdr);
+  PutFixed64(HashBytes(hdr.data(), 32, kWalMagic), &hdr);
+  st = file_->WriteAt(0, hdr.data(), hdr.size());  // xst-lint: allow(blocking-under-latch)
   if (!st.ok()) return st.WithContext("wal " + path_);
   st = file_->Flush();  // xst-lint: allow(blocking-under-latch)
   if (!st.ok()) return st.WithContext("wal " + path_);

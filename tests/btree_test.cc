@@ -272,7 +272,7 @@ TEST(BTreeRange, SeekElementStreamsExactlyTheInterval) {
   }
 
   // Range scans touch the descent path plus the in-range leaves only.
-  pager->ResetStats();
+  testing::PagerCounters counters;
   pos = tree.SeekElement(lo);
   ASSERT_TRUE(pos.ok());
   got.clear();
@@ -281,8 +281,8 @@ TEST(BTreeRange, SeekElementStreamsExactlyTheInterval) {
     ASSERT_TRUE(more.ok());
     if (!*more) break;
   }
-  const PagerStats stats = pager->stats();
-  EXPECT_LE(stats.hits + stats.misses, static_cast<uint64_t>(tree.info().height) + 3)
+  EXPECT_LE(counters.hits() + counters.misses(),
+            static_cast<uint64_t>(tree.info().height) + 3)
       << "a narrow range scan touches the descent path plus in-range leaves, "
          "not the whole tree (" << pager->page_count() << " pages)";
 

@@ -3,7 +3,9 @@
 // the optimistic read path must only ever observe fully-published versions
 // (never a torn mix of two commits). A reader parked inside its optimistic
 // window must retry, then run under the store lock, exactly as often as
-// writers invalidate it. CI runs this suite under TSan with
+// writers invalidate it. A pager miss parked after its file read while a
+// checkpoint rewrites the page must read the page again, through either
+// pager entry point. CI runs this suite under TSan with
 // XST_NUM_THREADS=4; gtest assertions are not thread-safe, so worker threads
 // count failures atomically and the main thread asserts at the end.
 
@@ -20,11 +22,14 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/macros.h"
 #include "src/core/cursor.h"
 #include "src/core/order.h"
 #include "src/obs/metrics.h"
 #include "src/store/catalog.h"
+#include "src/store/pager.h"
 #include "src/store/setstore.h"
+#include "src/store/wal.h"
 #include "tests/testing.h"
 
 namespace xst {
@@ -242,16 +247,20 @@ TEST(StoreConcurrentTest, IndexProbesMonotoneUnderRewrites) {
 }
 
 // Shared by the test thread and the store's main-file ParkingFile: which
-// page read to park, how many more times, and the hand-off counters.
+// page read to park, how many more times, whether it parks before or after
+// reading, and the hand-off counters.
 struct ReadGate {
   std::atomic<uint64_t> park_offset{UINT64_MAX};
   std::atomic<int> parks_left{0};  // reads of park_offset still to park
+  std::atomic<bool> park_after_read{false};  // park holding the bytes read
   std::atomic<int> arrivals{0};    // reads parked so far
   std::atomic<int> releases{0};    // parked reads the test has let go
 };
 
 // A main file whose reads of one page park until the test releases them, so
-// the test can commit a write inside a reader's optimistic window.
+// the test can commit a write inside a reader's optimistic window. Parked
+// before the read, a released reader reads fresh bytes; parked after it, the
+// reader holds the bytes it read before the test's write.
 class ParkingFile : public File {
  public:
   ParkingFile(std::unique_ptr<File> inner, std::shared_ptr<ReadGate> gate)
@@ -259,14 +268,13 @@ class ParkingFile : public File {
 
   Result<uint64_t> Size() override { return inner_->Size(); }
   Status ReadAt(uint64_t offset, char* dst, size_t n) override {
-    if (offset == gate_->park_offset.load() && gate_->parks_left.load() > 0) {
-      gate_->parks_left.fetch_sub(1);
-      const int ticket = gate_->arrivals.fetch_add(1) + 1;
-      while (gate_->releases.load() < ticket) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-    }
-    return inner_->ReadAt(offset, dst, n);
+    const bool park = offset == gate_->park_offset.load() && gate_->parks_left.load() > 0;
+    if (park) gate_->parks_left.fetch_sub(1);
+    const bool after = gate_->park_after_read.load();
+    if (park && !after) Park();
+    Status st = inner_->ReadAt(offset, dst, n);
+    if (park && after) Park();
+    return st;
   }
   Status WriteAt(uint64_t offset, const char* src, size_t n) override {
     return inner_->WriteAt(offset, src, n);
@@ -275,6 +283,13 @@ class ParkingFile : public File {
   Status Truncate(uint64_t size) override { return inner_->Truncate(size); }
 
  private:
+  void Park() {
+    const int ticket = gate_->arrivals.fetch_add(1) + 1;
+    while (gate_->releases.load() < ticket) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+
   std::unique_ptr<File> inner_;
   std::shared_ptr<ReadGate> gate_;
 };
@@ -373,6 +388,105 @@ TEST(StoreConcurrentTest, InvalidatedReadsRetryThenRunUnderTheStoreLock) {
   ASSERT_TRUE(quiet.ok());
   EXPECT_EQ(retries.value(), retries_before);
   EXPECT_EQ(fallbacks.value(), fallbacks_before);
+}
+
+// Record 0 of page `id`, read through the pager's pinned path (FetchPage)
+// or its snapshot path (ReadPageSnapshot).
+Result<std::string> ReadRecord(Pager& pager, uint32_t id, bool pinned) {
+  Page snapshot;
+  PageRef ref;
+  if (pinned) {
+    XST_ASSIGN_OR_RAISE(ref, pager.FetchPage(id));
+  } else {
+    XST_RETURN_NOT_OK(pager.ReadPageSnapshot(id, &snapshot));
+  }
+  XST_ASSIGN_OR_RAISE(std::string_view record, (pinned ? *ref : snapshot).GetRecord(0));
+  return std::string(record);
+}
+
+// Seals the open log transaction, then checkpoints it the way the store
+// does: images into the main file, fsync, recycle the log.
+void CommitAndCheckpoint(Pager& pager, Wal& wal) {
+  ASSERT_TRUE(pager.DrainUnloggedToWal().ok());
+  Result<uint64_t> lsn = wal.AppendCommit();
+  ASSERT_TRUE(lsn.ok());
+  ASSERT_TRUE(wal.WaitDurable(*lsn).ok());
+  for (const auto& [id, image] : wal.SnapshotResident()) {
+    ASSERT_TRUE(pager.ApplyCheckpointImage(id, image).ok());
+  }
+  ASSERT_TRUE(pager.SyncFile().ok());
+  ASSERT_TRUE(wal.Reset(*lsn).ok());
+}
+
+// A pool miss that races a checkpoint. The reader reads version 1 of a page
+// from the main file and parks holding it; meanwhile version 2 is committed,
+// checkpointed into the file and evicted, so neither the pool nor the log
+// holds it. The file-write tick must send the reader back to the file: the
+// stale bytes may be neither returned nor cached.
+void CheckpointRaceCase(const std::string& tag, bool pinned) {
+  TempFile tmp(tag);
+  auto gate = std::make_shared<ReadGate>();
+  gate->park_after_read.store(true);
+  Result<std::unique_ptr<Wal>> wal = Wal::Open(tmp.path() + ".wal");
+  ASSERT_TRUE(wal.ok());
+  Result<std::unique_ptr<File>> file = StdioFile::Open(tmp.path());
+  ASSERT_TRUE(file.ok());
+  Result<std::unique_ptr<Pager>> pager_or = Pager::Open(
+      std::make_unique<ParkingFile>(std::move(*file), gate), 4, tmp.path());
+  ASSERT_TRUE(pager_or.ok());
+  Pager& pager = **pager_or;
+  pager.AttachWal(wal->get());
+  ASSERT_EQ(pager.latch_shards(), 1u);
+
+  // Page 0 holds the raced record; pages 1-4 fill the 4-frame pool, and
+  // fetching them evicts page 0.
+  constexpr uint32_t kPages = 5;
+  const auto evict_page_0 = [&] {
+    for (uint32_t id = 1; id < kPages; ++id) ASSERT_TRUE(pager.FetchPage(id).ok());
+  };
+  (*wal)->BeginTxn();
+  for (uint32_t id = 0; id < kPages; ++id) {
+    Result<PageRef> page = pager.AllocatePage();
+    ASSERT_TRUE(page.ok());
+    PageWriteGuard guard(*page);
+    ASSERT_TRUE(guard->AddRecord(id == 0 ? "v1" : "filler").ok());
+  }
+  CommitAndCheckpoint(pager, **wal);
+  evict_page_0();
+
+  gate->park_offset.store(0);
+  gate->parks_left.store(1);
+  Result<std::string> raced = Status::Invalid("unset");
+  std::thread reader([&] { raced = ReadRecord(pager, 0, pinned); });
+  EXPECT_TRUE(WaitForArrivals(*gate, 1));
+  (*wal)->BeginTxn();
+  {
+    Result<PageRef> page = pager.FetchPage(0);
+    EXPECT_TRUE(page.ok());
+    if (page.ok()) {
+      PageWriteGuard guard(*page);
+      *guard = Page();
+      EXPECT_TRUE(guard->AddRecord("v2").ok());
+    }
+  }
+  CommitAndCheckpoint(pager, **wal);
+  evict_page_0();
+  gate->releases.store(1);
+  reader.join();
+
+  ASSERT_TRUE(raced.ok()) << raced.status().ToString();
+  EXPECT_EQ(*raced, "v2");
+  Result<std::string> again = ReadRecord(pager, 0, pinned);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(*again, "v2");
+}
+
+TEST(PagerLoadTest, SnapshotMissRacingACheckpointRereadsTheFile) {
+  CheckpointRaceCase("ckpt_race_snapshot", /*pinned=*/false);
+}
+
+TEST(PagerLoadTest, FetchMissRacingACheckpointRereadsTheFile) {
+  CheckpointRaceCase("ckpt_race_fetch", /*pinned=*/true);
 }
 
 }  // namespace

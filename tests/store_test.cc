@@ -19,6 +19,7 @@
 namespace xst {
 namespace {
 
+using testing::PagerCounters;
 using testing::X;
 
 bool FileExists(const std::string& path) {
@@ -143,20 +144,21 @@ TEST(PagerTest, LruEvictionCountsAndWritesBack) {
   auto pager_or = Pager::Open(file.path(), 2);  // tiny pool
   ASSERT_TRUE(pager_or.ok());
   Pager& pager = **pager_or;
+  PagerCounters counters;
   for (int i = 0; i < 4; ++i) {
     Result<PageRef> page = pager.AllocatePage();
     ASSERT_TRUE(page.ok());
     ASSERT_TRUE((*page)->AddRecord("page " + std::to_string(i)).ok());
     page->MarkDirty();
   }
-  EXPECT_GT(pager.stats().evictions, 0u);
+  EXPECT_GT(counters.evictions(), 0u);
   // Re-read everything: early pages must have been written back on eviction.
   for (uint32_t i = 0; i < 4; ++i) {
     Result<PageRef> page = pager.FetchPage(i);
     ASSERT_TRUE(page.ok()) << page.status().ToString();
     EXPECT_EQ(*(*page)->GetRecord(0), "page " + std::to_string(i));
   }
-  EXPECT_GT(pager.stats().misses, 0u);
+  EXPECT_GT(counters.misses(), 0u);
 }
 
 TEST(PagerTest, HotPageStaysCached) {
@@ -166,9 +168,9 @@ TEST(PagerTest, HotPageStaysCached) {
   Pager& pager = **pager_or;
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(pager.AllocatePage().ok());
   ASSERT_TRUE(pager.Flush().ok());
-  pager.ResetStats();
+  PagerCounters counters;
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(pager.FetchPage(0).ok());
-  EXPECT_GE(pager.stats().hits, 9u);
+  EXPECT_GE(counters.hits(), 9u);
 }
 
 TEST(PagerTest, PinnedFrameSurvivesEvictionPressure) {
@@ -274,14 +276,14 @@ TEST(PagerTest, LruTouchOrderGovernsEviction) {
   ASSERT_TRUE(pager.Flush().ok());
   // Pool now holds {1, 2} (0 was evicted by the third allocation).
   ASSERT_TRUE(pager.FetchPage(1).ok());  // touch 1: LRU order is now 2 < 1
-  pager.ResetStats();
+  PagerCounters counters;
   ASSERT_TRUE(pager.FetchPage(0).ok());  // must evict 2, not 1
-  EXPECT_EQ(pager.stats().misses, 1u);
-  EXPECT_EQ(pager.stats().evictions, 1u);
+  EXPECT_EQ(counters.misses(), 1u);
+  EXPECT_EQ(counters.evictions(), 1u);
   ASSERT_TRUE(pager.FetchPage(1).ok());  // 1 survived: hit
-  EXPECT_EQ(pager.stats().hits, 1u);
+  EXPECT_EQ(counters.hits(), 1u);
   ASSERT_TRUE(pager.FetchPage(2).ok());  // 2 was the victim: miss again
-  EXPECT_EQ(pager.stats().misses, 2u);
+  EXPECT_EQ(counters.misses(), 2u);
 }
 
 TEST(PagerTest, StatsCountersExact) {
@@ -289,6 +291,7 @@ TEST(PagerTest, StatsCountersExact) {
   auto pager_or = Pager::Open(file.path(), 2);
   ASSERT_TRUE(pager_or.ok());
   Pager& pager = **pager_or;
+  PagerCounters counters;
   // 3 allocations into a 2-frame pool: the third evicts page 0 (dirty from
   // birth → one writeback).
   for (int i = 0; i < 3; ++i) {
@@ -296,24 +299,24 @@ TEST(PagerTest, StatsCountersExact) {
     ASSERT_TRUE(page.ok());
     ASSERT_TRUE((*page)->AddRecord("p").ok());
   }
-  EXPECT_EQ(pager.stats().allocations, 3u);
-  EXPECT_EQ(pager.stats().evictions, 1u);
-  EXPECT_EQ(pager.stats().writebacks, 1u);
-  EXPECT_EQ(pager.stats().hits, 0u);
-  EXPECT_EQ(pager.stats().misses, 0u);
+  EXPECT_EQ(counters.allocations(), 3u);
+  EXPECT_EQ(counters.evictions(), 1u);
+  EXPECT_EQ(counters.writebacks(), 1u);
+  EXPECT_EQ(counters.hits(), 0u);
+  EXPECT_EQ(counters.misses(), 0u);
   // Fetch resident page 2 (hit), evicted page 0 (miss + eviction of 1 +
   // its writeback).
   ASSERT_TRUE(pager.FetchPage(2).ok());
   ASSERT_TRUE(pager.FetchPage(0).ok());
-  EXPECT_EQ(pager.stats().hits, 1u);
-  EXPECT_EQ(pager.stats().misses, 1u);
-  EXPECT_EQ(pager.stats().evictions, 2u);
-  EXPECT_EQ(pager.stats().writebacks, 2u);
+  EXPECT_EQ(counters.hits(), 1u);
+  EXPECT_EQ(counters.misses(), 1u);
+  EXPECT_EQ(counters.evictions(), 2u);
+  EXPECT_EQ(counters.writebacks(), 2u);
   // Flush writes back the two resident dirty pages... page 2 and page 0?
   // Page 2 is dirty (allocated, never written back); page 0 was written back
   // at eviction and re-read clean. So exactly one more writeback.
   ASSERT_TRUE(pager.Flush().ok());
-  EXPECT_EQ(pager.stats().writebacks, 3u);
+  EXPECT_EQ(counters.writebacks(), 3u);
 }
 
 TEST(SetStoreTest, PutGetDeleteList) {
@@ -371,10 +374,11 @@ TEST(SetStoreTest, LargeSetsSpanPages) {
   EXPECT_GT(store.page_count(), 10u);
   EXPECT_EQ(*store.Get("big"), big);
   // Reopen and read through the pool again.
+  PagerCounters counters;
   auto reopened = SetStore::Open(file.path(), SetStoreOptions{.buffer_pool_pages = 8});
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(*(*reopened)->Get("big"), big);
-  EXPECT_GT((*reopened)->pager_stats().misses, 8u);  // forced through a small pool
+  EXPECT_GT(counters.misses(), 8u);  // forced through a small pool
 }
 
 TEST(SetStoreTest, CatalogIsAnExtendedSet) {
@@ -623,6 +627,42 @@ TEST(SetStoreTest, CompactRenameFailureReopensOriginal) {
   EXPECT_EQ(store.List(), (std::vector<std::string>{"after", "keep"}));
 }
 
+TEST(SetStoreTest, ClosedStoreAccessorsReportNoPages) {
+  // Regression: a store closes itself when a failure-recovery reopen fails,
+  // and its pager accessors then dereferenced the missing pager. Here the
+  // reopen after Compact's swap cannot open the main file.
+  TempFile file("store_closed");
+  const std::string path = file.path();
+  auto swapped = std::make_shared<bool>(false);
+  SetStoreOptions options;
+  options.rename_fn = [swapped](const char* from, const char* to) {
+    *swapped = true;
+    return std::rename(from, to);
+  };
+  options.file_factory = [swapped, path](const std::string& p) -> Result<std::unique_ptr<File>> {
+    if (*swapped && p == path) return Status::IOError("injected open failure");
+    return StdioFile::Open(p);
+  };
+  auto store_or = SetStore::Open(path, options);
+  ASSERT_TRUE(store_or.ok());
+  SetStore& store = **store_or;
+  ASSERT_TRUE(store.Put("keep", X("{<keep, 1>}")).ok());
+  EXPECT_GT(store.page_count(), 0u);
+  EXPECT_GT(store.pager_latch_shards(), 0u);
+
+  Status st = store.Compact();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("reopen after swap: injected open failure"),
+            std::string::npos)
+      << st.ToString();
+  Result<XSet> got = store.Get("keep");
+  ASSERT_FALSE(got.ok());
+  EXPECT_NE(got.status().message().find("is closed"), std::string::npos)
+      << got.status().ToString();
+  EXPECT_EQ(store.page_count(), 0u);
+  EXPECT_EQ(store.pager_latch_shards(), 0u);
+}
+
 // --- Ordered-index storage mode (PR 8) ---
 
 XSet IntRun(int lo, int hi) {
@@ -708,7 +748,7 @@ TEST(SetStoreTest, IndexedElementRangeCursorStreamsSlice) {
   // which legitimately touches every node.
   auto cursor = store.OpenElementRange("big", XSet::Int(5000), XSet::Int(5020));
   ASSERT_TRUE(cursor.ok());
-  store.ResetPagerStats();
+  PagerCounters counters;
   std::vector<Membership> got;
   for (;;) {
     auto batch = (*cursor)->NextBatch();
@@ -721,9 +761,8 @@ TEST(SetStoreTest, IndexedElementRangeCursorStreamsSlice) {
   EXPECT_EQ(got.back().element, XSet::Int(5020));
   // Leaf-only access: a seek spine plus the in-range leaves, never a full
   // tree scan or materialization.
-  PagerStats stats = store.pager_stats();
-  EXPECT_LE(stats.hits + stats.misses, 24u)
-      << "hits " << stats.hits << " misses " << stats.misses;
+  EXPECT_LE(counters.hits() + counters.misses(), 24u)
+      << "hits " << counters.hits() << " misses " << counters.misses();
 }
 
 TEST(SetStoreTest, IndexedModeSurvivesCompact) {

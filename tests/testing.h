@@ -3,6 +3,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <random>
 #include <string_view>
@@ -10,6 +11,8 @@
 
 #include "src/core/parse.h"
 #include "src/core/xset.h"
+#include "src/obs/metrics.h"
+#include "src/store/pager.h"
 
 namespace xst {
 namespace testing {
@@ -78,6 +81,38 @@ class RandomSetGen {
 
  private:
   std::mt19937_64 rng_;
+};
+
+/// \brief The pager's registry counters, counted from construction or the
+/// last Reset(). The counters are process-wide, so a delta is one pager's
+/// work only over steps that run that pager alone.
+class PagerCounters {
+ public:
+  PagerCounters() { Reset(); }
+
+  /// \brief Restarts every delta at zero.
+  void Reset() {
+    for (size_t i = 0; i < kNames.size(); ++i) base_[i] = Value(i);
+  }
+
+  uint64_t hits() const { return Delta(0); }
+  uint64_t misses() const { return Delta(1); }
+  uint64_t evictions() const { return Delta(2); }
+  uint64_t writebacks() const { return Delta(3); }
+  uint64_t allocations() const { return Delta(4); }
+
+ private:
+  static constexpr std::array<const char*, 5> kNames = {
+      internal::kPagerHitsCounter, internal::kPagerMissesCounter,
+      internal::kPagerEvictionsCounter, internal::kPagerWritebacksCounter,
+      internal::kPagerAllocationsCounter};
+
+  static uint64_t Value(size_t i) {
+    return obs::MetricsRegistry::Global().GetCounter(kNames[i]).value();
+  }
+  uint64_t Delta(size_t i) const { return Value(i) - base_[i]; }
+
+  std::array<uint64_t, kNames.size()> base_{};
 };
 
 }  // namespace testing

@@ -408,13 +408,12 @@ TEST(Vm, RangeOverIndexedStoreReadsOnlyInRangeLeaves) {
     // validation or a drained tree still fails it.
     uint64_t validation_touches = 0;
     if constexpr (XST_VALIDATE_LEVEL >= 2) {
-      (*store)->ResetPagerStats();
+      testing::PagerCounters open;
       ASSERT_TRUE((*store)->OpenElementRange("big", XSet::Int(100), XSet::Int(120)).ok());
-      PagerStats open = (*store)->pager_stats();
-      validation_touches = open.hits + open.misses;
+      validation_touches = open.hits() + open.misses();
     }
 
-    (*store)->ResetPagerStats();
+    testing::PagerCounters counters;
     Result<XSet> streamed = VmEval(p, source);
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
     EXPECT_EQ(*streamed, *Eval(plan, env));
@@ -424,18 +423,17 @@ TEST(Vm, RangeOverIndexedStoreReadsOnlyInRangeLeaves) {
     // must touch only a seek spine plus a handful of leaves. The generous
     // bound still fails by an order of magnitude if the cursor drains or
     // validates the whole tree.
-    PagerStats stats = (*store)->pager_stats();
-    EXPECT_LE(stats.hits + stats.misses, 24u + validation_touches)
-        << "hits " << stats.hits << " misses " << stats.misses << " validation "
-        << validation_touches;
+    const uint64_t range_touches = counters.hits() + counters.misses();
+    EXPECT_LE(range_touches, 24u + validation_touches)
+        << "hits " << counters.hits() << " misses " << counters.misses()
+        << " validation " << validation_touches;
 
     // Full materialization of the same stored set for contrast: strictly
     // more page touches than the range read.
-    (*store)->ResetPagerStats();
+    testing::PagerCounters full;
     Result<XSet> whole = (*store)->Get("big");
     ASSERT_TRUE(whole.ok());
-    PagerStats full = (*store)->pager_stats();
-    EXPECT_GT(full.hits + full.misses, stats.hits + stats.misses);
+    EXPECT_GT(full.hits() + full.misses(), range_touches);
   }
   std::remove(path.c_str());
 }

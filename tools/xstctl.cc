@@ -309,7 +309,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "stats") {
-    const PagerStats stats = store.pager_stats();
     std::printf("pages:      %u (%zu KiB)\n", store.page_count(),
                 static_cast<size_t>(store.page_count()) * kPageSize / 1024);
     // Storage-mode split: indexed sets hold B+tree node/overflow pages
@@ -326,29 +325,24 @@ int main(int argc, char** argv) {
     }
     std::printf("sets:       %zu (blob: %zu, ordered-index: %zu)\n",
                 blobs + indexed, blobs, indexed);
-    std::printf("pool hits:  %lu  misses: %lu  evictions: %lu  writebacks: %lu\n",
-                (unsigned long)stats.hits, (unsigned long)stats.misses,
-                (unsigned long)stats.evictions, (unsigned long)stats.writebacks);
-    // Latch-shard telemetry: process-wide counters, so under xstctl they
-    // cover exactly this invocation's work on the store opened above.
+    // Pool and latch-shard telemetry: process-wide counters, so under xstctl
+    // they cover exactly this invocation's work on the store opened above.
     auto& registry = obs::MetricsRegistry::Global();
+    const auto count = [&](const char* name) {
+      return (unsigned long long)registry.GetCounter(name).value();
+    };
+    std::printf("pool hits:  %llu  misses: %llu  evictions: %llu  writebacks: %llu\n",
+                count(internal::kPagerHitsCounter), count(internal::kPagerMissesCounter),
+                count(internal::kPagerEvictionsCounter),
+                count(internal::kPagerWritebacksCounter));
     std::printf("latch:      %zu shards, acquisitions: %llu, contended: %llu\n",
-                store.pager_latch_shards(),
-                (unsigned long long)registry
-                    .GetCounter(internal::kPagerLatchAcquisitionsCounter)
-                    .value(),
-                (unsigned long long)registry
-                    .GetCounter(internal::kPagerLatchContentionCounter)
-                    .value());
+                store.pager_latch_shards(), count(internal::kPagerLatchAcquisitionsCounter),
+                count(internal::kPagerLatchContentionCounter));
     // Optimistic-read telemetry: views that failed validation, and reads
     // that gave up on views and ran under the store lock.
     std::printf("reads:      retries: %llu, locked fallbacks: %llu\n",
-                (unsigned long long)registry
-                    .GetCounter(internal::kStoreReadRetriesCounter)
-                    .value(),
-                (unsigned long long)registry
-                    .GetCounter(internal::kStoreReadFallbacksCounter)
-                    .value());
+                count(internal::kStoreReadRetriesCounter),
+                count(internal::kStoreReadFallbacksCounter));
     // Arena size: the value system's startup atoms plus everything this
     // invocation decoded (opening the store reads its catalog).
     std::printf("interner:   %lld nodes, %lld KiB\n",
