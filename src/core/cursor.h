@@ -1,5 +1,5 @@
 // A shared cursor/iterator abstraction over set operands, so consumers (the
-// bytecode VM above all) stream memberships uniformly whether the operand
+// bytecode VM above all) read memberships uniformly whether the operand
 // lives in the interner or in a SetStore page file.
 //
 // The unit of iteration is a BATCH: a borrowed span of canonical
@@ -10,6 +10,11 @@
 // whole handle via WholeSet() — the zero-copy fast path — and atoms (which
 // have no membership list at all) are ONLY representable that way, so
 // sources must return WholeSet() for atoms or lose them.
+//
+// A cursor is a value, not a view: every cursor in this library holds its
+// whole answer from the open on (a stored cursor reads it under one
+// consistent view, store/cursor.h), so a source reports errors from Open
+// and later writes to the source never reach an open cursor.
 
 #pragma once
 
@@ -37,14 +42,15 @@ class MemberCursor {
   virtual std::span<const Membership> NextBatch() = 0;
 
   /// \brief The operand as an already-interned handle, when the cursor has
-  /// one (in-memory operands always do; stored cursors may stream instead).
-  /// Consumers should prefer this: it is zero-copy and preserves atoms.
+  /// one (in-memory operands and blob-stored sets do; an ordered index's
+  /// answer is a member list instead). Consumers should prefer this: it is
+  /// zero-copy and preserves atoms.
   virtual std::optional<XSet> WholeSet() const { return std::nullopt; }
 
-  /// \brief Non-OK when streaming hit an error (I/O, corruption). In-memory
-  /// cursors are infallible; page-backed ones report failure here, because
-  /// NextBatch signals exhaustion and error identically (an empty span).
-  /// Consumers that stream to completion must check this afterwards.
+  /// \brief Non-OK when a cursor that reads lazily hit an error after its
+  /// open; NextBatch signals exhaustion and error identically (an empty
+  /// span), so consumers that drain a cursor check this afterwards. Every
+  /// cursor in this library reads at open and stays OK.
   virtual Status status() const { return Status::OK(); }
 };
 

@@ -411,16 +411,14 @@ struct ChildReport {
 struct TreeOps {
   Pager& pager;
 
-  Result<bool> InsertRec(uint32_t page_id, const Membership& m,
-                         const std::string& entry, uint32_t depth,
+  Result<bool> InsertRec(uint32_t page_id, const Membership& m, uint32_t depth,
                          ChildReport* report);
   Result<bool> EraseRec(uint32_t page_id, const Membership& m, uint32_t depth,
                         ChildReport* report);
   Status FixUnderflow(Node* parent, size_t needy_idx);
 };
 
-Result<bool> TreeOps::InsertRec(uint32_t page_id, const Membership& m,
-                                const std::string& entry, uint32_t depth,
+Result<bool> TreeOps::InsertRec(uint32_t page_id, const Membership& m, uint32_t depth,
                                 ChildReport* report) {
   if (depth > kMaxHeight) return Corrupt(page_id, "descent exceeds max height");
   Node node;
@@ -432,8 +430,11 @@ Result<bool> TreeOps::InsertRec(uint32_t page_id, const Membership& m,
 
   if (node.leaf) {
     if (at.equal) return false;
+    // Encode only once the member is known to be new: an overflow entry
+    // writes its page span here, so a duplicate insert dirties nothing.
+    XST_ASSIGN_OR_RAISE(std::string entry, EncodeEntry(pager, m));
     const size_t idx = at.index;
-    node.members.insert(node.members.begin() + idx, entry);
+    node.members.insert(node.members.begin() + idx, std::move(entry));
     report->min_changed = idx == 0;
     if (node.used_bytes() <= kNodeCapacity) {
       XST_RETURN_NOT_OK(WriteNode(pager, page_id, node));
@@ -459,7 +460,7 @@ Result<bool> TreeOps::InsertRec(uint32_t page_id, const Membership& m,
   const size_t idx = at.child();
   ChildReport child;
   XST_ASSIGN_OR_RAISE(
-      bool inserted, InsertRec(node.children[idx].child, m, entry, depth + 1, &child));
+      bool inserted, InsertRec(node.children[idx].child, m, depth + 1, &child));
   if (!inserted) return false;
   if (child.min_changed) node.children[idx].key = child.min_key;
   if (child.split) {
@@ -712,9 +713,8 @@ Result<BTreeInfo> BTree::Build(Pager& pager, std::span<const Membership> members
 
 Result<bool> BTree::Insert(const Membership& m) {
   TreeOps ops{*pager_};
-  XST_ASSIGN_OR_RAISE(std::string entry, EncodeEntry(*pager_, m));
   ChildReport report;
-  XST_ASSIGN_OR_RAISE(bool inserted, ops.InsertRec(info_.root, m, entry, 0, &report));
+  XST_ASSIGN_OR_RAISE(bool inserted, ops.InsertRec(info_.root, m, 0, &report));
   if (!inserted) return false;
   if (report.split) {
     Node root;

@@ -38,7 +38,10 @@
 // Reads (Contains, SeekFirst, SeekElement, ReadLeafBatch) take no store
 // lock: each node visit copies one ReadPageSnapshot and searches it in
 // place, comparing encoded keys against the probe (CompareEncoded) and
-// decoding only the members a read returns (DESIGN.md §13.1, §15.2).
+// decoding only the members a read returns (DESIGN.md §13.1, §15.2). Each
+// snapshot is consistent on its own, but a walk across leaves is only as
+// consistent as its caller makes it: SetStore runs a whole seek-and-walk
+// inside one validated read, so a multi-leaf answer is one commit.
 // Mutations run under SetStore::mu_ and write through pinned PageRefs.
 
 #pragma once
@@ -95,7 +98,9 @@ class BTree {
   const BTreeInfo& info() const { return info_; }
 
   /// \brief Inserts a membership; false if it was already present (the tree
-  /// is unchanged). Splits propagate upward and may grow a new root.
+  /// is unchanged and no page is written: the entry, and any overflow span,
+  /// is encoded only after the leaf search). Splits propagate upward and may
+  /// grow a new root.
   Result<bool> Insert(const Membership& m);
 
   /// \brief Removes a membership; false if absent. Underflow is repaired by

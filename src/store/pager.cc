@@ -410,16 +410,6 @@ Status Pager::DrainUnloggedToWal() {
   return Status::OK();
 }
 
-bool Pager::HasUnloggedDirty() const {
-  for (const auto& shard : shards_) {
-    internal::ShardLatchLock latch(shard.get());
-    for (const internal::PageFrame& frame : shard->lru) {
-      if (frame.dirty && !frame.logged) return true;
-    }
-  }
-  return false;
-}
-
 Status Pager::ApplyCheckpointImage(uint32_t page_id, const std::string& bytes) {
   XST_DCHECK(wal_ != nullptr);
   XST_DCHECK(bytes.size() == kPageSize);

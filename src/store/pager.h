@@ -279,13 +279,6 @@ class Pager {
   /// spilled). Called immediately before the commit record is appended.
   Status DrainUnloggedToWal();
 
-  /// \brief True iff some frame is dirty with no logged image — i.e. the
-  /// current transaction has touched pages that only a commit (or abort +
-  /// pager reload) can resolve. Lets logically-no-op mutations that still
-  /// dirtied pages (e.g. a duplicate insert that allocated overflow pages
-  /// before detection) decide between a cheap abort and a real commit.
-  bool HasUnloggedDirty() const;
-
   /// \brief Checkpoint writer: puts `bytes` (a full page image) at the
   /// page's offset in the main file and marks a matching resident frame
   /// clean. The only main-file write path in WAL mode.

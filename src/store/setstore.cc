@@ -78,15 +78,13 @@ Result<std::unique_ptr<Pager>> SetStore::OpenPager(const std::string& path) cons
   return Pager::Open(std::move(*file), options_.buffer_pool_pages, path);
 }
 
-Result<SetStore::ReadView> SetStore::CaptureView(const std::string* name) const {
+Result<SetStore::ReadView> SetStore::CaptureView(const std::string& name) const {
   MutexLock lock(&mu_);
   XST_RETURN_NOT_OK(CheckOpen());
   ReadView view;
   view.pager = pager_;
   view.epoch = mutation_epoch_;
-  if (name != nullptr) {
-    XST_ASSIGN_OR_RAISE(view.entry, catalog_.Get(*name));
-  }
+  XST_ASSIGN_OR_RAISE(view.entry, catalog_.Get(name));
   return view;
 }
 
@@ -98,7 +96,7 @@ bool SetStore::ValidateView(const ReadView& view) const {
 
 template <typename ReadFn>
 std::invoke_result_t<const ReadFn&, Pager&, const CatalogEntry&>
-SetStore::ReadConsistent(const std::string* name, const ReadFn& read) {
+SetStore::ReadConsistent(const std::string& name, const ReadFn& read) {
   // Optimistic attempts: stream pages with no store lock held, and return a
   // result (or error) only if nothing invalidated the view meanwhile — an
   // error under an invalidated view may be an artifact of racing a writer.
@@ -112,10 +110,7 @@ SetStore::ReadConsistent(const std::string* name, const ReadFn& read) {
   ReadFallbacksCounter().Increment();
   MutexLock lock(&mu_);
   XST_RETURN_NOT_OK(CheckOpen());
-  CatalogEntry entry;
-  if (name != nullptr) {
-    XST_ASSIGN_OR_RAISE(entry, catalog_.Get(*name));
-  }
+  XST_ASSIGN_OR_RAISE(CatalogEntry entry, catalog_.Get(name));
   return read(*pager_, entry);
 }
 
@@ -497,7 +492,7 @@ Result<size_t> SetStore::Scrub() {
 
 Result<XSet> SetStore::Get(const std::string& name) {
   XST_TRACE_SPAN("store.get");
-  return ReadConsistent(&name, [&](Pager& pager, const CatalogEntry& entry) {
+  return ReadConsistent(name, [&](Pager& pager, const CatalogEntry& entry) {
     return ReadSet(pager, name, entry);
   });
 }
@@ -514,30 +509,37 @@ Result<XSet> SetStore::ReadSet(Pager& pager, const std::string& name,
                                                 : DecodeBlobSet(pager, name, entry);
 }
 
+Status SetStore::ReadIndexMembers(Pager& pager, const std::string& name,
+                                  const CatalogEntry& entry, const XSet* lo,
+                                  const XSet* hi, std::vector<Membership>* out) {
+  const auto fail = [&](const Status& st) { return st.WithContext("set '" + name + "'"); };
+  const BTree tree(&pager, IndexInfoOf(entry));
+#if XST_VALIDATE_LEVEL >= 2
+  if (Status valid = tree.Validate(); !valid.ok()) return fail(valid);
+#endif
+  Result<BTreeCursorPos> pos = lo != nullptr ? tree.SeekElement(*lo) : tree.SeekFirst();
+  if (!pos.ok()) return fail(pos.status());
+  for (;;) {
+    Result<bool> more = tree.ReadLeafBatch(&*pos, hi, out);
+    if (!more.ok()) return fail(more.status());
+    if (!*more) return Status::OK();
+  }
+}
+
 Result<XSet> SetStore::MaterializeIndex(Pager& pager, const std::string& name,
                                         const CatalogEntry& entry) {
-  const BTreeInfo info = IndexInfoOf(entry);
-#if XST_VALIDATE_LEVEL >= 2
-  XST_RETURN_NOT_OK(ValidateBTree(pager, info).WithContext("set '" + name + "'"));
-#endif
-  BTree tree(&pager, info);
-  Result<BTreeCursorPos> pos = tree.SeekFirst();
-  if (!pos.ok()) return pos.status().WithContext("set '" + name + "'");
+  const uint64_t member_count = IndexInfoOf(entry).member_count;
   std::vector<Membership> members;
-  members.reserve(info.member_count);
-  for (;;) {
-    Result<bool> more = tree.ReadLeafBatch(&*pos, nullptr, &members);
-    if (!more.ok()) return more.status().WithContext("set '" + name + "'");
-    if (!*more) break;
-  }
+  members.reserve(member_count);
+  XST_RETURN_NOT_OK(ReadIndexMembers(pager, name, entry, nullptr, nullptr, &members));
   // The leaf walk must agree with the catalog's cardinality and be strictly
   // ascending — a half-applied mutation that reached disk surfaces here as
   // Corruption rather than as a silently wrong set.
-  if (members.size() != info.member_count) {
+  if (members.size() != member_count) {
     return Status::Corruption("set '" + name + "': index holds " +
                               std::to_string(members.size()) +
                               " members but the catalog says " +
-                              std::to_string(info.member_count));
+                              std::to_string(member_count));
   }
   if (!IsCanonicalMemberList(members)) {
     return Status::Corruption("set '" + name + "': index leaves out of order");
@@ -650,13 +652,8 @@ Result<uint64_t> SetStore::MutateMemberLocked(const std::string& name,
         (insert ? "insert into '" : "erase from '") + name + "'"));
   }
   if (!*changed) {
-    // A duplicate insert or an absent erase: the tree's logical identity is
-    // untouched, but the encode path may have dirtied freshly allocated
-    // overflow pages before detecting the no-op. Commit those as
-    // unreferenced garbage (Compact reclaims them) so the pool never holds
-    // uncommitted dirt with no transaction open; a clean no-op gets the
-    // cheap abort.
-    if (pager_->HasUnloggedDirty()) return CommitLocked(catalog_);
+    // A duplicate insert or an absent erase touched no page (an entry is
+    // encoded only once the leaf search proves it new), so nothing commits.
     wal_->AbortTxn();
     return uint64_t{0};
   }
@@ -665,8 +662,8 @@ Result<uint64_t> SetStore::MutateMemberLocked(const std::string& name,
 
 Result<bool> SetStore::ContainsMember(const std::string& name, const Membership& m) {
   XST_TRACE_SPAN("store.contains_member");
-  return ReadConsistent(&name, [&](Pager& pager,
-                                   const CatalogEntry& entry) -> Result<bool> {
+  return ReadConsistent(name, [&](Pager& pager,
+                                  const CatalogEntry& entry) -> Result<bool> {
     if (entry.kind == CatalogEntry::kKindIndex) {
       return BTree(&pager, IndexInfoOf(entry)).Contains(m);
     }
@@ -695,42 +692,19 @@ Result<std::unique_ptr<MemberCursor>> SetStore::OpenElementRange(
 Result<std::unique_ptr<MemberCursor>> SetStore::OpenMemberCursor(const std::string& name,
                                                                  const XSet* lo,
                                                                  const XSet* hi) {
-  return ReadConsistent(&name, [&](Pager& pager, const CatalogEntry& entry)
-                                   -> Result<std::unique_ptr<MemberCursor>> {
+  return ReadConsistent(name, [&](Pager& pager, const CatalogEntry& entry)
+                                  -> Result<std::unique_ptr<MemberCursor>> {
     if (entry.kind == CatalogEntry::kKindIndex) {
-#if XST_VALIDATE_LEVEL >= 2
-      XST_RETURN_NOT_OK(
-          ValidateBTree(pager, IndexInfoOf(entry)).WithContext("set '" + name + "'"));
-#endif
-      // A range seeks its lower edge now; batches then touch only in-range
-      // leaves.
-      BTree tree(&pager, IndexInfoOf(entry));
-      XST_ASSIGN_OR_RAISE(BTreeCursorPos pos,
-                          lo != nullptr ? tree.SeekElement(*lo) : tree.SeekFirst());
-      return std::unique_ptr<MemberCursor>(new BTreeCursor(
-          *this, pos, hi != nullptr ? std::optional<XSet>(*hi) : std::nullopt));
+      // The whole answer is read under this one view; a range seeks its
+      // lower edge and walks only the in-range leaves.
+      std::vector<Membership> members;
+      XST_RETURN_NOT_OK(ReadIndexMembers(pager, name, entry, lo, hi, &members));
+      return std::unique_ptr<MemberCursor>(new MemberListCursor(std::move(members)));
     }
     XST_ASSIGN_OR_RAISE(XSet value, DecodeBlobSet(pager, name, entry));
-    std::unique_ptr<MemberCursor> cursor(new StoredSetCursor(std::move(value)));
+    std::unique_ptr<MemberCursor> cursor(new XSetCursor(std::move(value)));
     if (lo == nullptr) return cursor;
     return std::unique_ptr<MemberCursor>(new ElementRangeCursor(std::move(cursor), *lo, *hi));
-  });
-}
-
-Status SetStore::ReadIndexBatch(BTreeCursorPos* pos, const XSet* hi_element,
-                                std::vector<Membership>* out) {
-  const BTreeCursorPos saved = *pos;
-  const size_t before = out->size();
-  return ReadConsistent(nullptr, [&](Pager& pager, const CatalogEntry&) -> Status {
-    // Every attempt starts from the captured position with the output
-    // rolled back, so a discarded attempt leaves no trace.
-    *pos = saved;
-    out->resize(before);
-    BTree tree(&pager, BTreeInfo{});  // position-only reads ignore the root
-    for (;;) {
-      XST_ASSIGN_OR_RAISE(bool more, tree.ReadLeafBatch(pos, hi_element, out));
-      if (!more || out->size() > before) return Status::OK();
-    }
   });
 }
 

@@ -131,6 +131,8 @@ struct SetStoreOptions {
 /// discarded, never reported (they may be artifacts of racing a writer).
 /// Every read goes through one helper (ReadConsistent), which counts the
 /// retries and locked runs (`store.read.retries` / `store.read.fallbacks`).
+/// A cursor open is one such read: it takes its whole answer under one
+/// view, so a cursor never mixes two commits.
 class SetStore {
  public:
   /// \brief Opens (creating if necessary) a store at `path`. Replays the
@@ -178,26 +180,23 @@ class SetStore {
   /// \brief The storage mode of a stored name.
   Result<StorageMode> ModeOf(const std::string& name) const XST_EXCLUDES(mu_);
 
-  /// \brief Opens a streaming cursor over the stored set's canonical member
-  /// list. Indexed sets stream leaf-by-leaf without materializing the set;
-  /// blob sets decode once and serve batch slices. The cursor is
-  /// invalidated by any mutation of the store.
+  /// \brief Opens a cursor over the stored set's canonical member list.
+  /// The open is one consistent read: the cursor owns the set as of one
+  /// commit, and no later mutation, checkpoint, Compact or close of the
+  /// store affects it. Errors come back from the open; the cursor itself
+  /// cannot fail. Indexed sets are read leaf by leaf into one member list;
+  /// blob sets decode once and hand over the interned value.
   Result<std::unique_ptr<MemberCursor>> OpenCursor(const std::string& name)
       XST_EXCLUDES(mu_);
 
   /// \brief Opens a cursor over {z^w ∈ name : lo ≤ z ≤ hi} (element-interval
-  /// σ-restriction under the structural order). Indexed sets seek the lower
-  /// edge and read only in-range leaves.
+  /// σ-restriction under the structural order), read the same way as
+  /// OpenCursor. Indexed sets seek the lower edge and read only in-range
+  /// leaves.
   Result<std::unique_ptr<MemberCursor>> OpenElementRange(const std::string& name,
                                                          const XSet& lo,
                                                          const XSet& hi)
       XST_EXCLUDES(mu_);
-
-  /// \brief One leaf batch for a streaming index cursor (the BTreeCursor
-  /// plumbing in store/cursor.h, not a user API): appends entries and
-  /// advances `pos`; an untouched `out` means the cursor is exhausted.
-  Status ReadIndexBatch(BTreeCursorPos* pos, const XSet* hi_element,
-                        std::vector<Membership>* out) XST_EXCLUDES(mu_);
 
   /// \brief Full-store verification: re-reads every live blob through the
   /// checksummed page path and decodes it; ordered indexes additionally get
@@ -264,7 +263,7 @@ class SetStore {
       : path_(std::move(path)), options_(std::move(options)) {}
 
   /// A consistent read handle captured under mu_: the pager instance, the
-  /// catalog entry for the requested name, and the mutation epoch at
+  /// catalog entry for the name being read, and the mutation epoch at
   /// capture. The shared_ptr keeps the pager alive across a concurrent
   /// Compact/reopen; the epoch detects any overlapping mutation.
   struct ReadView {
@@ -275,36 +274,44 @@ class SetStore {
 
   Result<std::unique_ptr<Pager>> OpenPager(const std::string& path) const;
   Status CheckOpen() const XST_REQUIRES(mu_);
-  /// Captures a ReadView under mu_ (entry lookup skipped when `name` is
-  /// null). A NotFound here is linearizable: the name was absent at capture.
-  Result<ReadView> CaptureView(const std::string* name) const XST_EXCLUDES(mu_);
+  /// Captures a ReadView of `name` under mu_. A NotFound here is
+  /// linearizable: the name was absent at capture.
+  Result<ReadView> CaptureView(const std::string& name) const XST_EXCLUDES(mu_);
   /// True iff nothing invalidated `view` since capture: same pager instance,
   /// same mutation epoch, store still open. Results computed under a view
   /// may be returned only when this holds.
   bool ValidateView(const ReadView& view) const XST_EXCLUDES(mu_);
-  /// The one read protocol: runs `read(pager, entry)` under up to three
-  /// captured views and returns the first result whose view validates
-  /// (results from invalidated views, errors included, are discarded), then
-  /// runs it once under mu_ against pager_ and catalog_. `name` selects the
-  /// catalog entry; null skips the lookup (the entry is then empty).
+  /// The one read protocol: runs `read(pager, entry)` for `name`'s catalog
+  /// entry under up to three captured views and returns the first result
+  /// whose view validates (results from invalidated views, errors included,
+  /// are discarded), then runs it once under mu_ against pager_ and
+  /// catalog_.
   template <typename ReadFn>
   std::invoke_result_t<const ReadFn&, Pager&, const CatalogEntry&> ReadConsistent(
-      const std::string* name, const ReadFn& read) XST_EXCLUDES(mu_);
+      const std::string& name, const ReadFn& read) XST_EXCLUDES(mu_);
   /// Reads a blob's page span and decodes the whole set, with name context.
   /// No store lock needed (static on purpose: the concurrent read path runs
   /// it against a captured view's pager).
   static Result<XSet> DecodeBlobSet(Pager& pager, const std::string& name,
                                     const CatalogEntry& entry);
-  /// Materializes an ordered-index set from its leaves (count-checked;
-  /// static for the same reason as DecodeBlobSet).
+  /// The one leaf walk over an ordered-index set: validates the tree at
+  /// XST_VALIDATE_LEVEL >= 2, seeks `*lo` (or the first leaf) and appends
+  /// every member up to `*hi` (or the last) to `out`, in canonical order.
+  /// Static for the same reason as DecodeBlobSet.
+  static Status ReadIndexMembers(Pager& pager, const std::string& name,
+                                 const CatalogEntry& entry, const XSet* lo,
+                                 const XSet* hi, std::vector<Membership>* out);
+  /// Materializes an ordered-index set from the whole leaf walk
+  /// (count- and order-checked).
   static Result<XSet> MaterializeIndex(Pager& pager, const std::string& name,
                                        const CatalogEntry& entry);
   /// The whole stored value, per storage mode (Get's reader).
   static Result<XSet> ReadSet(Pager& pager, const std::string& name,
                               const CatalogEntry& entry);
-  /// OpenCursor (null bounds) and OpenElementRange: one body. Indexed sets
-  /// seek `*lo` (or the first leaf) and stream up to `*hi`; blob sets decode
-  /// once and, when bounded, filter through ElementRangeCursor.
+  /// OpenCursor (null bounds) and OpenElementRange: one body, one
+  /// ReadConsistent call. Indexed sets walk `[*lo, *hi]` into a
+  /// MemberListCursor; blob sets decode once into an XSetCursor and, when
+  /// bounded, filter through ElementRangeCursor.
   Result<std::unique_ptr<MemberCursor>> OpenMemberCursor(const std::string& name,
                                                          const XSet* lo, const XSet* hi)
       XST_EXCLUDES(mu_);

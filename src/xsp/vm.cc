@@ -31,6 +31,25 @@ struct Reg {
   uint64_t Rows() const { return interned ? set.cardinality() : buf->size(); }
 };
 
+// kLoadBinding and kLoadRange: moves an opened cursor's operand into `reg`,
+// as the interned handle when the cursor has one, else as its batches
+// concatenated in the register's buffer (batches are consecutive slices of
+// one canonical list, so concatenation needs no re-sort).
+Status LoadCursor(MemberCursor& cursor, Reg* reg) {
+  if (std::optional<XSet> whole = cursor.WholeSet()) {
+    reg->set = std::move(*whole);
+    reg->interned = true;
+    return Status::OK();
+  }
+  for (MemberSpan batch = cursor.NextBatch(); !batch.empty(); batch = cursor.NextBatch()) {
+    reg->buf->insert(reg->buf->end(), batch.begin(), batch.end());
+  }
+  reg->interned = false;
+  // A failed read also ends in an empty batch; a truncated operand must
+  // not evaluate.
+  return cursor.status();
+}
+
 void MirrorVmStats(const VmStats& stats) {
   static obs::Counter& programs =
       obs::MetricsRegistry::Global().GetCounter("xsp.vm.programs");
@@ -129,22 +148,7 @@ class VmExecutor {
           XST_TRACE_SPAN("vm.load_binding");
           XST_ASSIGN_OR_RAISE(std::unique_ptr<MemberCursor> cursor,
                               source.Open(program.names[in.a]));
-          if (std::optional<XSet> whole = cursor->WholeSet()) {
-            regs[in.dst].set = std::move(*whole);
-            regs[in.dst].interned = true;
-          } else {
-            // Batches are consecutive slices of one canonical list, so
-            // concatenation needs no re-sort.
-            std::vector<Membership>* buf = regs[in.dst].buf;
-            for (MemberSpan batch = cursor->NextBatch(); !batch.empty();
-                 batch = cursor->NextBatch()) {
-              buf->insert(buf->end(), batch.begin(), batch.end());
-            }
-            // Page-backed cursors signal failure and exhaustion identically
-            // (an empty batch); a truncated operand must not evaluate.
-            XST_RETURN_NOT_OK(cursor->status());
-            regs[in.dst].interned = false;
-          }
+          XST_RETURN_NOT_OK(LoadCursor(*cursor, &regs[in.dst]));
           break;
         }
         case OpCode::kUnion: {
@@ -227,18 +231,7 @@ class VmExecutor {
           XST_ASSIGN_OR_RAISE(
               std::unique_ptr<MemberCursor> cursor,
               source.OpenElementRange(program.names[in.a], bounds.s1, bounds.s2));
-          if (std::optional<XSet> whole = cursor->WholeSet()) {
-            regs[in.dst].set = std::move(*whole);
-            regs[in.dst].interned = true;
-          } else {
-            std::vector<Membership>* buf = regs[in.dst].buf;
-            for (MemberSpan batch = cursor->NextBatch(); !batch.empty();
-                 batch = cursor->NextBatch()) {
-              buf->insert(buf->end(), batch.begin(), batch.end());
-            }
-            XST_RETURN_NOT_OK(cursor->status());
-            regs[in.dst].interned = false;
-          }
+          XST_RETURN_NOT_OK(LoadCursor(*cursor, &regs[in.dst]));
           break;
         }
         case OpCode::kMaterialize: {

@@ -1,11 +1,12 @@
 // Concurrent readers against the sharded pager latch: a static store read
 // from many threads must serve exact values, and readers racing a writer on
 // the optimistic read path must only ever observe fully-published versions
-// (never a torn mix of two commits). A reader parked inside its optimistic
-// window must retry, then run under the store lock, exactly as often as
-// writers invalidate it. A pager miss parked after its file read while a
-// checkpoint rewrites the page must read the page again, through either
-// pager entry point. CI runs this suite under TSan with
+// (never a torn mix of two commits), a multi-leaf range cursor included
+// while the writer reshapes the leaves under it. A reader parked inside its
+// optimistic window must retry, then run under the store lock, exactly as
+// often as writers invalidate it. A pager miss parked after its file read
+// while a checkpoint rewrites the page must read the page again, through
+// either pager entry point. CI runs this suite under TSan with
 // XST_NUM_THREADS=4; gtest assertions are not thread-safe, so worker threads
 // count failures atomically and the main thread asserts at the end.
 
@@ -244,6 +245,81 @@ TEST(StoreConcurrentTest, IndexProbesMonotoneUnderRewrites) {
   writer.join();
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(StoreConcurrentTest, RangeReadsRacingMemberMutationsSeeOneCommit) {
+  TempFile tmp("range_race");
+  Result<std::unique_ptr<SetStore>> store = SetStore::Open(tmp.path());
+  ASSERT_TRUE(store.ok());
+
+  // The even integers 0..5998: 3,000 members over several leaves.
+  std::vector<Membership> evens;
+  for (int i = 0; i < 6000; i += 2) evens.push_back(Membership{XSet::Int(i), XSet::Empty()});
+  ASSERT_TRUE((*store)->PutIndexed("idx", XSet::FromMembers(std::move(evens))).ok());
+
+  // The writer inserts one odd member of [kLo, kHi] and erases it again, so
+  // every commit holds the 2,001 evens of the range and at most one odd
+  // member. An answer stitched from two commits can miss or repeat members
+  // the inserts shift between leaves, or hold two odd members.
+  constexpr int kLo = 1000;
+  constexpr int kHi = 5001;
+  constexpr int kEvensInRange = 2001;
+  constexpr int kReaders = 2;
+  constexpr int kReadsPerReader = 100;
+  std::atomic<int> failures{0};
+  std::atomic<int> commits{0};
+  std::atomic<int> readers_done{0};
+  std::thread writer([&] {
+    for (int k = 0; readers_done.load() < kReaders; ++k) {
+      // Stride through the odd members so consecutive ones land in
+      // different leaves.
+      const int slot = static_cast<int>((997LL * k) % kEvensInRange);
+      const Membership odd{XSet::Int(kLo + 1 + 2 * slot), XSet::Empty()};
+      if (!(*store)->InsertMember("idx", odd).ok() ||
+          !(*store)->EraseMember("idx", odd).ok()) {
+        failures.fetch_add(1);
+        break;
+      }
+      commits.fetch_add(2);
+    }
+  });
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      // Start once the writer is committing, so every read races it.
+      while (commits.load() == 0 && failures.load() == 0) std::this_thread::yield();
+      std::vector<Membership> got;
+      for (int r = 0; r < kReadsPerReader; ++r) {
+        Result<std::unique_ptr<MemberCursor>> cur =
+            (*store)->OpenElementRange("idx", XSet::Int(kLo), XSet::Int(kHi));
+        if (!cur.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        got.clear();
+        for (auto batch = (*cur)->NextBatch(); !batch.empty();
+             batch = (*cur)->NextBatch()) {
+          got.insert(got.end(), batch.begin(), batch.end());
+        }
+        bool ok = (*cur)->status().ok();
+        int even = 0;
+        int odd = 0;
+        for (size_t i = 0; i < got.size() && ok; ++i) {
+          const XSet& e = got[i].element;
+          ok = e.is_int() && e.int_value() >= kLo && e.int_value() <= kHi &&
+               (i == 0 || CompareMembership(got[i - 1], got[i]) < 0);
+          (e.is_int() && e.int_value() % 2 == 0 ? even : odd) += 1;
+        }
+        if (!ok || even != kEvensInRange || odd > 1) failures.fetch_add(1);
+      }
+      readers_done.fetch_add(1);
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  writer.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(commits.load(), 0);
 }
 
 // Shared by the test thread and the store's main-file ParkingFile: which

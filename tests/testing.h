@@ -6,13 +6,16 @@
 #include <array>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/common/macros.h"
 #include "src/core/parse.h"
 #include "src/core/xset.h"
 #include "src/obs/metrics.h"
 #include "src/store/pager.h"
+#include "src/store/setstore.h"
 
 namespace xst {
 namespace testing {
@@ -114,6 +117,23 @@ class PagerCounters {
 
   std::array<uint64_t, kNames.size()> base_{};
 };
+
+/// \brief Page touches (hits + misses) of one ValidateBTree of every ordered
+/// index in `store`. Scrub validates each index once more than Get does, so
+/// the difference of their touches is exactly that validation, measured
+/// without going through the read a page-count bound is checking. Bounds on
+/// index reads add it at XST_VALIDATE_LEVEL >= 2, where every read also
+/// validates the whole tree.
+inline Result<uint64_t> IndexValidationTouches(SetStore& store) {
+  PagerCounters gets;
+  for (const std::string& name : store.List()) {
+    XST_RETURN_NOT_OK(store.Get(name).status());
+  }
+  const uint64_t get_touches = gets.hits() + gets.misses();
+  PagerCounters scrub;
+  XST_RETURN_NOT_OK(store.Scrub().status());
+  return scrub.hits() + scrub.misses() - get_touches;
+}
 
 }  // namespace testing
 }  // namespace xst

@@ -622,12 +622,14 @@ TEST(WalRecoveryFuzz, ConcurrentCommitsCrash) {
 
 // --- Group commit ---
 
-// A File whose fsync takes a while: commits pile up behind the in-flight
-// flush, so the next leader batches them — without this, fast local fsyncs
-// can make batching timing-dependent.
-class SlowFlushFile : public File {
+// A File that runs `before_flush` ahead of every fsync: the group-commit
+// tests hold the flush there so that commits pile up behind it and the next
+// leader batches them — without this, fast local fsyncs can make batching
+// timing-dependent.
+class HookedFlushFile : public File {
  public:
-  explicit SlowFlushFile(std::unique_ptr<File> base) : base_(std::move(base)) {}
+  HookedFlushFile(std::unique_ptr<File> base, std::function<void()> before_flush)
+      : base_(std::move(base)), before_flush_(std::move(before_flush)) {}
   Result<uint64_t> Size() override { return base_->Size(); }
   Status ReadAt(uint64_t offset, char* dst, size_t n) override {
     return base_->ReadAt(offset, dst, n);
@@ -636,24 +638,32 @@ class SlowFlushFile : public File {
     return base_->WriteAt(offset, src, n);
   }
   Status Flush() override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    before_flush_();
     return base_->Flush();
   }
   Status Truncate(uint64_t size) override { return base_->Truncate(size); }
 
  private:
   std::unique_ptr<File> base_;
+  std::function<void()> before_flush_;
 };
 
-FileFactory SlowWalFactory() {
-  return [](const std::string& path) -> Result<std::unique_ptr<File>> {
+// Hooks the store's log (not its main file).
+FileFactory WalFlushHookFactory(std::function<void()> before_flush) {
+  return [before_flush](const std::string& path) -> Result<std::unique_ptr<File>> {
     Result<std::unique_ptr<File>> base = StdioFile::Open(path);
     if (!base.ok()) return base.status();
     if (path.find(".wal") != std::string::npos) {
-      return std::unique_ptr<File>(new SlowFlushFile(std::move(*base)));
+      return std::unique_ptr<File>(new HookedFlushFile(std::move(*base), before_flush));
     }
     return base;
   };
+}
+
+// A log whose fsync takes 2 ms.
+FileFactory SlowWalFactory() {
+  return WalFlushHookFactory(
+      [] { std::this_thread::sleep_for(std::chrono::milliseconds(2)); });
 }
 
 TEST(WalGroupCommit, ConcurrentCommittersShareFsyncs) {
@@ -664,11 +674,35 @@ TEST(WalGroupCommit, ConcurrentCommittersShareFsyncs) {
   const uint64_t batched_before = MultiCommitBatchSamples();
   std::vector<std::string> names;
   {
+    // Setting `gated` arms the gate: the next log flush parks until the log
+    // has appended `gate_records` more records, then goes ahead. The leader
+    // flushes with no lock held, so committers keep appending meanwhile,
+    // and all of them wait for the next leader's fsync. The deadline only
+    // turns a broken store into a failure instead of a hang.
+    std::atomic<SetStore*> gated{nullptr};
+    uint64_t gate_records = 0;
     SetStoreOptions options;
     options.buffer_pool_pages = 64;
-    options.file_factory = SlowWalFactory();
+    options.file_factory = WalFlushHookFactory([&gated, &gate_records] {
+      SetStore* store = gated.exchange(nullptr);
+      if (store == nullptr) return;
+      const uint64_t target = store->wal_stats().appended_lsn + gate_records;
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (store->wal_stats().appended_lsn < target &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
     auto store = SetStore::Open(path, options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
+    // Size the gate from one Put of the same shape (its page images plus
+    // its commit record), then park the committers' first flush until two
+    // more such commits have been appended behind it.
+    const uint64_t before = (*store)->wal_stats().appended_lsn;
+    ASSERT_TRUE((*store)->Put("warmup", VersionValue(0, 0)).ok());
+    gate_records = 2 * ((*store)->wal_stats().appended_lsn - before);
+    ASSERT_TRUE((*store)->Delete("warmup").ok());
+    gated.store(store->get());
     std::atomic<int> failures{0};
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -692,8 +726,9 @@ TEST(WalGroupCommit, ConcurrentCommittersShareFsyncs) {
       }
     }
   }
-  // With a 2ms fsync and 8 committers, at least one flush must have covered
-  // several commits — the histogram is the proof batching happened.
+  // With the first flush parked behind two more commits, at least one flush
+  // must have covered several commits — the histogram is the proof
+  // batching happened.
   EXPECT_GT(MultiCommitBatchSamples(), batched_before)
       << "no fsync ever batched >= 2 commits";
   // Every acknowledged commit survives the reopen.

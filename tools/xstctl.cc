@@ -62,11 +62,12 @@ int Fail(const Status& st) {
 }
 
 // Script-local bindings first, then the store: a bind statement shadows a
-// stored set of the same name for the rest of the script.
+// stored set of the same name for the rest of the script. A range over a
+// stored name goes to the store, which seeks an indexed set's lower edge.
 class ChainedCursorSource final : public CursorSource {
  public:
   ChainedCursorSource(const xsp::Bindings& bindings, SetStore& store)
-      : map_(bindings), store_(store) {}
+      : bindings_(bindings), map_(bindings), store_(store) {}
 
   Result<std::unique_ptr<MemberCursor>> Open(const std::string& name) const override {
     Result<std::unique_ptr<MemberCursor>> local = map_.Open(name);
@@ -74,7 +75,14 @@ class ChainedCursorSource final : public CursorSource {
     return store_.Open(name);
   }
 
+  Result<std::unique_ptr<MemberCursor>> OpenElementRange(
+      const std::string& name, const XSet& lo, const XSet& hi) const override {
+    if (bindings_.count(name) != 0) return CursorSource::OpenElementRange(name, lo, hi);
+    return store_.OpenElementRange(name, lo, hi);
+  }
+
  private:
+  const xsp::Bindings& bindings_;
   MapCursorSource map_;
   StoreCursorSource store_;
 };
