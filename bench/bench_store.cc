@@ -11,6 +11,7 @@
 #include "src/store/codec.h"
 #include "src/store/pager.h"
 #include "src/store/setstore.h"
+#include "tests/testing.h"
 
 namespace xst {
 namespace {
@@ -107,18 +108,24 @@ void BM_PagerPinnedFetch(benchmark::State& state) {
   // (LRU splice + pin/unpin bookkeeping) that every blob read pays per page.
   std::string path = BenchPath("pinned_fetch");
   std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
   obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter(internal::kPagerHitsCounter);
   const uint64_t hits_before = hits.value();
-  auto pager_or = Pager::Open(path, 64);
-  if (!pager_or.ok()) {
-    state.SkipWithError("open failed");
+  Result<testing::LoggedPager> logged = testing::OpenLoggedPager(path, 64);
+  if (!logged.ok()) {
+    state.SkipWithError(logged.status().ToString().c_str());
     return;
   }
-  Pager& pager = **pager_or;
+  Pager& pager = *logged->pager;
   const uint32_t pages = 32;  // all resident: pure hit traffic
   for (uint32_t i = 0; i < pages; ++i) {
     Result<PageRef> page = pager.AllocatePage();
-    if (!page.ok() || !(*page)->AddRecord("x").ok()) {
+    if (!page.ok()) {
+      state.SkipWithError(page.status().ToString().c_str());
+      return;
+    }
+    PageWriteGuard guard(*page);
+    if (!guard->AddRecord("x").ok()) {
       state.SkipWithError("setup failed");
       return;
     }
@@ -136,6 +143,7 @@ void BM_PagerPinnedFetch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.counters["hits"] = static_cast<double>(hits.value() - hits_before);
   std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 }
 BENCHMARK(BM_PagerPinnedFetch);
 

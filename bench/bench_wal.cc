@@ -1,13 +1,12 @@
-// BEN-WAL: durability costs — commit latency/throughput under group commit
-// vs serialized fsyncs at 1/4/16 committer threads, and recovery replay
-// time as a function of log length.
+// BEN-WAL: durability costs — group-commit latency/throughput at 1/4/16
+// committer threads, and recovery replay time as a function of log length.
 //
 // StdioFile::Flush is an fflush (page-cache write), so on a local tmpfs the
-// fsync itself is nearly free and group commit's batching win would be
-// invisible. The commit benchmarks therefore interpose a log-file wrapper
+// fsync itself is nearly free and group commit's batching would be
+// invisible. The commit benchmark therefore interposes a log-file wrapper
 // whose Flush sleeps a fixed device latency (50us, a fast NVMe fsync):
-// serialized commits pay it once per commit, group commit amortizes it
-// across every committer in the batch — the gap IS the feature.
+// group commit amortizes it across every committer in the batch, so
+// throughput grows with the committer count.
 
 #include <benchmark/benchmark.h>
 
@@ -71,14 +70,13 @@ FileFactory SlowSyncWalFactory() {
 // setup and teardown (google-benchmark barriers the loop entry).
 std::unique_ptr<SetStore> g_store;
 
-void CommitBench(benchmark::State& state, bool group_commit) {
-  const std::string path = BenchPath(group_commit ? "group" : "serial");
+void BM_WalCommitGroup(benchmark::State& state) {
+  const std::string path = BenchPath("group");
   if (state.thread_index() == 0) {
     RemoveStoreFiles(path);
     SetStoreOptions options;
     options.buffer_pool_pages = 256;
     options.file_factory = SlowSyncWalFactory();
-    options.wal_group_commit = group_commit;
     options.wal_checkpoint_bytes = 64ull << 20;  // stay out of checkpoints
     auto store = SetStore::Open(path, options);
     if (!store.ok()) {
@@ -105,16 +103,7 @@ void CommitBench(benchmark::State& state, bool group_commit) {
   }
 }
 
-void BM_WalCommitGroup(benchmark::State& state) { CommitBench(state, true); }
 BENCHMARK(BM_WalCommitGroup)
-    ->Threads(1)
-    ->Threads(4)
-    ->Threads(16)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_WalCommitSerial(benchmark::State& state) { CommitBench(state, false); }
-BENCHMARK(BM_WalCommitSerial)
     ->Threads(1)
     ->Threads(4)
     ->Threads(16)

@@ -192,7 +192,7 @@ Status WriteNode(Pager& pager, uint32_t page_id, const Node& node) {
   // Content mutation happens under the frame's shard latch so a concurrent
   // optimistic reader copies either the whole old page or the whole new one
   // (its epoch validation then rejects the new one); the guard marks the
-  // frame dirty on scope exit.
+  // frame unlogged on scope exit.
   PageWriteGuard guard(page);
   return FillPage(&*guard, node);
 }

@@ -117,8 +117,6 @@ void PageRef::Reset() {
   frame_ = nullptr;
 }
 
-void PageRef::MarkDirty() { pager_->MarkFrameDirty(frame_); }
-
 void Pager::Unpin(internal::PageFrame* frame) {
   // Latch-free release: the evictor reads pins under the shard latch, and
   // its acquisition of the latch orders after this release RMW; we never
@@ -128,31 +126,17 @@ void Pager::Unpin(internal::PageFrame* frame) {
   if (before == 1) pinned_frames_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void Pager::MarkFrameDirty(internal::PageFrame* frame) {
-  internal::PagerShard& shard = ShardFor(frame->page_id);
-  internal::ShardLatchLock latch(&shard);
-  frame->dirty = true;
-  frame->logged = false;
-}
-
 PageWriteGuard::PageWriteGuard(PageRef& ref)
     : frame_(ref.frame_), latch_(&ref.pager_->ShardFor(ref.frame_->page_id)) {}
 
 PageWriteGuard::~PageWriteGuard() {
-  // The write window closes dirty: content changed, so any previously
+  // The write window closes unlogged: content changed, so any previously
   // logged image no longer matches and must not satisfy a commit drain.
-  // latch_ unlocks after this body, so the flags flip under it.
-  frame_->dirty = true;
-  frame_->logged = false;
+  // latch_ unlocks after this body, so the flag flips under it.
+  frame_->unlogged = true;
 }
 
-Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path, size_t capacity) {
-  Result<std::unique_ptr<File>> file = StdioFile::Open(path);
-  if (!file.ok()) return file.status();
-  return Open(std::move(*file), capacity, path);
-}
-
-Result<std::unique_ptr<Pager>> Pager::Open(std::unique_ptr<File> file,
+Result<std::unique_ptr<Pager>> Pager::Open(std::unique_ptr<File> file, Wal& wal,
                                            size_t capacity, const std::string& name) {
   if (capacity == 0) return Status::Invalid("buffer pool capacity must be >= 1");
   Result<uint64_t> size = file->Size();
@@ -161,15 +145,19 @@ Result<std::unique_ptr<Pager>> Pager::Open(std::unique_ptr<File> file,
     return Status::Corruption(name + ": file size " + std::to_string(*size) +
                               " is not a whole number of pages");
   }
-  return std::unique_ptr<Pager>(new Pager(std::move(file), name, capacity,
-                                          static_cast<uint32_t>(*size / kPageSize)));
+  // The log may hold committed images for pages past the main file's end
+  // (allocated since the last checkpoint); they are real logical pages.
+  const uint32_t page_count =
+      std::max(static_cast<uint32_t>(*size / kPageSize), wal.PageCountLowerBound());
+  return std::unique_ptr<Pager>(new Pager(std::move(file), wal, name, capacity, page_count));
 }
 
-Pager::Pager(std::unique_ptr<File> file, std::string name, size_t capacity,
+Pager::Pager(std::unique_ptr<File> file, Wal& wal, std::string name, size_t capacity,
              uint32_t page_count)
     : file_(std::move(file)),
       name_(std::move(name)),
       capacity_per_shard_(capacity / ShardsFor(capacity)),
+      wal_(wal),
       page_count_(page_count) {
   const size_t shards = ShardsFor(capacity);
   shards_.reserve(shards);
@@ -181,25 +169,9 @@ Pager::Pager(std::unique_ptr<File> file, std::string name, size_t capacity,
 
 Pager::~Pager() {
   // Pin discipline: every PageRef must be released before its pager dies —
-  // a surviving handle would point into a freed frame.
+  // a surviving handle would point into a freed frame. Nothing is written
+  // here: the log holds every committed page, and the store checkpoints.
   XST_CHECK(pinned_frames() == 0);
-  // WAL mode: writing appended-but-unsynced frames to the main file here
-  // would let data overtake the log; the store checkpoints explicitly.
-  if (wal_ != nullptr) return;
-  // Deliberate drop: a destructor has no error channel. Callers that care
-  // about durability must Flush() explicitly and check the Status first.
-  (void)Flush();
-}
-
-void Pager::AttachWal(Wal* wal) {
-  // Runs during store open, before any concurrent access to this pager.
-  wal_ = wal;
-  // The log may hold committed images for pages past the main file's end
-  // (allocated since the last checkpoint); they are real logical pages.
-  uint32_t bound = wal->PageCountLowerBound();
-  if (bound > page_count_.load(std::memory_order_relaxed)) {
-    page_count_.store(bound, std::memory_order_release);
-  }
 }
 
 Result<PageRef> Pager::AllocatePage() {
@@ -213,7 +185,7 @@ Result<PageRef> Pager::AllocatePage() {
   if (!st.ok()) return st;
   internal::PageFrame& frame = shard.lru.emplace_front();
   frame.page_id = id;
-  frame.dirty = true;
+  frame.unlogged = true;
   shard.frames[id] = shard.lru.begin();
   page_count_.store(id + 1, std::memory_order_release);
   AllocationsCounter().Increment();
@@ -257,14 +229,14 @@ Status Pager::Load(uint32_t page_id, Page* snapshot, const Use& use) {
         counted_miss = true;
         MissesCounter().Increment();
       }
-      const bool logged = wal_ != nullptr && wal_->LookupPage(page_id, &bytes);
+      const bool logged = wal_.LookupPage(page_id, &bytes);
       if (logged) {
         // The log wins over the file, including an image a concurrent
         // eviction spilled after our file read.
         decoded = Page::FromBytes(bytes, page_id);
       } else if (decoded && file_write_ticks_.load() != ticks_before) {
-        // A file write (a checkpoint, or a legacy write-back) completed
-        // during our unlatched read, so our bytes may be stale: read again.
+        // A checkpoint write completed during our unlatched read, so our
+        // bytes may be stale: read again.
         // The newest version is now cached, logged, or durably in the file.
         decoded.reset();
       }
@@ -320,22 +292,6 @@ Status Pager::ReadPageSnapshot(uint32_t page_id, Page* out) {
   return Load(page_id, out, [&](const internal::PageFrame& frame) { *out = frame.page; });
 }
 
-Status Pager::WriteBack(internal::PagerShard& shard, internal::PageFrame& frame) {
-  (void)shard;  // held capability; frame belongs to it
-  XST_TRACE_SPAN("io.page_write");
-  std::string bytes = frame.page.ToBytes(frame.page_id);
-  // Legacy no-WAL eviction path: dirty frames exist only when the store runs
-  // without a log, and that mode is single-threaded by contract, so the I/O
-  // under the shard latch cannot stall concurrent readers.
-  Status st = file_->WriteAt(  // xst-lint: allow(blocking-under-latch)
-      static_cast<uint64_t>(frame.page_id) * kPageSize, bytes.data(),
-      kPageSize);
-  if (!st.ok()) return st.WithContext("page " + std::to_string(frame.page_id));
-  file_write_ticks_.fetch_add(1);
-  WritebacksCounter().Increment();
-  return Status::OK();
-}
-
 Status Pager::EvictIfFullLocked(internal::PagerShard& shard) {
   while (shard.lru.size() >= capacity_per_shard_) {
     // Least-recently-used unpinned frame; pinned frames are untouchable.
@@ -354,22 +310,14 @@ Status Pager::EvictIfFullLocked(internal::PagerShard& shard) {
           name_ + ": all " + std::to_string(capacity_per_shard_) +
           " buffer-pool frames are pinned; release a PageRef or grow the pool");
     }
-    if (victim->dirty) {
-      if (wal_ != nullptr) {
-        // Spill to the log, never to the main file. A dirty-and-logged
-        // frame's image is already in the log's table; just drop it.
-        // LogPageImage only records into the in-memory image table (no
-        // I/O), so it is legal under the latch (Wal::mu_ ranks above it).
-        if (!victim->logged) {
-          Status st = wal_->LogPageImage(victim->page_id,
-                                         victim->page.ToBytes(victim->page_id));
-          if (!st.ok()) return st;
-          victim->logged = true;
-        }
-      } else {
-        Status st = WriteBack(shard, *victim);
-        if (!st.ok()) return st;
-      }
+    if (victim->unlogged) {
+      // Spill to the log, never to the main file; any other frame's content
+      // is already in the log or the file, so it is just dropped.
+      // LogPageImage only records into the in-memory image table (no I/O),
+      // so it is legal under the latch (Wal::mu_ ranks above it).
+      Status st =
+          wal_.LogPageImage(victim->page_id, victim->page.ToBytes(victim->page_id));
+      if (!st.ok()) return st;
     }
     shard.frames.erase(victim->page_id);
     shard.lru.erase(victim);
@@ -378,40 +326,21 @@ Status Pager::EvictIfFullLocked(internal::PagerShard& shard) {
   return Status::OK();
 }
 
-Status Pager::Flush() {
-  // In WAL mode the only legal main-file writer is ApplyCheckpointImage.
-  XST_DCHECK(wal_ == nullptr);
-  XST_TRACE_SPAN("io.flush");
-  for (auto& shard : shards_) {
-    internal::ShardLatchLock latch(shard.get());
-    for (internal::PageFrame& frame : shard->lru) {
-      if (!frame.dirty) continue;
-      Status st = WriteBack(*shard, frame);
-      if (!st.ok()) return st;
-      frame.dirty = false;
-    }
-  }
-  return file_->Flush();
-}
-
 Status Pager::DrainUnloggedToWal() {
-  XST_DCHECK(wal_ != nullptr);
   for (auto& shard : shards_) {
     internal::ShardLatchLock latch(shard.get());
     for (internal::PageFrame& frame : shard->lru) {
-      if (!frame.dirty || frame.logged) continue;
+      if (!frame.unlogged) continue;
       // Buffer-only append (see EvictIfFullLocked) — legal under the latch.
-      Status st =
-          wal_->LogPageImage(frame.page_id, frame.page.ToBytes(frame.page_id));
+      Status st = wal_.LogPageImage(frame.page_id, frame.page.ToBytes(frame.page_id));
       if (!st.ok()) return st.WithContext("page " + std::to_string(frame.page_id));
-      frame.logged = true;
+      frame.unlogged = false;
     }
   }
   return Status::OK();
 }
 
 Status Pager::ApplyCheckpointImage(uint32_t page_id, const std::string& bytes) {
-  XST_DCHECK(wal_ != nullptr);
   XST_DCHECK(bytes.size() == kPageSize);
   // The file write runs with no latch held (the checkpointer holds only
   // SetStore::mu_, rank 10 — below the latch floor, so blocking here is
@@ -419,6 +348,8 @@ Status Pager::ApplyCheckpointImage(uint32_t page_id, const std::string& bytes) {
   // increment happens after the write completes and before the WAL's image
   // table is reset, so a reader that missed both the pool and the log either
   // reads the new file content or sees the tick change and refuses to cache.
+  // A resident frame needs no update: checkpoints run with no transaction
+  // open, so every frame already matches its logged image.
   {
     XST_TRACE_SPAN("io.page_write");
     Status st = file_->WriteAt(static_cast<uint64_t>(page_id) * kPageSize,
@@ -427,15 +358,6 @@ Status Pager::ApplyCheckpointImage(uint32_t page_id, const std::string& bytes) {
   }
   file_write_ticks_.fetch_add(1);
   WritebacksCounter().Increment();
-  internal::PagerShard& shard = ShardFor(page_id);
-  internal::ShardLatchLock latch(&shard);
-  auto it = shard.frames.find(page_id);
-  if (it != shard.frames.end()) {
-    // The resident frame holds the same committed content the image came
-    // from (checkpoints run with no transaction open), so it is clean now.
-    it->second->dirty = false;
-    it->second->logged = false;
-  }
   return Status::OK();
 }
 
@@ -448,7 +370,7 @@ Result<PageSpan> WritePageSpan(Pager& pager, std::string_view bytes) {
   span.byte_length = bytes.size();
   size_t offset = 0;
   do {
-    // AllocatePage returns the frame pinned and already dirty; the pin drops
+    // AllocatePage returns the frame pinned and already unlogged; the pin drops
     // at the end of each iteration, so even a capacity-1 pool makes progress.
     XST_ASSIGN_OR_RAISE(PageRef page, pager.AllocatePage());
     if (span.pages++ == 0) span.first_page = page.id();

@@ -1,14 +1,14 @@
 // Pager: a file of pages behind a latch-sharded LRU buffer pool with pin
-// discipline.
+// discipline, written only through the write-ahead log.
 //
 // The 1977 paper's backend context (block devices, scarce memory) is
-// simulated with a page file plus a bounded write-back cache. The pager
-// counts hits, misses, evictions, write-backs and allocations in the
-// process-wide metrics registry (the only source of those statistics), so
-// the benchmarks can report locality behavior. It validates checksums on
-// every fill — a torn or tampered page surfaces as Corruption, never as
-// silent bad data. The checksum is seeded with the page id, so a
-// misdirected write (right bytes, wrong offset) is also Corruption.
+// simulated with a page file plus a bounded cache. The pager counts hits,
+// misses, evictions, write-backs and allocations in the process-wide metrics
+// registry (the only source of those statistics), so the benchmarks can
+// report locality behavior. It validates checksums on every fill — a torn or
+// tampered page surfaces as Corruption, never as silent bad data. The
+// checksum is seeded with the page id, so a misdirected write (right bytes,
+// wrong offset) is also Corruption.
 //
 // Access is exclusively through PageRef, an RAII pin handle: a pinned frame
 // is never evicted, so the reference stays valid for the handle's entire
@@ -16,17 +16,18 @@
 // use-after-evict (holding a raw Page* across a pager call that recycled
 // the frame) is unrepresentable in this API. When every frame is pinned and
 // a fetch needs a new one, the pager returns ResourceExhausted instead of
-// invalidating anything.
+// invalidating anything. A PageRef reads; PageWriteGuard is the one way to
+// write a page.
 //
 // I/O goes through the File seam (file.h); tests interpose FaultFile to
 // prove every read/write/flush failure surfaces as a Status.
 //
-// With a Wal attached (AttachWal; see wal.h and DESIGN.md §14) the pager
-// NEVER writes the main file on its own: evicting a dirty frame spills its
-// image into the log instead of the file, fetches read through the log's
-// image table before touching the file, and the main file is written only
-// by ApplyCheckpointImage — the no-steal ordering that keeps uncommitted
-// (and committed-but-unsynced) pages from ever overtaking the log.
+// The log is the pager's only writer (see wal.h and DESIGN.md §14): a page
+// that changed since the log last captured it spills its image into the log
+// when evicted, fetches read through the log's image table before touching
+// the file, and the main file is written only by ApplyCheckpointImage — the
+// no-steal ordering that keeps uncommitted (and committed-but-unsynced)
+// pages from ever overtaking the log.
 //
 // Thread safety (DESIGN.md §15): the frame table is split into latch
 // shards keyed by page id, each holding its own LRU list and map behind a
@@ -36,21 +37,21 @@
 // are atomic so a reader-triggered eviction scan can race the writer's
 // pins. The latch protocol:
 //   * A shard latch is held only for map/LRU surgery and in-pool byte
-//     copies — never across main-file I/O on the load path.
+//     copies — never across main-file I/O.
 //   * FetchPage and ReadPageSnapshot share one load protocol (Load): a
 //     latched probe of the pool and the log's image table; on a miss, an
 //     unlatched main-file read and decode; then a re-latched re-check that
 //     prefers a frame or log image that raced in, and reads again if a
-//     file write (file_write_ticks_) completed meanwhile. Under the latch a
-//     fetch pins the frame and a snapshot copies it. A snapshot keeps two
-//     exemptions: a log image stays uncached, and with every frame of the
-//     shard pinned it keeps its copy instead of failing.
+//     checkpoint write (file_write_ticks_) completed meanwhile. Under the
+//     latch a fetch pins the frame and a snapshot copies it. A snapshot
+//     keeps two exemptions: a log image stays uncached, and with every
+//     frame of the shard pinned it keeps its copy instead of failing.
 //   * Shard latches never nest with each other; a WAL spill under a latch
 //     takes Wal::mu_, which ranks above the latch floor (rank order
 //     SetStore::mu_ < shard latch < Wal::mu_; locksmith-checked).
-//   * Frame content and the dirty/logged flags are read and written only
-//     under the owning shard's latch (a per-instance capability Clang's
-//     TSA cannot name; the locksmith rules and TSan cover it).
+//   * Frame content and the unlogged flag are read and written only under
+//     the owning shard's latch (a per-instance capability Clang's TSA
+//     cannot name; the locksmith rules and TSan cover it).
 // The shard count follows the pool size: a power of two, at most 16, with
 // at least 4 frames per shard. Pools under 8 frames keep one shard —
 // exactly the coarse pager, whose LRU order and eviction counts the
@@ -103,18 +104,17 @@ inline constexpr const char* kPagerLatchContentionCounter =
 /// pins==0 load under the latch is ordered after the releasing decrement,
 /// and PageRef::Reset never touches the frame after that decrement, so a
 /// frame freed by the evictor is never revisited by the releasing thread.
-/// `page`, `dirty` and `logged` are guarded by the owning shard's latch (a
+/// `page` and `unlogged` are guarded by the owning shard's latch (a
 /// per-instance capability TSA cannot express; see the file comment).
 struct PageFrame {
   Page page;
   uint32_t page_id = kInvalidPageId;
   std::atomic<uint32_t> pins{0};
-  bool dirty = false;
-  // WAL mode: the current dirty content has been captured as a log record.
-  // Content mutation clears it, so "dirty && !logged" is exactly the set of
-  // frames DrainUnloggedToWal must capture before a commit record seals the
-  // txn.
-  bool logged = false;
+  // The content changed since the log last captured it: eviction must spill
+  // the image, and DrainUnloggedToWal must log it before a commit record
+  // seals the transaction. A frame loaded from the log or the file starts
+  // clean.
+  bool unlogged = false;
 };
 
 /// \brief One latch shard: a slice of the frame table keyed by page id.
@@ -159,11 +159,12 @@ class Pager;
 /// releasing (destruction, move-assignment, Reset) unpins it. Move-only.
 /// A PageRef must not outlive its Pager (checked at pager teardown).
 ///
-/// A pin keeps the frame resident but does NOT license content access under
-/// concurrency: mutate through PageWriteGuard (which latches the frame's
-/// shard) and read shared pages through Pager::ReadPageSnapshot. Direct
-/// `ref->` access remains correct wherever the caller is the only thread
-/// touching the pager (tests, tools, the store's bootstrap).
+/// A PageRef reads: `ref->` is const, so a write that bypassed the log
+/// cannot compile. Mutate through PageWriteGuard (which latches the frame's
+/// shard and marks the frame unlogged), and read shared pages through
+/// Pager::ReadPageSnapshot. Direct `ref->` reads remain correct wherever
+/// the caller is the only thread touching the pager (tests, tools, the
+/// store's bootstrap).
 ///
 /// [[nodiscard]]: a discarded PageRef unpins immediately, so the page the
 /// caller thought it pinned is evictable right away — exactly the
@@ -180,17 +181,11 @@ class [[nodiscard]] PageRef {
   /// \brief True iff the handle pins a frame.
   explicit operator bool() const { return frame_ != nullptr; }
 
-  Page* operator->() const { return &frame_->page; }
-  Page& operator*() const { return frame_->page; }
+  const Page* operator->() const { return &frame_->page; }
+  const Page& operator*() const { return frame_->page; }
 
   /// \brief The pinned page's id.
   uint32_t id() const { return frame_->page_id; }
-
-  /// \brief Marks the pinned page dirty so eviction/flush persists it (any
-  /// previously logged image is stale for the new content). Latches the
-  /// frame's shard for the flag flip; content written beforehand must itself
-  /// have been written under a PageWriteGuard when readers may be live.
-  void MarkDirty();
 
   /// \brief Unpins early (the handle becomes empty).
   void Reset();
@@ -206,9 +201,9 @@ class [[nodiscard]] PageRef {
 
 /// \brief RAII content-write window on a pinned frame: latches the frame's
 /// shard on construction, exposes the page for mutation, and on destruction
-/// marks the frame dirty (logged image invalidated) before unlatching. The
-/// only legal way to mutate page content while concurrent readers may be
-/// streaming snapshots (DESIGN.md §15).
+/// marks the frame unlogged before unlatching. The one way to write a page:
+/// it keeps concurrent snapshot readers from seeing half-written content
+/// (DESIGN.md §15), and the unlogged mark routes the new content to the log.
 ///
 /// Which shard is latched depends on the pinned page id — a per-instance
 /// capability Clang's TSA cannot name, so the guard is opted out of the
@@ -232,22 +227,19 @@ class [[nodiscard]] PageWriteGuard {
 
 class Pager {
  public:
-  /// \brief Opens (creating if needed) a page file through StdioFile.
-  /// `capacity` is the buffer-pool size in pages (≥ 1); it also sets the
-  /// latch-shard count (see the file comment).
-  static Result<std::unique_ptr<Pager>> Open(const std::string& path,
-                                             size_t capacity = 64);
-
-  /// \brief Opens over a caller-supplied File (fault injection, alternate
-  /// backends). `name` labels error messages.
-  static Result<std::unique_ptr<Pager>> Open(std::unique_ptr<File> file,
+  /// \brief Opens a pager over `file` whose only writer is `wal`, which
+  /// must outlive it. `capacity` is the buffer-pool size in pages (≥ 1); it
+  /// also sets the latch-shard count (see the file comment). `name` labels
+  /// error messages. The page count covers pages that exist only as log
+  /// images (the main file lags the log until the next checkpoint).
+  static Result<std::unique_ptr<Pager>> Open(std::unique_ptr<File> file, Wal& wal,
                                              size_t capacity, const std::string& name);
 
   ~Pager();
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;
 
-  /// \brief Appends a fresh empty page and returns it pinned and dirty.
+  /// \brief Appends a fresh empty page and returns it pinned and unlogged.
   /// ResourceExhausted if every frame in the page's shard is pinned.
   Result<PageRef> AllocatePage();
 
@@ -263,25 +255,13 @@ class Pager {
   /// SetStore readers (DESIGN.md §15).
   Status ReadPageSnapshot(uint32_t page_id, Page* out);
 
-  /// \brief Writes back every dirty page and flushes the file. Unreachable
-  /// in WAL mode (durability is the log's job; see AttachWal).
-  Status Flush();
-
-  /// \brief Puts the pager in WAL mode: dirty evictions spill to the log,
-  /// fetches read through the log's image table, teardown skips its flush,
-  /// and the logical page count covers pages that exist only as log images
-  /// (the main file lags the log until the next checkpoint). The Wal must
-  /// outlive the pager.
-  void AttachWal(Wal* wal);
-
-  /// \brief Logs every dirty-and-unlogged frame's image (the pages the
-  /// current transaction mutated that pool pressure has not already
-  /// spilled). Called immediately before the commit record is appended.
+  /// \brief Logs every unlogged frame's image (the pages the current
+  /// transaction mutated that pool pressure has not already spilled).
+  /// Called immediately before the commit record is appended.
   Status DrainUnloggedToWal();
 
   /// \brief Checkpoint writer: puts `bytes` (a full page image) at the
-  /// page's offset in the main file and marks a matching resident frame
-  /// clean. The only main-file write path in WAL mode.
+  /// page's offset in the main file. The only main-file write path.
   Status ApplyCheckpointImage(uint32_t page_id, const std::string& bytes);
 
   /// \brief Fsyncs the main file (checkpoint's final barrier).
@@ -300,7 +280,7 @@ class Pager {
   friend class PageRef;
   friend class PageWriteGuard;
 
-  Pager(std::unique_ptr<File> file, std::string name, size_t capacity,
+  Pager(std::unique_ptr<File> file, Wal& wal, std::string name, size_t capacity,
         uint32_t page_count);
 
   internal::PagerShard& ShardFor(uint32_t page_id) const {
@@ -313,21 +293,16 @@ class Pager {
   /// frame of the shard is pinned.
   template <typename Use>
   Status Load(uint32_t page_id, Page* snapshot, const Use& use);
-  /// Legacy-mode (no WAL) dirty-page write-back to the main file.
-  Status WriteBack(internal::PagerShard& shard, internal::PageFrame& frame)
-      XST_REQUIRES(shard.latch);
   Status EvictIfFullLocked(internal::PagerShard& shard) XST_REQUIRES(shard.latch);
   void Unpin(internal::PageFrame* frame);
-  void MarkFrameDirty(internal::PageFrame* frame);
 
   std::unique_ptr<File> file_;  // internally synchronized (StdioFile::mu_)
   const std::string name_;
   const size_t capacity_per_shard_;
-  Wal* wal_ = nullptr;  // unowned; null = legacy direct-write mode; set once
-                        // before concurrency starts (AttachWal in Open)
+  Wal& wal_;  // unowned; outlives the pager
   std::atomic<uint32_t> page_count_;
   std::atomic<size_t> pinned_frames_{0};
-  // Counts every main-file write (checkpoint images, legacy write-backs).
+  // Counts every main-file write (checkpoint images).
   // A load miss records it before reading the file unlatched and uses its
   // bytes only if it is unchanged at re-latch — otherwise a checkpoint may
   // have made the file newer than what was read (see Load).

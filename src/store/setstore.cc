@@ -75,7 +75,7 @@ Result<std::unique_ptr<Pager>> SetStore::OpenPager(const std::string& path) cons
   Result<std::unique_ptr<File>> file =
       options_.file_factory ? options_.file_factory(path) : StdioFile::Open(path);
   if (!file.ok()) return file.status();
-  return Pager::Open(std::move(*file), options_.buffer_pool_pages, path);
+  return Pager::Open(std::move(*file), *wal_, options_.buffer_pool_pages, path);
 }
 
 Result<SetStore::ReadView> SetStore::CaptureView(const std::string& name) const {
@@ -83,8 +83,10 @@ Result<SetStore::ReadView> SetStore::CaptureView(const std::string& name) const 
   XST_RETURN_NOT_OK(CheckOpen());
   ReadView view;
   view.pager = pager_;
+  view.entry = catalog_.Get(name);
   view.epoch = mutation_epoch_;
-  XST_ASSIGN_OR_RAISE(view.entry, catalog_.Get(name));
+  view.commit_lsn = commit_lsn_;
+  view.rollbacks = rollbacks_.load();
   return view;
 }
 
@@ -97,19 +99,30 @@ bool SetStore::ValidateView(const ReadView& view) const {
 template <typename ReadFn>
 std::invoke_result_t<const ReadFn&, Pager&, const CatalogEntry&>
 SetStore::ReadConsistent(const std::string& name, const ReadFn& read) {
+  using ReadResult = std::invoke_result_t<const ReadFn&, Pager&, const CatalogEntry&>;
   // Optimistic attempts: stream pages with no store lock held, and return a
-  // result (or error) only if nothing invalidated the view meanwhile — an
-  // error under an invalidated view may be an artifact of racing a writer.
+  // result (or error, NotFound included) only if nothing invalidated the
+  // view meanwhile — an error under an invalidated view may be an artifact
+  // of racing a writer — and only once the view's last commit is durable.
+  // That wait runs after validation and outside mu_; it is free when the
+  // commit already is durable. A failed wait, or a rollback since capture
+  // (which may hand the commit's LSN to a later commit), counts as an
+  // invalidated view.
   for (int attempt = 0; attempt < 3; ++attempt) {
     XST_ASSIGN_OR_RAISE(ReadView view, CaptureView(name));
-    auto result = read(*view.pager, view.entry);
-    if (ValidateView(view)) return result;
+    ReadResult result =
+        view.entry.ok() ? read(*view.pager, *view.entry) : ReadResult(view.entry.status());
+    if (ValidateView(view) && wal_->WaitDurable(view.commit_lsn).ok() &&
+        rollbacks_.load() == view.rollbacks) {
+      return result;
+    }
     ReadRetriesCounter().Increment();
   }
-  // Writers kept winning: the same read under mu_ guarantees progress.
+  // Writers (or a failing log) kept winning: the same read under mu_, after
+  // the locked durability step, guarantees progress.
   ReadFallbacksCounter().Increment();
   MutexLock lock(&mu_);
-  XST_RETURN_NOT_OK(CheckOpen());
+  XST_RETURN_NOT_OK(ReadDurableLocked());
   XST_ASSIGN_OR_RAISE(CatalogEntry entry, catalog_.Get(name));
   return read(*pager_, entry);
 }
@@ -140,7 +153,6 @@ Result<std::unique_ptr<SetStore>> SetStore::Open(const std::string& path,
     // still demand the capability — and a one-time uncontended lock is free.
     MutexLock lock(&store->mu_);
     XST_ASSIGN_OR_RAISE(store->pager_, store->OpenPager(path));
-    store->pager_->AttachWal(store->wal_.get());
     if (store->pager_->page_count() == 0) {
       // Fresh store: the superblock + empty catalog are themselves the
       // store's first WAL transaction.
@@ -230,7 +242,7 @@ Status SetStore::StageCatalog(const Catalog& staged) {
   std::string superblock_record = EncodeXSetToString(with_span);
 
   XST_ASSIGN_OR_RAISE(PageRef superblock, pager_->FetchPage(0));
-  PageWriteGuard guard(superblock);  // marks dirty on scope exit
+  PageWriteGuard guard(superblock);  // marks unlogged on scope exit
   *guard = Page();  // reset: the superblock holds exactly one record
   Result<uint32_t> slot = guard->AddRecord(superblock_record);
   if (!slot.ok()) return slot.status();
@@ -288,7 +300,6 @@ Status SetStore::ReopenPagerLocked() {
   Result<std::unique_ptr<Pager>> pager = OpenPager(path_);
   if (!pager.ok()) return pager.status();  // pager_ stays null: store closed
   pager_ = std::move(*pager);
-  pager_->AttachWal(wal_.get());
   Status st = LoadCatalog();
   if (!st.ok()) {
     // Never serve the old catalog against state we could not load from —
@@ -313,12 +324,23 @@ Status SetStore::FailTxnLocked(Status cause) {
 }
 
 Status SetStore::RecoverDurableLocked() {
+  rollbacks_.fetch_add(1);  // before the log can reuse a discarded LSN
   Status st = wal_->RecoverResidentFromDisk();
   if (!st.ok()) {
     pager_.reset();  // resident state is unknowable; close the store
     return st;
   }
+  commit_lsn_ = 0;  // only durable commits remain resident
   return ReopenPagerLocked();
+}
+
+Status SetStore::ReadDurableLocked() {
+  XST_RETURN_NOT_OK(CheckOpen());
+  // No transaction is open under mu_, so this flushes what is appended up
+  // to the last commit record — never an aborted transaction's spilled
+  // images past it. Idempotent with a failed committer's own rollback.
+  if (wal_->WaitDurable(commit_lsn_).ok()) return Status::OK();
+  return RecoverDurableLocked();
 }
 
 Result<uint64_t> SetStore::CommitLocked(Catalog staged) {
@@ -329,42 +351,28 @@ Result<uint64_t> SetStore::CommitLocked(Catalog staged) {
   Result<uint64_t> lsn = wal_->AppendCommit();
   if (!lsn.ok()) return FailTxnLocked(lsn.status());
   catalog_ = std::move(staged);
-  if (!options_.wal_group_commit) {
-    // Serialized durability: fsync before releasing the store lock — the
-    // baseline bench_wal compares group commit against.
-    Status durable = wal_->WaitDurable(*lsn);
-    if (!durable.ok()) {
-      Status recovered = RecoverDurableLocked();
-      if (!recovered.ok()) {
-        return recovered.WithContext("recover after failed commit");
-      }
-      return durable;
-    }
-  }
+  commit_lsn_ = *lsn;
   return lsn;
 }
 
 Status SetStore::FinishCommit(const Result<uint64_t>& lsn) {
   if (!lsn.ok()) return lsn.status();
   if (*lsn == 0) return Status::OK();  // logical no-op: nothing was appended
-  if (options_.wal_group_commit) {
-    Status durable = wal_->WaitDurable(*lsn);
-    if (!durable.ok()) {
-      // The commit record never became durable, so the caller must NOT see
-      // its effects: fall back to the on-disk durable prefix. Idempotent,
-      // so concurrent failed committers can each run it. A reader that
-      // slipped in between CommitLocked and this rollback may have observed
-      // the now-discarded commit — the documented group-commit isolation
-      // caveat (setstore.h): reads see latest-appended, not latest-durable.
-      MutexLock lock(&mu_);
-      if (pager_ != nullptr) {
-        Status recovered = RecoverDurableLocked();
-        if (!recovered.ok()) {
-          return recovered.WithContext("recover after failed commit");
-        }
+  Status durable = wal_->WaitDurable(*lsn);
+  if (!durable.ok()) {
+    // The commit record never became durable, so the caller must NOT see
+    // its effects: fall back to the on-disk durable prefix. Idempotent, so
+    // concurrent failed committers, and readers that waited on the same
+    // flush, can each run it. No reader returned the commit: reads wait
+    // for their view's last commit to be durable.
+    MutexLock lock(&mu_);
+    if (pager_ != nullptr) {
+      Status recovered = RecoverDurableLocked();
+      if (!recovered.ok()) {
+        return recovered.WithContext("recover after failed commit");
       }
-      return durable;
     }
+    return durable;
   }
   MaybeCheckpoint();
   return Status::OK();
@@ -672,12 +680,29 @@ Result<bool> SetStore::ContainsMember(const std::string& name, const Membership&
   });
 }
 
-Result<StorageMode> SetStore::ModeOf(const std::string& name) const {
+Result<StorageMode> SetStore::ModeOf(const std::string& name) {
   MutexLock lock(&mu_);
-  XST_RETURN_NOT_OK(CheckOpen());
+  XST_RETURN_NOT_OK(ReadDurableLocked());
   XST_ASSIGN_OR_RAISE(CatalogEntry entry, catalog_.Get(name));
   return entry.kind == CatalogEntry::kKindIndex ? StorageMode::kOrderedIndex
                                                 : StorageMode::kBlob;
+}
+
+bool SetStore::Contains(const std::string& name) {
+  MutexLock lock(&mu_);
+  return ReadDurableLocked().ok() && catalog_.Contains(name);
+}
+
+std::vector<std::string> SetStore::List() {
+  MutexLock lock(&mu_);
+  if (!ReadDurableLocked().ok()) return {};
+  return catalog_.Names();
+}
+
+XSet SetStore::CatalogAsXSet() {
+  MutexLock lock(&mu_);
+  if (!ReadDurableLocked().ok()) return XSet::Empty();
+  return catalog_.ToXSet();
 }
 
 Result<std::unique_ptr<MemberCursor>> SetStore::OpenCursor(const std::string& name) {

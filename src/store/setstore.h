@@ -35,19 +35,14 @@
 // — every acknowledged commit present, no partial mutation, torn log tails
 // truncated, torn pages detectable via checksums — never silently wrong.
 //
-// Isolation caveat under group commit (wal_group_commit=true): a commit
-// becomes visible to concurrent readers when its record is appended under
-// the store lock, BEFORE the fsync that acknowledges it — readers see the
-// latest appended state, not the latest durable state. If that fsync then
-// fails, resident state rolls back to the durable prefix, so a reader may
-// observe a commit (only in the append-to-failed-fsync window, never
-// across a reopen) whose writer is subsequently told it failed. Writers
-// are unaffected — acknowledgment still implies durability. With
-// wal_group_commit=false the window does not exist: the fsync happens
-// under the store lock, so readers only ever see durable commits.
+// Reads return only durable commits: a read returns once the last commit
+// it can see is fsynced, so it never returns — or reports NotFound for —
+// a commit whose fsync then fails. A read that races a failed fsync
+// returns the durable prefix (tests/store_concurrent_test.cc).
 
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -102,15 +97,6 @@ struct SetStoreOptions {
   /// the log, not to pace steady-state writes.
   uint64_t wal_checkpoint_bytes = 8ull << 20;
 
-  /// \brief Group commit (default): committers release the store lock and
-  /// park on the log's CondVar while one leader fsyncs, so concurrent
-  /// commits share flushes. Concurrent readers may observe a commit in its
-  /// append-to-fsync window, i.e. before it is durable (see the isolation
-  /// caveat in the file comment). Off = fsync while still holding the
-  /// store lock — readers then only ever see durable commits; the
-  /// serialized baseline bench_wal compares against.
-  bool wal_group_commit = true;
-
   /// \brief Checkpoint in the destructor, leaving a cleanly closed store
   /// with a self-contained main file and an empty log. Tests and the
   /// recovery bench turn this off to exercise replay-on-open.
@@ -120,19 +106,28 @@ struct SetStoreOptions {
 /// \brief Thread safety (DESIGN.md §15): mutations keep the 1977
 /// single-writer discipline — every write path serializes on `mu_` (rank
 /// 10), which guards the catalog, the pager identity, and the mutation
-/// epoch. Reads scale: Get/ContainsMember/cursor opens take `mu_` only long
-/// enough to capture a ReadView (pager handle + catalog entry + epoch),
-/// then stream pages through the pager's sharded latches with no store lock
-/// held, and re-take `mu_` at the end to validate the view. A mutation,
-/// checkpoint, or pager reopen that overlapped the read bumps the epoch (or
-/// swaps the pager), so validation fails and the read retries — after a few
-/// optimistic attempts it runs the same read once under `mu_`, which
-/// guarantees progress. Errors observed under an invalidated view are
-/// discarded, never reported (they may be artifacts of racing a writer).
-/// Every read goes through one helper (ReadConsistent), which counts the
-/// retries and locked runs (`store.read.retries` / `store.read.fallbacks`).
-/// A cursor open is one such read: it takes its whole answer under one
-/// view, so a cursor never mixes two commits.
+/// epoch. Commits are group commits: a committer appends its commit record
+/// under `mu_`, then releases it and waits for the log's fsync.
+///
+/// Reads scale: Get/ContainsMember/cursor opens take `mu_` only long
+/// enough to capture a ReadView (pager handle + catalog entry + epoch +
+/// the LSN of the last commit it can see), then stream pages through the
+/// pager's sharded latches with no store lock held, and re-take `mu_` at
+/// the end to validate the view. A mutation, checkpoint, or pager reopen
+/// that overlapped the read bumps the epoch (or swaps the pager), so
+/// validation fails and the read retries. A validated read then waits,
+/// outside `mu_`, until the view's last commit is durable — free when it
+/// already is — and a failed wait counts as an invalidated view. After a
+/// few optimistic attempts the read runs once under `mu_`, which makes the
+/// resident commits durable (or rolls back to the durable prefix) first,
+/// and so guarantees progress. Errors observed under an invalidated view
+/// are discarded, never reported (they may be artifacts of racing a
+/// writer). Every read goes through one helper (ReadConsistent), which
+/// counts the retries and locked runs (`store.read.retries` /
+/// `store.read.fallbacks`). A cursor open is one such read: it takes its
+/// whole answer under one view, so a cursor never mixes two commits. The
+/// catalog reads (Contains, List, ModeOf, CatalogAsXSet) take the locked
+/// step directly.
 class SetStore {
  public:
   /// \brief Opens (creating if necessary) a store at `path`. Replays the
@@ -178,7 +173,7 @@ class SetStore {
       XST_EXCLUDES(mu_);
 
   /// \brief The storage mode of a stored name.
-  Result<StorageMode> ModeOf(const std::string& name) const XST_EXCLUDES(mu_);
+  Result<StorageMode> ModeOf(const std::string& name) XST_EXCLUDES(mu_);
 
   /// \brief Opens a cursor over the stored set's canonical member list.
   /// The open is one consistent read: the cursor owns the set as of one
@@ -210,17 +205,11 @@ class SetStore {
   /// \brief Removes the name (space reclaimed at Compact()).
   Status Delete(const std::string& name) XST_EXCLUDES(mu_);
 
-  /// \brief True iff `name` is stored.
-  bool Contains(const std::string& name) const XST_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return catalog_.Contains(name);
-  }
+  /// \brief True iff `name` is stored; false once the store is closed.
+  bool Contains(const std::string& name) XST_EXCLUDES(mu_);
 
-  /// \brief All stored names.
-  std::vector<std::string> List() const XST_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return catalog_.Names();
-  }
+  /// \brief All stored names; none once the store is closed.
+  std::vector<std::string> List() XST_EXCLUDES(mu_);
 
   /// \brief Rewrites the store keeping only live blobs; reopens in place.
   /// On failure the temp file is removed and the original store stays
@@ -252,30 +241,31 @@ class SetStore {
     return pager_ != nullptr ? pager_->latch_shards() : 0;
   }
 
-  /// \brief The catalog's set representation (for inspection and tests).
-  XSet CatalogAsXSet() const XST_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return catalog_.ToXSet();
-  }
+  /// \brief The catalog's set representation (for inspection and tests);
+  /// {} once the store is closed.
+  XSet CatalogAsXSet() XST_EXCLUDES(mu_);
 
  private:
   SetStore(std::string path, SetStoreOptions options)
       : path_(std::move(path)), options_(std::move(options)) {}
 
   /// A consistent read handle captured under mu_: the pager instance, the
-  /// catalog entry for the name being read, and the mutation epoch at
-  /// capture. The shared_ptr keeps the pager alive across a concurrent
-  /// Compact/reopen; the epoch detects any overlapping mutation.
+  /// catalog entry for the name being read (NotFound if it was absent), the
+  /// mutation epoch, the LSN of the last commit the view can see, and the
+  /// rollback count at capture. The shared_ptr keeps the pager alive across
+  /// a concurrent Compact/reopen; the epoch detects any overlapping
+  /// mutation.
   struct ReadView {
     std::shared_ptr<Pager> pager;
-    CatalogEntry entry;
+    Result<CatalogEntry> entry = CatalogEntry{};
     uint64_t epoch = 0;
+    uint64_t commit_lsn = 0;
+    uint64_t rollbacks = 0;
   };
 
   Result<std::unique_ptr<Pager>> OpenPager(const std::string& path) const;
   Status CheckOpen() const XST_REQUIRES(mu_);
-  /// Captures a ReadView of `name` under mu_. A NotFound here is
-  /// linearizable: the name was absent at capture.
+  /// Captures a ReadView of `name` under mu_; fails only on a closed store.
   Result<ReadView> CaptureView(const std::string& name) const XST_EXCLUDES(mu_);
   /// True iff nothing invalidated `view` since capture: same pager instance,
   /// same mutation epoch, store still open. Results computed under a view
@@ -283,9 +273,9 @@ class SetStore {
   bool ValidateView(const ReadView& view) const XST_EXCLUDES(mu_);
   /// The one read protocol: runs `read(pager, entry)` for `name`'s catalog
   /// entry under up to three captured views and returns the first result
-  /// whose view validates (results from invalidated views, errors included,
-  /// are discarded), then runs it once under mu_ against pager_ and
-  /// catalog_.
+  /// whose view validates and whose last commit then proves durable
+  /// (results from invalidated views, errors included, are discarded), then
+  /// runs it once under mu_ after ReadDurableLocked.
   template <typename ReadFn>
   std::invoke_result_t<const ReadFn&, Pager&, const CatalogEntry&> ReadConsistent(
       const std::string& name, const ReadFn& read) XST_EXCLUDES(mu_);
@@ -332,7 +322,11 @@ class SetStore {
   /// After a failed commit fsync: rolls the log and resident state back to
   /// the durable prefix (nothing acknowledged is lost by construction).
   Status RecoverDurableLocked() XST_REQUIRES(mu_);
-  /// Phase 1 of every mutation, under mu_: stage the catalog, drain dirty
+  /// The locked read step: makes the resident commits durable, or rolls
+  /// back to the durable prefix if their flush fails. Non-OK only once the
+  /// store is closed.
+  Status ReadDurableLocked() XST_REQUIRES(mu_);
+  /// Phase 1 of every mutation, under mu_: stage the catalog, drain unlogged
   /// pages into the log, append the commit record. Returns the commit LSN
   /// (0 = nothing to commit); resident state is already advanced.
   Result<uint64_t> CommitLocked(Catalog staged) XST_REQUIRES(mu_);
@@ -369,8 +363,9 @@ class SetStore {
   SetStoreOptions options_; // immutable after construction
   // Created once in Open() before the store is reachable, then internally
   // synchronized — phase 2 of a commit uses it without holding mu_ (that is
-  // the whole point of group commit), and readers probe its image table
-  // under pager latches. Lock order: mu_ < shard latch < Wal::mu_.
+  // the whole point of group commit), readers probe its image table under
+  // pager latches and wait on its durable LSN with no lock held. Lock
+  // order: mu_ < shard latch < Wal::mu_.
   std::unique_ptr<Wal> wal_;
   // The outermost lock in the hierarchy (DESIGN.md §15): every blocking
   // operation (file I/O, commit fsyncs) is legal under it, because its rank
@@ -384,6 +379,14 @@ class SetStore {
   // Bumped at the start of every mutation, checkpoint, and pager reopen;
   // ReadView validation compares it to detect overlapping writes.
   uint64_t mutation_epoch_ XST_GUARDED_BY(mu_) = 0;
+  // The LSN of the last commit record resident state reflects; 0 once a
+  // rollback leaves only durable commits resident. Reads wait on it.
+  uint64_t commit_lsn_ XST_GUARDED_BY(mu_) = 0;
+  // Bumped (under mu_) by every rollback to the durable prefix. The log
+  // then reuses the LSNs of the records it discarded, so a read that waited
+  // on its view's commit LSN checks this to know the LSN that became
+  // durable is still its own commit.
+  std::atomic<uint64_t> rollbacks_{0};
   // Consecutive CheckpointLocked failures (MaybeCheckpoint's log backoff).
   uint64_t checkpoint_failure_streak_ XST_GUARDED_BY(mu_) = 0;
 };

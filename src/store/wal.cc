@@ -86,16 +86,20 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path, WalOptions optio
   }
   XST_RETURN_NOT_OK(
       wal->ScanCommittedPrefix(&wal->recovered_, UINT64_MAX));
-  wal->recovered_count_ = wal->recovered_.size();
   return wal;
 }
 
 // The segment-lifecycle helpers below (fresh-segment init, header check,
 // recovery scan, tail truncation) perform file I/O while Wal::mu_ is held.
 // That is the group-commit design, not an oversight: the WAL file is
-// exclusively owned by this Wal, these are cold paths (open / reset /
-// recovery), and the store's optimistic read path never touches Wal::mu_ —
-// hence the per-line blocking-under-latch allowances.
+// exclusively owned by this Wal, and these are cold paths — open (before
+// any reader), the post-checkpoint reset, and recovery after a failed
+// fsync. Readers do take Wal::mu_: a pool miss probes the image table
+// (LookupPage, under a shard latch), and a read whose commit is still in
+// flight waits in WaitDurable. Such a reader can stall for one cold-path
+// I/O but never deadlock, because the holder takes no latch or store lock
+// while it holds Wal::mu_ (the top of the storage ranks) — hence the
+// per-line blocking-under-latch allowances.
 Status Wal::WriteFreshSegment(uint64_t epoch, uint64_t base_lsn) {
   Status st = file_->Truncate(0);  // xst-lint: allow(blocking-under-latch)
   if (!st.ok()) return st.WithContext("wal " + path_);
@@ -219,11 +223,6 @@ std::map<uint32_t, std::string> Wal::TakeRecoveredImages() {
   return std::move(recovered_);
 }
 
-size_t Wal::recovered_image_count() const {
-  MutexLock lock(&mu_);
-  return recovered_count_;
-}
-
 void Wal::BeginTxn() {
   MutexLock lock(&mu_);
   XST_DCHECK(!txn_open_);
@@ -302,6 +301,7 @@ Status Wal::WriteBatch(const FlushJob& job) {
 }
 
 Status Wal::WaitDurable(uint64_t lsn) {
+  if (durable_lsn_.load(std::memory_order_acquire) >= lsn) return Status::OK();
   for (;;) {
     FlushJob job;
     {

@@ -28,9 +28,13 @@
 // and a reserved file offset, writes + fsyncs without holding the lock,
 // publishes the new durable LSN and wakes everyone (xst::CondVar). Commits
 // that arrive while a flush is in flight batch into the next one — the
-// `wal.group_commit.batch_size` histogram records commits per fsync. A
-// failed flush poisons the device stickily; every waiter it stranded gets
-// the error, and the store falls back to RecoverResidentFromDisk().
+// `wal.group_commit.batch_size` histogram records commits per fsync.
+// Readers wait on WaitDurable too: a store read returns only once the last
+// commit record it can see is durable, so a reader that sees a commit in
+// flight parks behind its flush or leads it. A durable LSN answers without
+// the lock, so a read with no commit in flight never touches it. A failed
+// flush poisons the device stickily; every waiter it stranded gets the
+// error, and the store falls back to RecoverResidentFromDisk().
 //
 // Recovery: Open() scans the committed prefix — frames are valid while the
 // length fits, the crc matches, and LSNs run contiguously; the scan stops
@@ -51,6 +55,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -136,7 +141,8 @@ class Wal {
   void AbortTxn() XST_EXCLUDES(mu_);
 
   /// \brief Blocks until `lsn` is fsynced (group commit; see file comment).
-  /// Returns the flush error if the device died before reaching `lsn`.
+  /// Returns at once, without the lock, if it already is. Returns the flush
+  /// error if the device died before reaching `lsn`.
   Status WaitDurable(uint64_t lsn) XST_EXCLUDES(mu_);
 
   /// \brief WaitDurable for everything appended so far.
@@ -176,9 +182,6 @@ class Wal {
   /// stays poisoned. The store pairs this with a fresh pager so resident
   /// state equals the durable prefix exactly.
   Status RecoverResidentFromDisk() XST_EXCLUDES(mu_);
-
-  /// \brief Number of page images recovered by Open() (before the move).
-  size_t recovered_image_count() const XST_EXCLUDES(mu_);
 
   WalStats stats() const XST_EXCLUDES(mu_);
 
@@ -224,7 +227,9 @@ class Wal {
   uint64_t epoch_ XST_GUARDED_BY(mu_) = 0;
   uint64_t base_lsn_ XST_GUARDED_BY(mu_) = 0;
   uint64_t appended_lsn_ XST_GUARDED_BY(mu_) = 0;
-  uint64_t durable_lsn_ XST_GUARDED_BY(mu_) = 0;
+  // Written only under mu_; atomic so that WaitDurable's fast path can read
+  // it without the lock.
+  std::atomic<uint64_t> durable_lsn_{0};
   uint64_t last_checkpoint_lsn_ XST_GUARDED_BY(mu_) = 0;
   uint64_t file_bytes_ XST_GUARDED_BY(mu_) = 0;  // reserved file end offset
 
@@ -241,7 +246,6 @@ class Wal {
   std::map<uint32_t, std::string> resident_ XST_GUARDED_BY(mu_);
 
   std::map<uint32_t, std::string> recovered_ XST_GUARDED_BY(mu_);
-  size_t recovered_count_ XST_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace xst

@@ -31,23 +31,29 @@ class TempFile {
     if (path_.empty()) path_ = "/tmp/";
     if (path_.back() != '/') path_ += '/';
     path_ += "xst_btree_test_" + tag + "_" + std::to_string(::getpid());
-    std::remove(path_.c_str());
+    Remove();
   }
-  ~TempFile() { std::remove(path_.c_str()); }
+  ~TempFile() { Remove(); }
   const std::string& path() const { return path_; }
 
  private:
+  void Remove() {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".wal").c_str());
+  }
+
   std::string path_;
 };
 
-// Opens a pager and burns page 0, mirroring the SetStore layout the tree
-// lives under (overflow references treat page 0 as invalid).
-std::unique_ptr<Pager> OpenPager(const std::string& path, size_t capacity = 64) {
-  Result<std::unique_ptr<Pager>> pager = Pager::Open(path, capacity);
-  EXPECT_TRUE(pager.ok()) << pager.status().ToString();
-  Result<PageRef> page0 = (*pager)->AllocatePage();
+// Opens a pager over its log, with a log transaction open, and burns page
+// 0, mirroring the SetStore layout the tree lives under (overflow
+// references treat page 0 as invalid).
+testing::LoggedPager OpenPager(const std::string& path, size_t capacity = 64) {
+  Result<testing::LoggedPager> logged = testing::OpenLoggedPager(path, capacity);
+  EXPECT_TRUE(logged.ok()) << logged.status().ToString();
+  Result<PageRef> page0 = logged->pager->AllocatePage();
   EXPECT_TRUE(page0.ok());
-  return std::move(*pager);
+  return std::move(*logged);
 }
 
 // n members ⟨Int(i), Int(i mod 7)⟩ — small entries, ascending, canonical.
@@ -97,7 +103,8 @@ void ExpectSameMembers(const std::vector<Membership>& got,
 
 TEST(BTreeBuild, EmptyTreeIsASingleLeaf) {
   TempFile file("empty");
-  std::unique_ptr<Pager> pager = OpenPager(file.path());
+  testing::LoggedPager logged = OpenPager(file.path());
+  const std::unique_ptr<Pager>& pager = logged.pager;
   Result<BTreeInfo> info = BTree::Build(*pager, {});
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info->height, 1u);
@@ -109,7 +116,8 @@ TEST(BTreeBuild, EmptyTreeIsASingleLeaf) {
 
 TEST(BTreeBuild, BulkLoadRoundTripsAndValidates) {
   TempFile file("bulk");
-  std::unique_ptr<Pager> pager = OpenPager(file.path());
+  testing::LoggedPager logged = OpenPager(file.path());
+  const std::unique_ptr<Pager>& pager = logged.pager;
   std::vector<Membership> members = SmallMembers(3000);
   Result<BTreeInfo> info = BTree::Build(*pager, members);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
@@ -123,7 +131,8 @@ TEST(BTreeBuild, BulkLoadRoundTripsAndValidates) {
 
 TEST(BTreeBuild, DeepTreeWithFatEntries) {
   TempFile file("deep");
-  std::unique_ptr<Pager> pager = OpenPager(file.path());
+  testing::LoggedPager logged = OpenPager(file.path());
+  const std::unique_ptr<Pager>& pager = logged.pager;
   std::vector<Membership> members = FatMembers(400);
   Result<BTreeInfo> info = BTree::Build(*pager, members);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
@@ -136,7 +145,8 @@ TEST(BTreeBuild, DeepTreeWithFatEntries) {
 
 TEST(BTreeInsert, SplitsPreserveInvariantsAndOrder) {
   TempFile file("insert");
-  std::unique_ptr<Pager> pager = OpenPager(file.path());
+  testing::LoggedPager logged = OpenPager(file.path());
+  const std::unique_ptr<Pager>& pager = logged.pager;
   Result<BTreeInfo> empty = BTree::Build(*pager, {});
   ASSERT_TRUE(empty.ok());
   BTree tree(pager.get(), *empty);
@@ -181,7 +191,8 @@ TEST(BTreeInsert, SplitsPreserveInvariantsAndOrder) {
 
 TEST(BTreeErase, MergeAndUnderflowRepairDownToEmpty) {
   TempFile file("erase");
-  std::unique_ptr<Pager> pager = OpenPager(file.path());
+  testing::LoggedPager logged = OpenPager(file.path());
+  const std::unique_ptr<Pager>& pager = logged.pager;
   std::vector<Membership> members = FatMembers(300);
   Result<BTreeInfo> info = BTree::Build(*pager, members);
   ASSERT_TRUE(info.ok());
@@ -214,7 +225,8 @@ TEST(BTreeErase, MergeAndUnderflowRepairDownToEmpty) {
 
 TEST(BTreeFuzz, RandomMutationsAgainstReferenceSet) {
   TempFile file("fuzz");
-  std::unique_ptr<Pager> pager = OpenPager(file.path());
+  testing::LoggedPager logged = OpenPager(file.path());
+  const std::unique_ptr<Pager>& pager = logged.pager;
   Result<BTreeInfo> empty = BTree::Build(*pager, {});
   ASSERT_TRUE(empty.ok());
   BTree tree(pager.get(), *empty);
@@ -249,7 +261,8 @@ TEST(BTreeFuzz, RandomMutationsAgainstReferenceSet) {
 
 TEST(BTreeRange, SeekElementStreamsExactlyTheInterval) {
   TempFile file("range");
-  std::unique_ptr<Pager> pager = OpenPager(file.path());
+  testing::LoggedPager logged = OpenPager(file.path());
+  const std::unique_ptr<Pager>& pager = logged.pager;
   std::vector<Membership> members = SmallMembers(20000);
   Result<BTreeInfo> info = BTree::Build(*pager, members);
   ASSERT_TRUE(info.ok());
@@ -301,7 +314,8 @@ TEST(BTreeRange, SeekElementStreamsExactlyTheInterval) {
 
 TEST(BTreeOverflow, EntriesBeyondInlineLimitSpillAndRoundTrip) {
   TempFile file("overflow");
-  std::unique_ptr<Pager> pager = OpenPager(file.path());
+  testing::LoggedPager logged = OpenPager(file.path());
+  const std::unique_ptr<Pager>& pager = logged.pager;
   // Elements well past kMaxInlineEntry (and past one page for the largest).
   std::vector<Membership> members;
   for (int i = 0; i < 6; ++i) {
@@ -344,7 +358,8 @@ TEST(BTreeOverflow, SearchesThroughOverflowKeysMatchAModel) {
   // scopes -1 and 7 are absent neighbours, and an element's run of seven
   // memberships can straddle a leaf boundary.
   TempFile file("overflow_search");
-  std::unique_ptr<Pager> pager = OpenPager(file.path(), 256);
+  testing::LoggedPager logged = OpenPager(file.path(), 256);
+  const std::unique_ptr<Pager>& pager = logged.pager;
   auto element = [](int k) {
     char suffix[16];
     std::snprintf(suffix, sizeof suffix, "%06d", k);
@@ -455,7 +470,8 @@ TEST(BTreeOverflow, SearchesThroughOverflowKeysMatchAModel) {
 
 TEST(BTreeValidate, DetectsTamperedNodesAndWrongCounts) {
   TempFile file("detect");
-  std::unique_ptr<Pager> pager = OpenPager(file.path());
+  testing::LoggedPager logged = OpenPager(file.path());
+  const std::unique_ptr<Pager>& pager = logged.pager;
   std::vector<Membership> members = SmallMembers(2000);
   Result<BTreeInfo> info = BTree::Build(*pager, members);
   ASSERT_TRUE(info.ok());
@@ -478,9 +494,9 @@ TEST(BTreeValidate, DetectsTamperedNodesAndWrongCounts) {
   {
     Result<PageRef> leaf = pager->FetchPage(pos->leaf);
     ASSERT_TRUE(leaf.ok());
-    **leaf = Page();
-    ASSERT_TRUE((*leaf)->AddRecord(std::string(1, '\x01')).ok());
-    leaf->MarkDirty();
+    PageWriteGuard guard(*leaf);
+    *guard = Page();
+    ASSERT_TRUE(guard->AddRecord(std::string(1, '\x01')).ok());
   }
   EXPECT_TRUE(ValidateBTree(*pager, *info).IsCorruption());
 }

@@ -4,9 +4,10 @@
 // (never a torn mix of two commits), a multi-leaf range cursor included
 // while the writer reshapes the leaves under it. A reader parked inside its
 // optimistic window must retry, then run under the store lock, exactly as
-// often as writers invalidate it. A pager miss parked after its file read
-// while a checkpoint rewrites the page must read the page again, through
-// either pager entry point. CI runs this suite under TSan with
+// often as writers invalidate it. A reader racing a commit whose fsync
+// fails must answer from the durable prefix. A pager miss parked after its
+// file read while a checkpoint rewrites the page must read the page again,
+// through either pager entry point. CI runs this suite under TSan with
 // XST_NUM_THREADS=4; gtest assertions are not thread-safe, so worker threads
 // count failures atomically and the main thread asserts at the end.
 
@@ -466,6 +467,130 @@ TEST(StoreConcurrentTest, InvalidatedReadsRetryThenRunUnderTheStoreLock) {
   EXPECT_EQ(fallbacks.value(), fallbacks_before);
 }
 
+// Shared by the test thread and the store's log FailingFlushFile: once
+// armed, the log's next flush parks until the test releases it.
+struct FlushGate {
+  std::atomic<bool> armed{false};
+  std::atomic<bool> parked{false};
+  std::atomic<bool> released{false};
+};
+
+// A log file whose next flush, once armed, parks until the test releases it
+// and then fails: a commit whose fsync is in flight, then lost.
+class FailingFlushFile : public File {
+ public:
+  FailingFlushFile(std::unique_ptr<File> inner, std::shared_ptr<FlushGate> gate)
+      : inner_(std::move(inner)), gate_(std::move(gate)) {}
+
+  Result<uint64_t> Size() override { return inner_->Size(); }
+  Status ReadAt(uint64_t offset, char* dst, size_t n) override {
+    return inner_->ReadAt(offset, dst, n);
+  }
+  Status WriteAt(uint64_t offset, const char* src, size_t n) override {
+    return inner_->WriteAt(offset, src, n);
+  }
+  Status Flush() override {
+    if (!gate_->armed.exchange(false)) return inner_->Flush();
+    gate_->parked.store(true);
+    while (!gate_->released.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return Status::IOError("injected fsync failure");
+  }
+  Status Truncate(uint64_t size) override { return inner_->Truncate(size); }
+
+ private:
+  std::unique_ptr<File> inner_;
+  std::shared_ptr<FlushGate> gate_;
+};
+
+// A writer commits while the log's flush is parked; a Get reader and a
+// Contains reader run beside it. The test releases the flush, which fails,
+// once both readers return or after 200 ms — a reader that returns at once
+// shows plainly, and a reader that waits for the flush cannot return before
+// the release. Every reader must answer from the durable prefix.
+void FailedFsyncRaceCase(const std::string& tag, bool delete_writer) {
+  TempFile tmp(tag);
+  auto gate = std::make_shared<FlushGate>();
+  SetStoreOptions options;
+  options.file_factory = [gate](const std::string& path) {
+    Result<std::unique_ptr<File>> file = StdioFile::Open(path);
+    if (file.ok() && path.ends_with(".wal")) {
+      file = std::unique_ptr<File>(std::make_unique<FailingFlushFile>(std::move(*file), gate));
+    }
+    return file;
+  };
+  Result<std::unique_ptr<SetStore>> store_or = SetStore::Open(tmp.path(), options);
+  ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+  SetStore& store = **store_or;
+  const XSet durable = X("{1, 2, 3}");
+  ASSERT_TRUE(store.Put("s", durable).ok());
+  gate->armed.store(true);
+
+  Status written = Status::Invalid("unset");
+  std::thread writer([&] {
+    written = delete_writer ? store.Delete("s") : store.Put("s", X("{4, 5, 6, 7}"));
+  });
+  const auto parked_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!gate->parked.load() && std::chrono::steady_clock::now() < parked_deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_TRUE(gate->parked.load()) << "the writer's flush never parked";
+
+  std::atomic<bool> got_returned{false};
+  std::atomic<bool> contains_returned{false};
+  Result<XSet> got = Status::Invalid("unset");
+  bool contained = false;
+  std::thread get_reader([&] {
+    got = store.Get("s");
+    got_returned.store(true);
+  });
+  std::thread contains_reader([&] {
+    contained = store.Contains("s");
+    contains_returned.store(true);
+  });
+  const auto release_at = std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (!(got_returned.load() && contains_returned.load()) &&
+         std::chrono::steady_clock::now() < release_at) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool got_early = got_returned.load();
+  const bool contains_early = contains_returned.load();
+  gate->released.store(true);
+  writer.join();
+  get_reader.join();
+  contains_reader.join();
+
+  EXPECT_FALSE(written.ok()) << "the writer's fsync failed, yet it was acknowledged";
+  EXPECT_TRUE(contained) << "Contains answered false"
+                         << (contains_early ? " before" : " after")
+                         << " the failing fsync was released";
+  ASSERT_TRUE(got.ok()) << got.status().ToString()
+                        << (got_early ? " before" : " after")
+                        << " the failing fsync was released";
+  EXPECT_TRUE(*got == durable) << "read " << got->ToString()
+                               << (got_early ? " before" : " after")
+                               << " the failing fsync was released";
+
+  // The log recovers: a later durable Put is what the next Get returns.
+  const XSet later = X("{8, 9}");
+  ASSERT_TRUE(store.Put("s", later).ok());
+  Result<XSet> again = store.Get("s");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(*again == later);
+}
+
+TEST(StoreConcurrentTest, ReadersNeverReturnACommitWhoseFsyncFailed) {
+  {
+    SCOPED_TRACE("Put writer");
+    FailedFsyncRaceCase("fsync_race_put", /*delete_writer=*/false);
+  }
+  {
+    SCOPED_TRACE("Delete writer");
+    FailedFsyncRaceCase("fsync_race_delete", /*delete_writer=*/true);
+  }
+}
+
 // Record 0 of page `id`, read through the pager's pinned path (FetchPage)
 // or its snapshot path (ReadPageSnapshot).
 Result<std::string> ReadRecord(Pager& pager, uint32_t id, bool pinned) {
@@ -480,20 +605,6 @@ Result<std::string> ReadRecord(Pager& pager, uint32_t id, bool pinned) {
   return std::string(record);
 }
 
-// Seals the open log transaction, then checkpoints it the way the store
-// does: images into the main file, fsync, recycle the log.
-void CommitAndCheckpoint(Pager& pager, Wal& wal) {
-  ASSERT_TRUE(pager.DrainUnloggedToWal().ok());
-  Result<uint64_t> lsn = wal.AppendCommit();
-  ASSERT_TRUE(lsn.ok());
-  ASSERT_TRUE(wal.WaitDurable(*lsn).ok());
-  for (const auto& [id, image] : wal.SnapshotResident()) {
-    ASSERT_TRUE(pager.ApplyCheckpointImage(id, image).ok());
-  }
-  ASSERT_TRUE(pager.SyncFile().ok());
-  ASSERT_TRUE(wal.Reset(*lsn).ok());
-}
-
 // A pool miss that races a checkpoint. The reader reads version 1 of a page
 // from the main file and parks holding it; meanwhile version 2 is committed,
 // checkpointed into the file and evicted, so neither the pool nor the log
@@ -503,15 +614,13 @@ void CheckpointRaceCase(const std::string& tag, bool pinned) {
   TempFile tmp(tag);
   auto gate = std::make_shared<ReadGate>();
   gate->park_after_read.store(true);
-  Result<std::unique_ptr<Wal>> wal = Wal::Open(tmp.path() + ".wal");
-  ASSERT_TRUE(wal.ok());
   Result<std::unique_ptr<File>> file = StdioFile::Open(tmp.path());
   ASSERT_TRUE(file.ok());
-  Result<std::unique_ptr<Pager>> pager_or = Pager::Open(
-      std::make_unique<ParkingFile>(std::move(*file), gate), 4, tmp.path());
-  ASSERT_TRUE(pager_or.ok());
-  Pager& pager = **pager_or;
-  pager.AttachWal(wal->get());
+  Result<testing::LoggedPager> logged = testing::OpenLoggedPager(
+      tmp.path(), 4, std::make_unique<ParkingFile>(std::move(*file), gate));
+  ASSERT_TRUE(logged.ok()) << logged.status().ToString();
+  Pager& pager = *logged->pager;
+  Wal& wal = *logged->wal;
   ASSERT_EQ(pager.latch_shards(), 1u);
 
   // Page 0 holds the raced record; pages 1-4 fill the 4-frame pool, and
@@ -520,14 +629,13 @@ void CheckpointRaceCase(const std::string& tag, bool pinned) {
   const auto evict_page_0 = [&] {
     for (uint32_t id = 1; id < kPages; ++id) ASSERT_TRUE(pager.FetchPage(id).ok());
   };
-  (*wal)->BeginTxn();
   for (uint32_t id = 0; id < kPages; ++id) {
     Result<PageRef> page = pager.AllocatePage();
     ASSERT_TRUE(page.ok());
     PageWriteGuard guard(*page);
     ASSERT_TRUE(guard->AddRecord(id == 0 ? "v1" : "filler").ok());
   }
-  CommitAndCheckpoint(pager, **wal);
+  ASSERT_TRUE(testing::CommitAndCheckpoint(pager, wal).ok());
   evict_page_0();
 
   gate->park_offset.store(0);
@@ -535,7 +643,6 @@ void CheckpointRaceCase(const std::string& tag, bool pinned) {
   Result<std::string> raced = Status::Invalid("unset");
   std::thread reader([&] { raced = ReadRecord(pager, 0, pinned); });
   EXPECT_TRUE(WaitForArrivals(*gate, 1));
-  (*wal)->BeginTxn();
   {
     Result<PageRef> page = pager.FetchPage(0);
     EXPECT_TRUE(page.ok());
@@ -545,7 +652,7 @@ void CheckpointRaceCase(const std::string& tag, bool pinned) {
       EXPECT_TRUE(guard->AddRecord("v2").ok());
     }
   }
-  CommitAndCheckpoint(pager, **wal);
+  EXPECT_TRUE(testing::CommitAndCheckpoint(pager, wal).ok());
   evict_page_0();
   gate->releases.store(1);
   reader.join();

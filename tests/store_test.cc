@@ -9,16 +9,21 @@
 #include <fstream>
 #include <memory>
 
+#include "src/obs/metrics.h"
 #include "src/store/codec.h"
 #include "src/store/fault_file.h"
 #include "src/store/page.h"
 #include "src/store/pager.h"
 #include "src/store/setstore.h"
+#include "src/store/wal.h"
 #include "tests/testing.h"
 
 namespace xst {
 namespace {
 
+using testing::CommitAndCheckpoint;
+using testing::LoggedPager;
+using testing::OpenLoggedPager;
 using testing::PagerCounters;
 using testing::X;
 
@@ -111,63 +116,86 @@ TEST(PageTest, ChecksumCatchesBitFlips) {
   EXPECT_TRUE(Page::FromBytes("short").status().IsCorruption());
 }
 
+// Every pager test runs the pager the way the store does: over its log,
+// with a log transaction open. Writes go through PageWriteGuard, and an
+// evicted page that changed since the log captured it spills to the log.
+LoggedPager OpenPagerOrDie(const std::string& path, size_t capacity) {
+  Result<LoggedPager> logged = OpenLoggedPager(path, capacity);
+  EXPECT_TRUE(logged.ok()) << logged.status().ToString();
+  return std::move(*logged);
+}
+
+// Allocates a page and writes `record` into it.
+void AllocateWithRecord(Pager& pager, const std::string& record) {
+  Result<PageRef> page = pager.AllocatePage();
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  PageWriteGuard guard(*page);
+  ASSERT_TRUE(guard->AddRecord(record).ok());
+}
+
+// Log records appended so far: a spilled page image, a drained one, or a
+// commit record.
+uint64_t LogAppends() {
+  return obs::MetricsRegistry::Global().GetCounter(internal::kWalAppendsCounter).value();
+}
+
 TEST(PagerTest, AllocateFetchPersist) {
   TempFile file("pager_basic");
   {
-    auto pager = Pager::Open(file.path(), 4);
-    ASSERT_TRUE(pager.ok());
-    Result<PageRef> page = (*pager)->AllocatePage();
+    LoggedPager logged = OpenPagerOrDie(file.path(), 4);
+    Result<PageRef> page = logged.pager->AllocatePage();
     ASSERT_TRUE(page.ok());
     EXPECT_EQ(page->id(), 0u);
-    ASSERT_TRUE((*page)->AddRecord("persisted").ok());
-    page->MarkDirty();
+    {
+      PageWriteGuard guard(*page);
+      ASSERT_TRUE(guard->AddRecord("persisted").ok());
+    }
     page->Reset();
-    ASSERT_TRUE((*pager)->Flush().ok());
+    ASSERT_TRUE(CommitAndCheckpoint(*logged.pager, *logged.wal).ok());
   }
-  auto pager = Pager::Open(file.path(), 4);
-  ASSERT_TRUE(pager.ok());
-  EXPECT_EQ((*pager)->page_count(), 1u);
-  Result<PageRef> page = (*pager)->FetchPage(0);
+  LoggedPager logged = OpenPagerOrDie(file.path(), 4);
+  EXPECT_EQ(logged.pager->page_count(), 1u);
+  Result<PageRef> page = logged.pager->FetchPage(0);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(*(*page)->GetRecord(0), "persisted");
 }
 
 TEST(PagerTest, FetchBeyondEndFails) {
   TempFile file("pager_oob");
-  auto pager = Pager::Open(file.path(), 4);
-  ASSERT_TRUE(pager.ok());
-  EXPECT_TRUE((*pager)->FetchPage(0).status().IsOutOfRange());
+  LoggedPager logged = OpenPagerOrDie(file.path(), 4);
+  EXPECT_TRUE(logged.pager->FetchPage(0).status().IsOutOfRange());
 }
 
 TEST(PagerTest, LruEvictionCountsAndWritesBack) {
   TempFile file("pager_lru");
-  auto pager_or = Pager::Open(file.path(), 2);  // tiny pool
-  ASSERT_TRUE(pager_or.ok());
-  Pager& pager = **pager_or;
+  LoggedPager logged = OpenPagerOrDie(file.path(), 2);  // tiny pool
+  Pager& pager = *logged.pager;
   PagerCounters counters;
+  const uint64_t appends_before = LogAppends();
   for (int i = 0; i < 4; ++i) {
-    Result<PageRef> page = pager.AllocatePage();
-    ASSERT_TRUE(page.ok());
-    ASSERT_TRUE((*page)->AddRecord("page " + std::to_string(i)).ok());
-    page->MarkDirty();
+    ASSERT_NO_FATAL_FAILURE(AllocateWithRecord(pager, "page " + std::to_string(i)));
   }
   EXPECT_GT(counters.evictions(), 0u);
-  // Re-read everything: early pages must have been written back on eviction.
+  // Re-read everything: early pages must have been spilled to the log on
+  // eviction.
   for (uint32_t i = 0; i < 4; ++i) {
     Result<PageRef> page = pager.FetchPage(i);
     ASSERT_TRUE(page.ok()) << page.status().ToString();
     EXPECT_EQ(*(*page)->GetRecord(0), "page " + std::to_string(i));
   }
   EXPECT_GT(counters.misses(), 0u);
+  // Each page spilled exactly once: a page re-read from the log is clean,
+  // so evicting it again logs nothing, and nothing reaches the main file.
+  EXPECT_EQ(LogAppends() - appends_before, 4u);
+  EXPECT_EQ(counters.writebacks(), 0u);
 }
 
 TEST(PagerTest, HotPageStaysCached) {
   TempFile file("pager_hot");
-  auto pager_or = Pager::Open(file.path(), 2);
-  ASSERT_TRUE(pager_or.ok());
-  Pager& pager = **pager_or;
+  LoggedPager logged = OpenPagerOrDie(file.path(), 2);
+  Pager& pager = *logged.pager;
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(pager.AllocatePage().ok());
-  ASSERT_TRUE(pager.Flush().ok());
+  ASSERT_TRUE(CommitAndCheckpoint(pager, *logged.wal).ok());
   PagerCounters counters;
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(pager.FetchPage(0).ok());
   EXPECT_GE(counters.hits(), 9u);
@@ -179,15 +207,12 @@ TEST(PagerTest, PinnedFrameSurvivesEvictionPressure) {
   // recycled under the caller; with PageRef the pin keeps it resident and
   // the eviction picks other victims.
   TempFile file("pager_pin_pressure");
-  auto pager_or = Pager::Open(file.path(), 2);
-  ASSERT_TRUE(pager_or.ok());
-  Pager& pager = **pager_or;
+  LoggedPager logged = OpenPagerOrDie(file.path(), 2);
+  Pager& pager = *logged.pager;
   for (int i = 0; i < 4; ++i) {
-    Result<PageRef> page = pager.AllocatePage();
-    ASSERT_TRUE(page.ok());
-    ASSERT_TRUE((*page)->AddRecord("page " + std::to_string(i)).ok());
+    ASSERT_NO_FATAL_FAILURE(AllocateWithRecord(pager, "page " + std::to_string(i)));
   }
-  ASSERT_TRUE(pager.Flush().ok());
+  ASSERT_TRUE(CommitAndCheckpoint(pager, *logged.wal).ok());
 
   Result<PageRef> held = pager.FetchPage(0);
   ASSERT_TRUE(held.ok());
@@ -207,13 +232,15 @@ TEST(PagerTest, CapacityOnePoolInterleavings) {
   // The fetch/allocate interleavings that dangled under the raw-pointer API
   // now either succeed (pin released) or fail loudly (pin held).
   TempFile file("pager_cap1");
-  auto pager_or = Pager::Open(file.path(), 1);
-  ASSERT_TRUE(pager_or.ok());
-  Pager& pager = **pager_or;
+  LoggedPager logged = OpenPagerOrDie(file.path(), 1);
+  Pager& pager = *logged.pager;
   {
     Result<PageRef> p0 = pager.AllocatePage();
     ASSERT_TRUE(p0.ok());
-    ASSERT_TRUE((*p0)->AddRecord("zero").ok());
+    {
+      PageWriteGuard guard(*p0);
+      ASSERT_TRUE(guard->AddRecord("zero").ok());
+    }
     // Allocation needs a fresh frame: ResourceExhausted, and the held
     // reference stays intact rather than dangling.
     EXPECT_TRUE(pager.AllocatePage().status().IsResourceExhausted());
@@ -233,7 +260,10 @@ TEST(PagerTest, CapacityOnePoolInterleavings) {
     Result<PageRef> p1 = pager.AllocatePage();
     ASSERT_TRUE(p1.ok());
     EXPECT_EQ(p1->id(), 1u);
-    ASSERT_TRUE((*p1)->AddRecord("one").ok());
+    {
+      PageWriteGuard guard(*p1);
+      ASSERT_TRUE(guard->AddRecord("one").ok());
+    }
     EXPECT_TRUE(pager.FetchPage(0).status().IsResourceExhausted());
   }
   Result<PageRef> p0 = pager.FetchPage(0);
@@ -247,9 +277,8 @@ TEST(PagerTest, CapacityOnePoolInterleavings) {
 
 TEST(PagerTest, PinExhaustionReportsResourceExhausted) {
   TempFile file("pager_exhaust");
-  auto pager_or = Pager::Open(file.path(), 2);
-  ASSERT_TRUE(pager_or.ok());
-  Pager& pager = **pager_or;
+  LoggedPager logged = OpenPagerOrDie(file.path(), 2);
+  Pager& pager = *logged.pager;
   Result<PageRef> a = pager.AllocatePage();
   Result<PageRef> b = pager.AllocatePage();
   ASSERT_TRUE(a.ok());
@@ -265,15 +294,12 @@ TEST(PagerTest, PinExhaustionReportsResourceExhausted) {
 
 TEST(PagerTest, LruTouchOrderGovernsEviction) {
   TempFile file("pager_touch");
-  auto pager_or = Pager::Open(file.path(), 2);
-  ASSERT_TRUE(pager_or.ok());
-  Pager& pager = **pager_or;
+  LoggedPager logged = OpenPagerOrDie(file.path(), 2);
+  Pager& pager = *logged.pager;
   for (int i = 0; i < 3; ++i) {
-    Result<PageRef> page = pager.AllocatePage();
-    ASSERT_TRUE(page.ok());
-    ASSERT_TRUE((*page)->AddRecord("page " + std::to_string(i)).ok());
+    ASSERT_NO_FATAL_FAILURE(AllocateWithRecord(pager, "page " + std::to_string(i)));
   }
-  ASSERT_TRUE(pager.Flush().ok());
+  ASSERT_TRUE(CommitAndCheckpoint(pager, *logged.wal).ok());
   // Pool now holds {1, 2} (0 was evicted by the third allocation).
   ASSERT_TRUE(pager.FetchPage(1).ok());  // touch 1: LRU order is now 2 < 1
   PagerCounters counters;
@@ -288,34 +314,32 @@ TEST(PagerTest, LruTouchOrderGovernsEviction) {
 
 TEST(PagerTest, StatsCountersExact) {
   TempFile file("pager_stats");
-  auto pager_or = Pager::Open(file.path(), 2);
-  ASSERT_TRUE(pager_or.ok());
-  Pager& pager = **pager_or;
+  LoggedPager logged = OpenPagerOrDie(file.path(), 2);
+  Pager& pager = *logged.pager;
   PagerCounters counters;
-  // 3 allocations into a 2-frame pool: the third evicts page 0 (dirty from
-  // birth → one writeback).
-  for (int i = 0; i < 3; ++i) {
-    Result<PageRef> page = pager.AllocatePage();
-    ASSERT_TRUE(page.ok());
-    ASSERT_TRUE((*page)->AddRecord("p").ok());
-  }
+  const uint64_t appends_before = LogAppends();
+  // 3 allocations into a 2-frame pool: the third evicts page 0 (unlogged
+  // from birth → one log spill, and no main-file write).
+  for (int i = 0; i < 3; ++i) ASSERT_NO_FATAL_FAILURE(AllocateWithRecord(pager, "p"));
   EXPECT_EQ(counters.allocations(), 3u);
   EXPECT_EQ(counters.evictions(), 1u);
-  EXPECT_EQ(counters.writebacks(), 1u);
+  EXPECT_EQ(LogAppends() - appends_before, 1u);
+  EXPECT_EQ(counters.writebacks(), 0u);
   EXPECT_EQ(counters.hits(), 0u);
   EXPECT_EQ(counters.misses(), 0u);
   // Fetch resident page 2 (hit), evicted page 0 (miss + eviction of 1 +
-  // its writeback).
+  // its spill).
   ASSERT_TRUE(pager.FetchPage(2).ok());
   ASSERT_TRUE(pager.FetchPage(0).ok());
   EXPECT_EQ(counters.hits(), 1u);
   EXPECT_EQ(counters.misses(), 1u);
   EXPECT_EQ(counters.evictions(), 2u);
-  EXPECT_EQ(counters.writebacks(), 2u);
-  // Flush writes back the two resident dirty pages... page 2 and page 0?
-  // Page 2 is dirty (allocated, never written back); page 0 was written back
-  // at eviction and re-read clean. So exactly one more writeback.
-  ASSERT_TRUE(pager.Flush().ok());
+  EXPECT_EQ(LogAppends() - appends_before, 2u);
+  // The commit drains the one resident unlogged page: page 2 (page 0 was
+  // re-read clean from the log), plus the commit record. Only the
+  // checkpoint writes the main file: one write-back per logged page.
+  ASSERT_TRUE(CommitAndCheckpoint(pager, *logged.wal).ok());
+  EXPECT_EQ(LogAppends() - appends_before, 4u);
   EXPECT_EQ(counters.writebacks(), 3u);
 }
 
@@ -629,8 +653,9 @@ TEST(SetStoreTest, CompactRenameFailureReopensOriginal) {
 
 TEST(SetStoreTest, ClosedStoreAccessorsReportNoPages) {
   // Regression: a store closes itself when a failure-recovery reopen fails,
-  // and its pager accessors then dereferenced the missing pager. Here the
-  // reopen after Compact's swap cannot open the main file.
+  // and its pager accessors then dereferenced the missing pager, while its
+  // catalog reads kept answering from the catalog it closed to never
+  // serve. Here the reopen after Compact's swap cannot open the main file.
   TempFile file("store_closed");
   const std::string path = file.path();
   auto swapped = std::make_shared<bool>(false);
@@ -649,6 +674,7 @@ TEST(SetStoreTest, ClosedStoreAccessorsReportNoPages) {
   ASSERT_TRUE(store.Put("keep", X("{<keep, 1>}")).ok());
   EXPECT_GT(store.page_count(), 0u);
   EXPECT_GT(store.pager_latch_shards(), 0u);
+  EXPECT_TRUE(store.Contains("keep"));
 
   Status st = store.Compact();
   ASSERT_FALSE(st.ok());
@@ -661,6 +687,13 @@ TEST(SetStoreTest, ClosedStoreAccessorsReportNoPages) {
       << got.status().ToString();
   EXPECT_EQ(store.page_count(), 0u);
   EXPECT_EQ(store.pager_latch_shards(), 0u);
+  EXPECT_FALSE(store.Contains("keep"));
+  EXPECT_TRUE(store.List().empty());
+  EXPECT_EQ(store.CatalogAsXSet(), XSet::Empty());
+  Result<StorageMode> mode = store.ModeOf("keep");
+  ASSERT_FALSE(mode.ok());
+  EXPECT_NE(mode.status().message().find("is closed"), std::string::npos)
+      << mode.status().ToString();
 }
 
 // --- Ordered-index storage mode (PR 8) ---

@@ -1,10 +1,12 @@
-// Shared test utilities: notation shortcuts and deterministic random
-// extended-set generators for property suites.
+// Shared test utilities: notation shortcuts, deterministic random
+// extended-set generators for property suites, and a pager run over its log
+// with its counters.
 
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <string_view>
@@ -14,8 +16,10 @@
 #include "src/core/parse.h"
 #include "src/core/xset.h"
 #include "src/obs/metrics.h"
+#include "src/store/file.h"
 #include "src/store/pager.h"
 #include "src/store/setstore.h"
+#include "src/store/wal.h"
 
 namespace xst {
 namespace testing {
@@ -117,6 +121,44 @@ class PagerCounters {
 
   std::array<uint64_t, kNames.size()> base_{};
 };
+
+/// \brief A pager run the way the store runs it: over its log, with a log
+/// transaction open so that evictions can spill.
+struct LoggedPager {
+  std::unique_ptr<Wal> wal;
+  std::unique_ptr<Pager> pager;  // declared after `wal`: destroyed first
+};
+
+/// \brief Opens the log `path + ".wal"` and a pager of `capacity` frames
+/// over `main_file` (a StdioFile at `path` when null), then opens a log
+/// transaction.
+inline Result<LoggedPager> OpenLoggedPager(const std::string& path, size_t capacity,
+                                           std::unique_ptr<File> main_file = nullptr) {
+  LoggedPager out;
+  XST_ASSIGN_OR_RAISE(out.wal, Wal::Open(path + ".wal"));
+  if (main_file == nullptr) {
+    XST_ASSIGN_OR_RAISE(main_file, StdioFile::Open(path));
+  }
+  XST_ASSIGN_OR_RAISE(out.pager, Pager::Open(std::move(main_file), *out.wal, capacity, path));
+  out.wal->BeginTxn();
+  return out;
+}
+
+/// \brief Seals the open log transaction, checkpoints it the way the store
+/// does (images into the main file, fsync, recycle the log), and opens the
+/// next transaction.
+inline Status CommitAndCheckpoint(Pager& pager, Wal& wal) {
+  XST_RETURN_NOT_OK(pager.DrainUnloggedToWal());
+  XST_ASSIGN_OR_RAISE(uint64_t lsn, wal.AppendCommit());
+  XST_RETURN_NOT_OK(wal.WaitDurable(lsn));
+  for (const auto& [id, image] : wal.SnapshotResident()) {
+    XST_RETURN_NOT_OK(pager.ApplyCheckpointImage(id, image));
+  }
+  XST_RETURN_NOT_OK(pager.SyncFile());
+  XST_RETURN_NOT_OK(wal.Reset(lsn));
+  wal.BeginTxn();
+  return Status::OK();
+}
 
 /// \brief Page touches (hits + misses) of one ValidateBTree of every ordered
 /// index in `store`. Scrub validates each index once more than Get does, so

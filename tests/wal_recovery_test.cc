@@ -440,7 +440,6 @@ TEST(WalRecovery, ReplayOnOpenAfterCrashClose) {
     SetStoreOptions options;
     options.buffer_pool_pages = 4;
     options.checkpoint_on_close = false;  // simulate a crash: log-only state
-    options.wal_group_commit = false;     // exercise the serialized branch too
     auto store = SetStore::Open(path, options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     for (const WorkloadOp& op : ops) {

@@ -147,8 +147,9 @@ def main():
     parser.add_argument("--filter", default=None, help="benchmark name regex")
     parser.add_argument("--label", default=None, help="free-form label for this run")
     parser.add_argument("--allow-missing", action="store_true",
-                        help="skip perf-tracked binaries that are missing or crash "
-                             "instead of failing (writes a partial report)")
+                        help="skip perf-tracked binaries that are missing or crash, "
+                             "and drop benchmarks that report an error, instead of "
+                             "failing (writes a partial report)")
     parser.add_argument("--metrics", dest="metrics", action="store_true", default=True,
                         help="collect each binary's XST_METRICS_OUT dump into the "
                              "report (default)")
@@ -212,6 +213,14 @@ def main():
         for b in raw.get("benchmarks", []):
             # google-benchmark reports aggregate rows too; keep plain runs.
             if b.get("run_type", "iteration") != "iteration":
+                continue
+            # A benchmark that called SkipWithError still exits 0, with
+            # real_time 0: that is a failure, not a timing.
+            if b.get("error_occurred"):
+                what = f"{binary}: {b['name']} reported an error: {b.get('error_message', '')}"
+                if not args.allow_missing:
+                    sys.exit(f"error: {what} (pass --allow-missing to drop it instead)")
+                print(f"warning: {what}, dropping it", file=sys.stderr)
                 continue
             unit = b.get("time_unit", "ns")
             real_ns = to_ns(b["real_time"], unit)
