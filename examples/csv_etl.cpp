@@ -49,6 +49,7 @@ int main() {
   // 2. Load into a database with a persisted view.
   const std::string path = "/tmp/xst_etl.db";
   std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());  // the store's log sidecar
   auto db = Database::Open(path);
   if (!db.ok()) return Fail(db.status());
   Status st = (*db)->CreateTable("cities", schema);
@@ -82,5 +83,6 @@ int main() {
   std::printf("\nround-trip equals original: %s\n",
               back.ok() && *back == *by_country ? "yes" : "NO");
   std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
   return 0;
 }

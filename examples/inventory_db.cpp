@@ -60,6 +60,7 @@ int main() {
   // 2. Persist both tables: what goes to disk is the tuple set itself.
   const std::string path = "/tmp/xst_inventory.db";
   std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());  // the store's log sidecar
   {
     auto store = SetStore::Open(path);
     if (!store.ok()) return Fail(store.status());
@@ -104,5 +105,6 @@ int main() {
   Print("parts with no stock row (difference of semijoin)", *missing);
 
   std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
   return 0;
 }

@@ -63,6 +63,7 @@ int main() {
   std::printf("\n== 4. Persistence: what is stored IS the set ==\n");
   const std::string path = "/tmp/xst_quickstart.db";
   std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());  // the store's log sidecar
   {
     auto store = SetStore::Open(path);
     if (!store.ok()) {
@@ -81,5 +82,6 @@ int main() {
   Result<XSet> back = (*reopened)->Get("people");
   Show("reloaded equals original:", back.ok() && *back == people ? "yes" : "NO");
   std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
   return 0;
 }

@@ -2,8 +2,9 @@
 
 #include "src/common/macros.h"
 #include "src/ops/boolean.h"
-#include "src/xsp/eval.h"
+#include "src/xsp/compile.h"
 #include "src/xsp/parser.h"
+#include "src/xsp/vm.h"
 
 namespace xst {
 namespace rel {
@@ -168,7 +169,9 @@ Result<XSet> Database::EvaluateView(const std::string& name,
     }
   }
   trail->pop_back();
-  Result<XSet> value = xsp::Eval(plan, bindings);
+  Result<xsp::Program> program = xsp::Compile(plan);
+  Result<XSet> value = program.ok() ? xsp::VmEval(*program, bindings)
+                                    : Result<XSet>(program.status());
   if (!value.ok()) return value.status().WithContext("view '" + name + "'");
   return value;
 }

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/common/check.h"
 #include "src/common/macros.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -43,112 +42,16 @@ uint64_t PagesTouchedNow() {
   return hits.value() + misses.value() + allocs.value();
 }
 
-// Operator head ("Image") for interior nodes; the rendered value for
-// leaves, truncated so giant literals don't flood the tree. Interior labels
-// must not call ToString(): the root's label is built after its exit
-// timestamp, and rendering a large plan there would put visible time inside
-// total_wall_ns but outside every node's window, breaking the self-time
-// partition.
-std::string NodeLabel(const Expr& expr) {
-  switch (expr.kind()) {
-    case ExprKind::kUnion:
-      return "Union";
-    case ExprKind::kIntersect:
-      return "Intersect";
-    case ExprKind::kDifference:
-      return "Difference";
-    case ExprKind::kDomain:
-      return "Domain";
-    case ExprKind::kRestrict:
-      return "Restrict";
-    case ExprKind::kImage:
-      return "Image";
-    case ExprKind::kRelProduct:
-      return "RelProduct";
-    case ExprKind::kClosure:
-      return "Closure";
-    case ExprKind::kRange:
-      return "Range";
-    case ExprKind::kLiteral:
-    case ExprKind::kNamed:
-      break;
-  }
-  std::string text = expr.ToString();
-  constexpr size_t kMaxLeaf = 40;
-  if (text.size() > kMaxLeaf) {
-    text.resize(kMaxLeaf);
-    text.append("...");
-  }
-  return text;
-}
-
-class Analyzer : public internal::NodeObserver {
- public:
-  void EnterNode(const Expr& expr) override {
-    Frame frame;
-    frame.expr = &expr;
-    frame.memo_hits0 = MemoHitsNow();
-    frame.memo_misses0 = MemoMissesNow();
-    frame.pages0 = PagesTouchedNow();
-    frame.start_ns = obs::MonotonicNowNs();  // last: exclude snapshot cost
-    stack_.push_back(std::move(frame));
-  }
-
-  void ExitNode(const Expr& expr, const XSet& value) override {
-    const uint64_t now = obs::MonotonicNowNs();
-    XST_CHECK(!stack_.empty() && stack_.back().expr == &expr);
-    Frame frame = std::move(stack_.back());
-    stack_.pop_back();
-    AnalyzeNode node;
-    node.op = NodeLabel(expr);
-    node.output_cardinality = value.cardinality();
-    node.is_leaf =
-        expr.kind() == ExprKind::kLiteral || expr.kind() == ExprKind::kNamed;
-    node.wall_ns = now - frame.start_ns;
-    uint64_t children_ns = 0;
-    for (const AnalyzeNode& child : frame.children) children_ns += child.wall_ns;
-    node.self_wall_ns = node.wall_ns > children_ns ? node.wall_ns - children_ns : 0;
-    node.rescope_memo_hits = MemoHitsNow() - frame.memo_hits0;
-    node.rescope_memo_misses = MemoMissesNow() - frame.memo_misses0;
-    node.pages_touched = PagesTouchedNow() - frame.pages0;
-    node.children = std::move(frame.children);
-    if (stack_.empty()) {
-      root_ = std::move(node);
-    } else {
-      stack_.back().children.push_back(std::move(node));
-    }
-  }
-
-  AnalyzeNode TakeRoot() { return std::move(root_); }
-
- private:
-  struct Frame {
-    const Expr* expr = nullptr;
-    uint64_t start_ns = 0;
-    uint64_t memo_hits0 = 0;
-    uint64_t memo_misses0 = 0;
-    uint64_t pages0 = 0;
-    std::vector<AnalyzeNode> children;
-  };
-
-  std::vector<Frame> stack_;
-  AnalyzeNode root_;
-};
-
-// Per-instruction attribution for compiled plans: one flat AnalyzeNode per
-// opcode dispatch, labeled with its line from `listing` (the verifier's
-// typed disassembly), timed by the VM itself (self == wall for
-// straight-line code) and window-delta'd against the same memo/pager
-// counters the interpreter analyzer uses.
+// Per-instruction attribution: one flat AnalyzeNode per opcode dispatch,
+// labeled with its typed listing line, timed by the VM itself (self ==
+// wall for straight-line code) and window-delta'd against the memo/pager
+// counters. Labels are rendered before the run, so no listing work lands
+// inside the timed total.
 class VmAnalyzer : public VmObserver {
  public:
-  explicit VmAnalyzer(const std::string& listing) {
-    size_t pos = 0;
-    while (pos < listing.size()) {
-      size_t eol = listing.find('\n', pos);
-      if (eol == std::string::npos) eol = listing.size();
-      labels_.push_back(listing.substr(pos, eol - pos));
-      pos = eol + 1;
+  explicit VmAnalyzer(const VerifiedProgram& verified) {
+    for (size_t pc = 0; pc < verified.program().code.size(); ++pc) {
+      labels_.push_back(verified.InstrToString(pc));
     }
   }
 
@@ -164,7 +67,7 @@ class VmAnalyzer : public VmObserver {
     (void)instr;
     (void)out_interned;
     AnalyzeNode node;
-    node.op = pc < labels_.size() ? labels_[pc] : "?";
+    node.op = labels_[pc];
     node.output_cardinality = out_rows;
     node.is_leaf = !interned_intermediate;
     node.wall_ns = self_ns;
@@ -272,21 +175,19 @@ std::string AnalyzeResult::Render() const {
   std::string out;
   RenderNode(root, 0, &out);
   out.append("total: ").append(std::to_string(total_wall_ns)).append("ns, ");
-  out.append(std::to_string(stats.nodes_evaluated)).append(" nodes, ");
+  out.append(std::to_string(stats.instructions)).append(" nodes, ");
   out.append("intermediate rows: ")
-      .append(std::to_string(stats.intermediate_cardinality));
-  out.append(", engine: ").append(EngineName(engine)).append("\n");
+      .append(std::to_string(stats.interned_intermediate_rows));
+  out.append("\n");
   return out;
 }
 
 std::string AnalyzeResult::ToJson() const {
-  std::string out = "{\"engine\": \"";
-  out.append(EngineName(engine));
-  out.append("\", \"total_wall_ns\": ");
+  std::string out = "{\"total_wall_ns\": ";
   out.append(std::to_string(total_wall_ns));
-  out.append(", \"nodes_evaluated\": ").append(std::to_string(stats.nodes_evaluated));
+  out.append(", \"nodes_evaluated\": ").append(std::to_string(stats.instructions));
   out.append(", \"intermediate_cardinality\": ")
-      .append(std::to_string(stats.intermediate_cardinality));
+      .append(std::to_string(stats.interned_intermediate_rows));
   out.append(", \"plan\": ");
   NodeToJson(root, &out);
   out.append("}");
@@ -295,39 +196,19 @@ std::string AnalyzeResult::ToJson() const {
 
 Result<AnalyzeResult> ExplainAnalyze(const ExprPtr& expr, const Bindings& bindings) {
   XST_TRACE_SPAN("xsp.explain_analyze");
-  Analyzer analyzer;
-  AnalyzeResult result;
-  const uint64_t start = obs::MonotonicNowNs();
-  Result<XSet> value = internal::EvalObserved(expr, bindings, &result.stats, &analyzer);
-  result.total_wall_ns = obs::MonotonicNowNs() - start;
-  if (!value.ok()) return value.status();
-  result.value = std::move(*value);
-  result.root = analyzer.TakeRoot();
-  return result;
-}
-
-Result<AnalyzeResult> ExplainAnalyze(const ExprPtr& expr, const Bindings& bindings,
-                                     Engine engine) {
-  if (engine == Engine::kInterp) return ExplainAnalyze(expr, bindings);
-  XST_TRACE_SPAN("xsp.explain_analyze");
   XST_ASSIGN_OR_RAISE(Program program, Compile(expr));
   // Verify unconditionally here (EXPLAIN is diagnostic, not a hot path):
   // the proof's typed listing is what labels the per-instruction rows.
   XST_ASSIGN_OR_RAISE(VerifiedProgram verified, Verify(std::move(program)));
-  VmAnalyzer analyzer(verified.ToString());
+  VmAnalyzer analyzer(verified);
   AnalyzeResult result;
-  result.engine = Engine::kVm;
   VmContext ctx;
-  VmStats vm_stats;
   const uint64_t start = obs::MonotonicNowNs();
   Result<XSet> value =
-      VmEval(verified.program(), bindings, &ctx, &vm_stats, &analyzer);
+      VmEval(verified.program(), bindings, &ctx, &result.stats, &analyzer);
   result.total_wall_ns = obs::MonotonicNowNs() - start;
   if (!value.ok()) return value.status();
   result.value = std::move(*value);
-  result.stats.nodes_evaluated = vm_stats.instructions;
-  result.stats.intermediate_cardinality = vm_stats.interned_intermediate_rows;
-  result.stats.peak_cardinality = vm_stats.peak_rows;
   result.root = analyzer.BuildRoot(result.value.cardinality(), result.total_wall_ns);
   return result;
 }

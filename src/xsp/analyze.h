@@ -1,12 +1,15 @@
-// EXPLAIN ANALYZE for XSP plans: evaluate a plan while attributing wall
-// time, output cardinality, rescope-memo traffic, and pager traffic to each
-// plan node — the measured form of the paper's Def 11.1 / Thm 11.2 claim
-// that composed plans win by never materializing intermediates.
+// EXPLAIN ANALYZE for XSP plans: compile, verify and run a plan on the VM
+// while attributing wall time, output cardinality, rescope-memo traffic,
+// and pager traffic to each VM instruction — the measured form of the
+// paper's Def 11.1 / Thm 11.2 claim that composed plans win by never
+// materializing intermediates.
 //
-// Attribution rides the evaluator's NodeObserver seam (eval.h), so the
-// numbers here are the numbers Eval produced, not a re-simulation: node
-// cardinalities sum to exactly EvalStats.intermediate_cardinality (over
-// non-root, non-leaf nodes), and per-node self times partition the total.
+// Attribution rides the VM's VmObserver seam (vm.h), so the numbers here
+// are the numbers VmEval produced, not a re-simulation: the stats are
+// VmEval's own, the rows of the instructions that interned a non-result
+// value sum to exactly VmStats::interned_intermediate_rows, and per-node
+// self times partition the total. Each instruction row is labelled with
+// its line of the verifier's typed listing (VerifiedProgram::InstrToString).
 
 #pragma once
 
@@ -15,21 +18,20 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/xsp/eval.h"
 #include "src/xsp/expr.h"
+#include "src/xsp/vm.h"
 
 namespace xst {
 namespace xsp {
 
-/// \brief One annotated plan node (children in operand order).
+/// \brief One annotated plan node (children in execution order).
 struct AnalyzeNode {
-  /// Operator head ("Image", "Union") or rendered leaf.
+  /// "VmProgram[N]" for the root; an instruction's typed listing line for
+  /// its children.
   std::string op;
   /// Cardinality of this node's result.
   uint64_t output_cardinality = 0;
-  /// True for kLiteral/kNamed nodes (base data, not a materialized
-  /// intermediate). In an engine=vm plan, true for every instruction that
-  /// did NOT intern a non-result value, so
+  /// True for every instruction that did NOT intern a non-result value, so
   /// MaterializedIntermediateCardinality sums exactly the rows the VM
   /// actually interned before the result — 0 for a fully fused chain.
   bool is_leaf = false;
@@ -47,19 +49,17 @@ struct AnalyzeNode {
 
 /// \brief A finished EXPLAIN ANALYZE run.
 struct AnalyzeResult {
-  /// The query result (identical to what Eval returns).
+  /// The query result (identical to what VmEval returns).
   XSet value;
   /// The annotated plan tree.
   AnalyzeNode root;
-  /// The same stats Eval (or EvalWithEngine) would have produced.
-  EvalStats stats;
+  /// The stats VmEval produced for this run.
+  VmStats stats;
   /// Wall time of the whole evaluation.
   uint64_t total_wall_ns = 0;
-  /// Which engine produced this run — rendered as the `engine=` column.
-  Engine engine = Engine::kInterp;
 
   /// \brief Sum of output cardinalities over materialized intermediates
-  /// (non-root, non-leaf nodes) — matches stats.intermediate_cardinality.
+  /// (non-root, non-leaf nodes) — matches stats.interned_intermediate_rows.
   uint64_t MaterializedIntermediateCardinality() const;
 
   /// \brief Multi-line annotated plan tree:
@@ -71,17 +71,9 @@ struct AnalyzeResult {
   std::string ToJson() const;
 };
 
-/// \brief Evaluates `expr` with per-node attribution. Error statuses match
-/// Eval's.
+/// \brief Compiles, verifies and runs `expr` with per-instruction
+/// attribution. Errors are Compile's, Verify's or VmEval's.
 Result<AnalyzeResult> ExplainAnalyze(const ExprPtr& expr, const Bindings& bindings);
-
-/// \brief Engine-selectable EXPLAIN ANALYZE. Engine::kInterp attributes per
-/// plan node as above; Engine::kVm compiles the plan and attributes per VM
-/// instruction (one child node per opcode dispatch, labeled with its
-/// disassembly), riding the VmObserver seam so the numbers are the numbers
-/// the VM produced.
-Result<AnalyzeResult> ExplainAnalyze(const ExprPtr& expr, const Bindings& bindings,
-                                     Engine engine);
 
 }  // namespace xsp
 }  // namespace xst

@@ -1,6 +1,7 @@
 #include "src/xsp/compile.h"
 
 #include <limits>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -13,16 +14,35 @@ namespace {
 
 constexpr size_t kMaxSlots = std::numeric_limits<uint16_t>::max();
 
-// Leaf preview for disassembly, truncated like analyze.cc's NodeLabel so a
-// giant literal cannot flood the listing.
-std::string LiteralPreview(const XSet& value) {
+// Appends `text` with every control character escaped, so one
+// instruction always renders as exactly one line.
+void AppendEscaped(std::string_view text, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '\n') {
+      out->append("\\n");
+    } else if (c == '\t') {
+      out->append("\\t");
+    } else if (byte < 0x20 || byte == 0x7f) {
+      out->append("\\x");
+      out->push_back(kHex[byte >> 4]);
+      out->push_back(kHex[byte & 0xf]);
+    } else {
+      out->push_back(c);
+    }
+  }
+}
+
+// Leaf preview for disassembly, truncated so a giant literal cannot flood
+// the listing.
+void AppendLiteralPreview(const XSet& value, std::string* out) {
   std::string text = value.ToString();
   constexpr size_t kMaxLeaf = 40;
-  if (text.size() > kMaxLeaf) {
-    text.resize(kMaxLeaf);
-    text.append("...");
-  }
-  return text;
+  const bool truncated = text.size() > kMaxLeaf;
+  if (truncated) text.resize(kMaxLeaf);
+  AppendEscaped(text, out);
+  if (truncated) out->append("...");
 }
 
 class Compiler {
@@ -224,61 +244,69 @@ const char* OpCodeName(OpCode op) {
   return "?";
 }
 
+std::string Program::InstrToString(size_t pc) const {
+  std::string out;
+  const Instr& in = code[pc];
+  out.append(std::to_string(pc)).append(": ").append(OpCodeName(in.op));
+  switch (in.op) {
+    case OpCode::kLoadLiteral:
+      out.append(" r").append(std::to_string(in.dst));
+      out.append(" <- ");
+      AppendLiteralPreview(literals[in.a], &out);
+      break;
+    case OpCode::kLoadBinding:
+      out.append(" r").append(std::to_string(in.dst));
+      out.append(" <- @");
+      AppendEscaped(names[in.a], &out);
+      break;
+    case OpCode::kUnion:
+    case OpCode::kIntersect:
+    case OpCode::kDifference:
+      out.append(" r").append(std::to_string(in.dst));
+      out.append(" <- r").append(std::to_string(in.a));
+      out.append(", r").append(std::to_string(in.b));
+      break;
+    case OpCode::kRescope:
+    case OpCode::kRange:
+      out.append(" r").append(std::to_string(in.dst));
+      out.append(" <- r").append(std::to_string(in.a));
+      out.append(" sigma#").append(std::to_string(in.spec));
+      break;
+    case OpCode::kLoadRange:
+      out.append(" r").append(std::to_string(in.dst));
+      out.append(" <- @");
+      AppendEscaped(names[in.a], &out);
+      out.append(" sigma#").append(std::to_string(in.spec));
+      break;
+    case OpCode::kRestrict:
+    case OpCode::kImage:
+    case OpCode::kIndex:
+      out.append(" r").append(std::to_string(in.dst));
+      out.append(" <- r").append(std::to_string(in.a));
+      out.append("[r").append(std::to_string(in.b));
+      out.append("] sigma#").append(std::to_string(in.spec));
+      break;
+    case OpCode::kRelProduct:
+      out.append(" r").append(std::to_string(in.dst));
+      out.append(" <- r").append(std::to_string(in.a));
+      out.append(" /so# r").append(std::to_string(in.b));
+      out.append(" spec#").append(std::to_string(in.spec));
+      break;
+    case OpCode::kClosure:
+      out.append(" r").append(std::to_string(in.dst));
+      out.append(" <- r").append(std::to_string(in.a)).append("+");
+      break;
+    case OpCode::kMaterialize:
+      out.append(" r").append(std::to_string(in.dst));
+      break;
+  }
+  return out;
+}
+
 std::string Program::ToString() const {
   std::string out;
   for (size_t pc = 0; pc < code.size(); ++pc) {
-    const Instr& in = code[pc];
-    out.append(std::to_string(pc)).append(": ").append(OpCodeName(in.op));
-    switch (in.op) {
-      case OpCode::kLoadLiteral:
-        out.append(" r").append(std::to_string(in.dst));
-        out.append(" <- ").append(LiteralPreview(literals[in.a]));
-        break;
-      case OpCode::kLoadBinding:
-        out.append(" r").append(std::to_string(in.dst));
-        out.append(" <- @").append(names[in.a]);
-        break;
-      case OpCode::kUnion:
-      case OpCode::kIntersect:
-      case OpCode::kDifference:
-        out.append(" r").append(std::to_string(in.dst));
-        out.append(" <- r").append(std::to_string(in.a));
-        out.append(", r").append(std::to_string(in.b));
-        break;
-      case OpCode::kRescope:
-      case OpCode::kRange:
-        out.append(" r").append(std::to_string(in.dst));
-        out.append(" <- r").append(std::to_string(in.a));
-        out.append(" sigma#").append(std::to_string(in.spec));
-        break;
-      case OpCode::kLoadRange:
-        out.append(" r").append(std::to_string(in.dst));
-        out.append(" <- @").append(names[in.a]);
-        out.append(" sigma#").append(std::to_string(in.spec));
-        break;
-      case OpCode::kRestrict:
-      case OpCode::kImage:
-      case OpCode::kIndex:
-        out.append(" r").append(std::to_string(in.dst));
-        out.append(" <- r").append(std::to_string(in.a));
-        out.append("[r").append(std::to_string(in.b));
-        out.append("] sigma#").append(std::to_string(in.spec));
-        break;
-      case OpCode::kRelProduct:
-        out.append(" r").append(std::to_string(in.dst));
-        out.append(" <- r").append(std::to_string(in.a));
-        out.append(" /so# r").append(std::to_string(in.b));
-        out.append(" spec#").append(std::to_string(in.spec));
-        break;
-      case OpCode::kClosure:
-        out.append(" r").append(std::to_string(in.dst));
-        out.append(" <- r").append(std::to_string(in.a)).append("+");
-        break;
-      case OpCode::kMaterialize:
-        out.append(" r").append(std::to_string(in.dst));
-        break;
-    }
-    out.push_back('\n');
+    out.append(InstrToString(pc)).push_back('\n');
   }
   return out;
 }

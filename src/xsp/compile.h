@@ -1,6 +1,6 @@
 // Compilation of XSP plans to flat register bytecode.
 //
-// The tree interpreter (eval.cc) materializes an interned XSet at every
+// The reference evaluator (eval.cc) materializes an interned XSet at every
 // node; the compiled form exists to NOT do that. Compile() lowers an
 // (ideally already optimized) ExprPtr tree to a linear Program over virtual
 // registers, which the VM (vm.h) executes over raw membership spans in a
@@ -91,7 +91,13 @@ struct Program {
   std::vector<SpecEntry> specs;
   uint16_t num_regs = 0;
 
-  /// \brief Human-readable disassembly, one instruction per line.
+  /// \brief Disassembly of instruction `pc` as one line, without the
+  /// newline: control characters in literal previews and binding names are
+  /// escaped, so the line never breaks.
+  std::string InstrToString(size_t pc) const;
+
+  /// \brief Human-readable disassembly: InstrToString for each instruction,
+  /// one per line.
   std::string ToString() const;
 };
 

@@ -1,10 +1,8 @@
 #include "src/xsp/eval.h"
 
-#include <cstdlib>
-#include <string_view>
+#include <algorithm>
 
 #include "src/common/macros.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/ops/boolean.h"
 #include "src/ops/closure.h"
@@ -12,8 +10,6 @@
 #include "src/ops/image.h"
 #include "src/ops/relative.h"
 #include "src/ops/restrict.h"
-#include "src/xsp/compile.h"
-#include "src/xsp/vm.h"
 
 namespace xst {
 namespace xsp {
@@ -21,22 +17,20 @@ namespace xsp {
 namespace {
 
 Result<XSet> EvalImpl(const ExprPtr& expr, const Bindings& bindings, EvalStats* stats,
-                      internal::NodeObserver* observer, bool is_root) {
+                      bool is_root) {
   if (expr == nullptr) return Status::Invalid("null expression");
-  if (stats != nullptr) ++stats->nodes_evaluated;
-  if (observer != nullptr) observer->EnterNode(*expr);
+  ++stats->nodes_evaluated;
 
   // Leaves are base data, not materialized intermediates: only computed
   // non-root results count toward the intermediate totals.
   bool is_leaf =
       expr->kind() == ExprKind::kLiteral || expr->kind() == ExprKind::kNamed;
   auto record = [&, is_leaf](XSet value) -> XSet {
-    if (stats != nullptr && !is_root && !is_leaf) {
+    if (!is_root && !is_leaf) {
       stats->intermediate_cardinality += value.cardinality();
       stats->peak_cardinality = std::max<uint64_t>(stats->peak_cardinality,
                                                    value.cardinality());
     }
-    if (observer != nullptr) observer->ExitNode(*expr, value);
     return value;
   };
 
@@ -51,47 +45,47 @@ Result<XSet> EvalImpl(const ExprPtr& expr, const Bindings& bindings, EvalStats* 
       return record(it->second);
     }
     case ExprKind::kUnion: {
-      XST_ASSIGN_OR_RAISE(XSet a, EvalImpl(expr->child(0), bindings, stats, observer, false));
-      XST_ASSIGN_OR_RAISE(XSet b, EvalImpl(expr->child(1), bindings, stats, observer, false));
+      XST_ASSIGN_OR_RAISE(XSet a, EvalImpl(expr->child(0), bindings, stats, false));
+      XST_ASSIGN_OR_RAISE(XSet b, EvalImpl(expr->child(1), bindings, stats, false));
       return record(Union(a, b));
     }
     case ExprKind::kIntersect: {
-      XST_ASSIGN_OR_RAISE(XSet a, EvalImpl(expr->child(0), bindings, stats, observer, false));
-      XST_ASSIGN_OR_RAISE(XSet b, EvalImpl(expr->child(1), bindings, stats, observer, false));
+      XST_ASSIGN_OR_RAISE(XSet a, EvalImpl(expr->child(0), bindings, stats, false));
+      XST_ASSIGN_OR_RAISE(XSet b, EvalImpl(expr->child(1), bindings, stats, false));
       return record(Intersect(a, b));
     }
     case ExprKind::kDifference: {
-      XST_ASSIGN_OR_RAISE(XSet a, EvalImpl(expr->child(0), bindings, stats, observer, false));
-      XST_ASSIGN_OR_RAISE(XSet b, EvalImpl(expr->child(1), bindings, stats, observer, false));
+      XST_ASSIGN_OR_RAISE(XSet a, EvalImpl(expr->child(0), bindings, stats, false));
+      XST_ASSIGN_OR_RAISE(XSet b, EvalImpl(expr->child(1), bindings, stats, false));
       return record(Difference(a, b));
     }
     case ExprKind::kDomain: {
-      XST_ASSIGN_OR_RAISE(XSet r, EvalImpl(expr->child(0), bindings, stats, observer, false));
+      XST_ASSIGN_OR_RAISE(XSet r, EvalImpl(expr->child(0), bindings, stats, false));
       return record(SigmaDomain(r, expr->sigma().s1));
     }
     case ExprKind::kRestrict: {
-      XST_ASSIGN_OR_RAISE(XSet r, EvalImpl(expr->child(0), bindings, stats, observer, false));
-      XST_ASSIGN_OR_RAISE(XSet a, EvalImpl(expr->child(1), bindings, stats, observer, false));
+      XST_ASSIGN_OR_RAISE(XSet r, EvalImpl(expr->child(0), bindings, stats, false));
+      XST_ASSIGN_OR_RAISE(XSet a, EvalImpl(expr->child(1), bindings, stats, false));
       return record(SigmaRestrict(r, expr->sigma().s1, a));
     }
     case ExprKind::kImage: {
-      XST_ASSIGN_OR_RAISE(XSet r, EvalImpl(expr->child(0), bindings, stats, observer, false));
-      XST_ASSIGN_OR_RAISE(XSet a, EvalImpl(expr->child(1), bindings, stats, observer, false));
+      XST_ASSIGN_OR_RAISE(XSet r, EvalImpl(expr->child(0), bindings, stats, false));
+      XST_ASSIGN_OR_RAISE(XSet a, EvalImpl(expr->child(1), bindings, stats, false));
       return record(Image(r, a, expr->sigma()));
     }
     case ExprKind::kRelProduct: {
-      XST_ASSIGN_OR_RAISE(XSet f, EvalImpl(expr->child(0), bindings, stats, observer, false));
-      XST_ASSIGN_OR_RAISE(XSet g, EvalImpl(expr->child(1), bindings, stats, observer, false));
+      XST_ASSIGN_OR_RAISE(XSet f, EvalImpl(expr->child(0), bindings, stats, false));
+      XST_ASSIGN_OR_RAISE(XSet g, EvalImpl(expr->child(1), bindings, stats, false));
       return record(RelativeProduct(f, g, expr->sigma(), expr->omega()));
     }
     case ExprKind::kClosure: {
-      XST_ASSIGN_OR_RAISE(XSet r, EvalImpl(expr->child(0), bindings, stats, observer, false));
+      XST_ASSIGN_OR_RAISE(XSet r, EvalImpl(expr->child(0), bindings, stats, false));
       Result<XSet> closure = TransitiveClosure(r);
       if (!closure.ok()) return closure.status();
       return record(*closure);
     }
     case ExprKind::kRange: {
-      XST_ASSIGN_OR_RAISE(XSet r, EvalImpl(expr->child(0), bindings, stats, observer, false));
+      XST_ASSIGN_OR_RAISE(XSet r, EvalImpl(expr->child(0), bindings, stats, false));
       return record(ElementRangeRestrict(r, expr->sigma().s1, expr->sigma().s2));
     }
   }
@@ -124,30 +118,10 @@ void ExplainImpl(const ExprPtr& expr, int depth, std::string* out) {
 
 }  // namespace
 
-// Registry mirrors of EvalStats, so query totals show up in the process
-// metrics dump alongside the cache and pool counters.
-void MirrorEvalStats(const EvalStats& stats) {
-  static obs::Counter& queries = obs::MetricsRegistry::Global().GetCounter("xsp.eval.queries");
-  static obs::Counter& nodes = obs::MetricsRegistry::Global().GetCounter("xsp.eval.nodes");
-  static obs::Counter& intermediates =
-      obs::MetricsRegistry::Global().GetCounter("xsp.eval.intermediate_cardinality");
-  queries.Increment();
-  nodes.Add(stats.nodes_evaluated);
-  intermediates.Add(stats.intermediate_cardinality);
-}
-
 Result<XSet> Eval(const ExprPtr& expr, const Bindings& bindings, EvalStats* stats) {
   XST_TRACE_SPAN("xsp.eval");
-  EvalStats local;
-  Result<XSet> result = EvalImpl(expr, bindings, &local, /*observer=*/nullptr,
-                                 /*is_root=*/true);
-  MirrorEvalStats(local);
-  if (stats != nullptr) {
-    stats->nodes_evaluated += local.nodes_evaluated;
-    stats->intermediate_cardinality += local.intermediate_cardinality;
-    stats->peak_cardinality = std::max(stats->peak_cardinality, local.peak_cardinality);
-  }
-  return result;
+  EvalStats unused;
+  return EvalImpl(expr, bindings, stats != nullptr ? stats : &unused, /*is_root=*/true);
 }
 
 std::string Explain(const ExprPtr& expr) {
@@ -155,51 +129,6 @@ std::string Explain(const ExprPtr& expr) {
   ExplainImpl(expr, 0, &out);
   return out;
 }
-
-const char* EngineName(Engine engine) {
-  return engine == Engine::kVm ? "vm" : "interp";
-}
-
-Engine EngineFromEnv() {
-  const char* env = std::getenv("XST_ENGINE");
-  if (env != nullptr && std::string_view(env) == "vm") return Engine::kVm;
-  return Engine::kInterp;
-}
-
-Result<XSet> EvalWithEngine(Engine engine, const ExprPtr& expr, const Bindings& bindings,
-                            EvalStats* stats) {
-  if (engine == Engine::kInterp) return Eval(expr, bindings, stats);
-  XST_TRACE_SPAN("xsp.eval_vm");
-  XST_ASSIGN_OR_RAISE(Program program, Compile(expr));
-  // Per-thread arena: scripts and repeated queries on one thread re-execute
-  // with warm buffers (the VmContext reuse contract).
-  thread_local VmContext ctx;
-  VmStats vm_stats;
-  Result<XSet> result = VmEval(program, bindings, &ctx, &vm_stats);
-  if (stats != nullptr) {
-    stats->nodes_evaluated += vm_stats.instructions;
-    stats->intermediate_cardinality += vm_stats.interned_intermediate_rows;
-    stats->peak_cardinality = std::max(stats->peak_cardinality, vm_stats.peak_rows);
-  }
-  return result;
-}
-
-namespace internal {
-
-Result<XSet> EvalObserved(const ExprPtr& expr, const Bindings& bindings, EvalStats* stats,
-                          NodeObserver* observer) {
-  EvalStats local;
-  Result<XSet> result = EvalImpl(expr, bindings, &local, observer, /*is_root=*/true);
-  MirrorEvalStats(local);
-  if (stats != nullptr) {
-    stats->nodes_evaluated += local.nodes_evaluated;
-    stats->intermediate_cardinality += local.intermediate_cardinality;
-    stats->peak_cardinality = std::max(stats->peak_cardinality, local.peak_cardinality);
-  }
-  return result;
-}
-
-}  // namespace internal
 
 }  // namespace xsp
 }  // namespace xst

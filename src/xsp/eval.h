@@ -1,8 +1,14 @@
-// XSP evaluation with execution statistics.
+// The reference evaluator for XSP plans, with execution statistics.
 //
-// Evaluation is bottom-up and materializing; EvalStats records how much
-// intermediate state a plan touched, which is what the optimizer benchmarks
-// compare (composed plans vs. staged plans with materialized intermediates).
+// Library and tool paths run plans on the compiled VM (compile.h / vm.h):
+// RunScript, rel::Database views, EXPLAIN ANALYZE and xstctl. Eval is the
+// tree-walking definition of what a plan means — bottom-up and
+// materializing, one operator call per node — kept as the oracle the VM is
+// checked against (the differential fuzz, the verifier mutation oracle)
+// and as the staged baseline that bench_vm, bench_compose and the examples
+// measure. EvalStats records how much intermediate state a plan touched,
+// which is what the optimizer benchmarks compare (composed plans vs. staged
+// plans with materialized intermediates).
 
 #pragma once
 
@@ -24,56 +30,8 @@ struct EvalStats {
 /// \brief Evaluates `expr` against `bindings`. `stats` may be null.
 Result<XSet> Eval(const ExprPtr& expr, const Bindings& bindings, EvalStats* stats = nullptr);
 
-/// \brief Which execution engine runs a plan: the tree-walking interpreter
-/// or the compiled bytecode VM (compile.h / vm.h).
-enum class Engine {
-  kInterp,
-  kVm,
-};
-
-/// \brief "interp" / "vm" — the engine column of reports and EXPLAIN.
-const char* EngineName(Engine engine);
-
-/// \brief Engine selected by the XST_ENGINE environment variable ("vm" or
-/// "interp"); kInterp when unset or unrecognized.
-Engine EngineFromEnv();
-
-/// \brief Evaluates via the chosen engine. Both engines agree on the value
-/// (the differential fuzz oracle pins this); stats differ by construction:
-/// the interpreter counts every non-root operator output as an
-/// intermediate, while the VM — whose fused span chains never intern
-/// intermediates — counts nodes as instructions executed and intermediates
-/// as rows actually interned before the result.
-Result<XSet> EvalWithEngine(Engine engine, const ExprPtr& expr, const Bindings& bindings,
-                            EvalStats* stats = nullptr);
-
 /// \brief Multi-line EXPLAIN rendering of a plan.
 std::string Explain(const ExprPtr& expr);
-
-namespace internal {
-
-/// \brief Per-node hooks into the recursive evaluator — the seam
-/// ExplainAnalyze attributes time and cardinality through, so EXPLAIN
-/// ANALYZE and Eval can never disagree about what a plan did.
-class NodeObserver {
- public:
-  virtual ~NodeObserver() = default;
-
-  /// \brief Called when evaluation of `expr` begins (before its children).
-  virtual void EnterNode(const Expr& expr) = 0;
-
-  /// \brief Called when `expr` finished evaluating to `value`; children have
-  /// already exited. Not called on error paths (the whole analysis is
-  /// discarded with the Status).
-  virtual void ExitNode(const Expr& expr, const XSet& value) = 0;
-};
-
-/// \brief Eval with per-node observer callbacks. `stats` and `observer` may
-/// be null; stats semantics match Eval exactly.
-Result<XSet> EvalObserved(const ExprPtr& expr, const Bindings& bindings, EvalStats* stats,
-                          NodeObserver* observer);
-
-}  // namespace internal
 
 }  // namespace xsp
 }  // namespace xst

@@ -3,9 +3,10 @@
 #include <cctype>
 
 #include "src/common/macros.h"
-#include "src/xsp/eval.h"
+#include "src/xsp/compile.h"
 #include "src/xsp/optimizer.h"
 #include "src/xsp/parser.h"
+#include "src/xsp/vm.h"
 
 namespace xst {
 namespace xsp {
@@ -67,16 +68,18 @@ Result<Script> ParseScript(std::string_view text) {
   return script;
 }
 
-Result<ScriptOutput> RunScript(const Script& script, Bindings initial, bool optimize,
-                               Engine engine) {
+Result<ScriptOutput> RunScript(const Script& script, Bindings initial, bool optimize) {
   ScriptOutput output;
   output.bindings = std::move(initial);
+  VmContext ctx;
   for (const Statement& statement : script.statements) {
     ExprPtr plan = statement.plan;
     if (optimize) {
       XST_ASSIGN_OR_RAISE(plan, Optimize(plan, output.bindings));
     }
-    Result<XSet> value = EvalWithEngine(engine, plan, output.bindings);
+    Result<Program> program = Compile(plan);
+    Result<XSet> value = program.ok() ? VmEval(*program, output.bindings, &ctx)
+                                      : Result<XSet>(program.status());
     if (!value.ok()) {
       return value.status().WithContext("statement '" + statement.source + "'");
     }

@@ -8,7 +8,7 @@
 // A script is parsed once (all plans validated up front) and can be run
 // against different initial bindings. Name statements extend the
 // environment for subsequent statements; expression statements append to
-// the result list.
+// the result list. Each statement is compiled and run on the VM (vm.h).
 
 #pragma once
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/xsp/eval.h"
 #include "src/xsp/expr.h"
 
 namespace xst {
@@ -46,13 +45,10 @@ struct ScriptOutput {
 
 /// \brief Runs every statement against `initial` (later statements see
 /// earlier bindings). Optimization is applied per statement when
-/// `optimize` is set. `engine` picks the evaluator per statement and
-/// defaults to the XST_ENGINE environment selection (eval.h), so
-/// `XST_ENGINE=vm` flips a whole script run to compiled execution without
-/// touching call sites.
+/// `optimize` is set. The statements share one VmContext, so a script's
+/// later statements run on warm arena buffers.
 Result<ScriptOutput> RunScript(const Script& script, Bindings initial,
-                               bool optimize = false,
-                               Engine engine = EngineFromEnv());
+                               bool optimize = false);
 
 }  // namespace xsp
 }  // namespace xst

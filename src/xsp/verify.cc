@@ -252,38 +252,35 @@ const char* RegTypeName(RegType type) {
   return "?";
 }
 
+std::string VerifiedProgram::InstrToString(size_t pc) const {
+  // The plain disassembly line, annotated with the type judgments.
+  std::string out = program_.InstrToString(pc);
+  const Instr& in = program_.code[pc];
+  const InstrTypes& jt = instr_types_[pc];
+  out.append("   ; ");
+  bool first = true;
+  if (jt.a_before != RegType::kUninit) {
+    const uint16_t reg = in.op == OpCode::kMaterialize ? in.dst : in.a;
+    out.append("r").append(std::to_string(reg)).append(":");
+    out.append(RegTypeName(jt.a_before));
+    first = false;
+  }
+  if (jt.b_before != RegType::kUninit) {
+    if (!first) out.append(", ");
+    out.append("r").append(std::to_string(in.b)).append(":");
+    out.append(RegTypeName(jt.b_before));
+    first = false;
+  }
+  if (!first) out.append(" ");
+  out.append("-> r").append(std::to_string(in.dst)).append(":");
+  out.append(RegTypeName(jt.dst_after));
+  return out;
+}
+
 std::string VerifiedProgram::ToString() const {
-  // Annotate the plain disassembly line-by-line with the type judgments.
-  const std::string disasm = program_.ToString();
   std::string out;
-  size_t pos = 0;
-  size_t pc = 0;
-  while (pos < disasm.size() && pc < instr_types_.size()) {
-    size_t eol = disasm.find('\n', pos);
-    if (eol == std::string::npos) eol = disasm.size();
-    out.append(disasm, pos, eol - pos);
-    const Instr& in = program_.code[pc];
-    const InstrTypes& jt = instr_types_[pc];
-    out.append("   ; ");
-    bool first = true;
-    if (jt.a_before != RegType::kUninit) {
-      const uint16_t reg = in.op == OpCode::kMaterialize ? in.dst : in.a;
-      out.append("r").append(std::to_string(reg)).append(":");
-      out.append(RegTypeName(jt.a_before));
-      first = false;
-    }
-    if (jt.b_before != RegType::kUninit) {
-      if (!first) out.append(", ");
-      out.append("r").append(std::to_string(in.b)).append(":");
-      out.append(RegTypeName(jt.b_before));
-      first = false;
-    }
-    if (!first) out.append(" ");
-    out.append("-> r").append(std::to_string(in.dst)).append(":");
-    out.append(RegTypeName(jt.dst_after));
-    out.push_back('\n');
-    pos = eol + 1;
-    ++pc;
+  for (size_t pc = 0; pc < instr_types_.size(); ++pc) {
+    out.append(InstrToString(pc)).push_back('\n');
   }
   return out;
 }

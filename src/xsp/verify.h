@@ -5,7 +5,7 @@
 // register indexing on its hot path; a compiler bug that emits an undefined
 // register, confuses a span with an interned handle, or points a load at a
 // missing literal would become silent memory corruption at execution time.
-// Verify() is an abstract interpreter over the 12-opcode Program that
+// Verify() is an abstract interpreter over the 14-opcode Program that
 // proves, once per program instead of once per dispatch:
 //
 //   (a) def-before-use and single assignment: every register operand was
@@ -42,8 +42,9 @@
 // Wiring: VmEval runs VerifyProgram as a mandatory pass at the
 // XST_VM_VALIDATE tier (debug builds and XST_VALIDATE_LEVEL >= 1); Release
 // builds opt in with the XST_VERIFY_PROGRAMS environment variable. EXPLAIN
-// ANALYZE engine=vm and `xstctl verify` print VerifiedProgram::ToString(),
-// the typed listing of the proof the verifier computed.
+// ANALYZE labels each instruction row with VerifiedProgram::InstrToString,
+// and `xstctl verify` prints VerifiedProgram::ToString(): the typed listing
+// of the proof the verifier computed, one line per instruction.
 
 #pragma once
 
@@ -106,9 +107,14 @@ class VerifiedProgram {
   /// \brief The register the final kMaterialize pins the result in.
   uint16_t root_reg() const { return root_reg_; }
 
-  /// \brief Typed disassembly: each instruction line annotated with the
-  /// operand types consumed and the destination type produced, e.g.
+  /// \brief Typed line of instruction `pc`, without the newline: its
+  /// Program::InstrToString annotated with the operand types consumed and
+  /// the destination type produced, e.g.
   ///   2: Union r2 <- r0, r1   ; r0:handle, r1:span -> r2:span
+  std::string InstrToString(size_t pc) const;
+
+  /// \brief Typed disassembly: InstrToString for each instruction, one per
+  /// line.
   std::string ToString() const;
 
  private:

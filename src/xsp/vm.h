@@ -19,7 +19,7 @@
 // Observability: every dispatch runs under a per-opcode XST_TRACE_SPAN
 // ("vm.union", "vm.image", ...), per-opcode counters land in the metrics
 // registry under "xsp.vm.op.<name>", and the VmObserver seam feeds EXPLAIN
-// ANALYZE's engine=vm mode (analyze.h) with per-instruction rows/self-time.
+// ANALYZE (analyze.h) with per-instruction rows/self-time.
 
 #pragma once
 
@@ -44,7 +44,7 @@ class VmExecutor;
 /// \brief Execution statistics for one (or more, when accumulated) VM runs.
 ///
 /// The VM's materialization accounting is intentionally different from
-/// EvalStats: the interpreter counts every non-root operator output
+/// EvalStats: the reference evaluator counts every non-root operator output
 /// (everything it materializes), the VM counts only what actually reached
 /// the interner — which for a fused span chain is nothing but the root.
 struct VmStats {
@@ -57,9 +57,9 @@ struct VmStats {
   uint64_t peak_rows = 0;
 };
 
-/// \brief Per-instruction hooks, the engine seam EXPLAIN ANALYZE rides in
-/// engine=vm mode. Self-time is measured by the VM (dispatch to dispatch)
-/// only while an observer is installed.
+/// \brief Per-instruction hooks, the seam EXPLAIN ANALYZE rides.
+/// Self-time is measured by the VM (dispatch to dispatch) only while an
+/// observer is installed.
 class VmObserver {
  public:
   virtual ~VmObserver() = default;

@@ -149,13 +149,13 @@ inline Result<LoggedPager> OpenLoggedPager(const std::string& path, size_t capac
 /// next transaction.
 inline Status CommitAndCheckpoint(Pager& pager, Wal& wal) {
   XST_RETURN_NOT_OK(pager.DrainUnloggedToWal());
-  XST_ASSIGN_OR_RAISE(uint64_t lsn, wal.AppendCommit());
-  XST_RETURN_NOT_OK(wal.WaitDurable(lsn));
+  XST_ASSIGN_OR_RAISE(CommitTicket ticket, wal.AppendCommit());
+  XST_RETURN_NOT_OK(wal.WaitDurable(ticket));
   for (const auto& [id, image] : wal.SnapshotResident()) {
     XST_RETURN_NOT_OK(pager.ApplyCheckpointImage(id, image));
   }
   XST_RETURN_NOT_OK(pager.SyncFile());
-  XST_RETURN_NOT_OK(wal.Reset(lsn));
+  XST_RETURN_NOT_OK(wal.Reset(ticket.lsn));
   wal.BeginTxn();
   return Status::OK();
 }

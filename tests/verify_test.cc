@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "src/xsp/analyze.h"
 #include "src/xsp/compile.h"
-#include "src/xsp/eval.h"
 #include "src/xsp/parser.h"
 #include "src/xsp/verify.h"
 #include "src/xsp/vm.h"
@@ -324,7 +324,7 @@ TEST(Verify, VmRejectsCorruptProgramBeforeExecuting) {
   EXPECT_NE(result.status().ToString().find("instr 2"), std::string::npos);
 }
 
-// EXPLAIN engine=vm labels every instruction row with the typed listing.
+// The typed listing EXPLAIN ANALYZE labels its instruction rows with.
 TEST(Verify, ExplainAnalyzeShowsTypedListing) {
   Bindings env;
   env["a"] = X("{1, 2}");
@@ -336,6 +336,47 @@ TEST(Verify, ExplainAnalyzeShowsTypedListing) {
   ASSERT_TRUE(verified.ok()) << verified.status().ToString();
   EXPECT_NE(verified->ToString().find("; "), std::string::npos);
   EXPECT_NE(verified->ToString().find(":span"), std::string::npos);
+}
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    lines.push_back(text.substr(pos, eol - pos));
+    pos = eol + 1;
+  }
+  return lines;
+}
+
+// One line per instruction: a literal whose symbol holds a newline renders
+// escaped, so the plain listing, the typed listing and EXPLAIN ANALYZE's
+// row labels all stay aligned with the program counter.
+TEST(Verify, ListingIsOneLinePerInstruction) {
+  Bindings env;
+  env["f"] = X("{1, 2}");
+  ExprPtr plan = Expr::Union(Expr::Literal(XSet::Classical({XSet::Symbol("a\nb")})),
+                             Expr::Named("f"));
+  Program program = *Compile(plan);
+  VerifiedProgram verified = *Verify(program);
+  const std::vector<std::string> plain = Lines(program.ToString());
+  const std::vector<std::string> typed = Lines(verified.ToString());
+  ASSERT_EQ(plain.size(), program.code.size()) << program.ToString();
+  ASSERT_EQ(typed.size(), program.code.size()) << verified.ToString();
+  EXPECT_EQ(plain[0], "0: LoadLiteral r0 <- {a\\nb}");
+  for (size_t pc = 0; pc < program.code.size(); ++pc) {
+    EXPECT_EQ(plain[pc].rfind(std::to_string(pc) + ": ", 0), 0u) << plain[pc];
+    EXPECT_EQ(typed[pc].rfind(plain[pc] + "   ; ", 0), 0u) << typed[pc];
+  }
+  EXPECT_EQ(typed[3].rfind("3: Materialize r2", 0), 0u) << typed[3];
+
+  Result<AnalyzeResult> analyzed = ExplainAnalyze(plan, env);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  ASSERT_EQ(analyzed->root.children.size(), typed.size()) << analyzed->Render();
+  for (size_t pc = 0; pc < typed.size(); ++pc) {
+    EXPECT_EQ(analyzed->root.children[pc].op, typed[pc]);
+  }
 }
 
 }  // namespace

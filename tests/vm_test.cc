@@ -1,7 +1,7 @@
 // The compiled engine: compiler goldens (per-opcode programs and
-// disassembly), round-trips against the interpreter on the paper's worked
-// examples, the arena-reuse and fused-chain invariants the VM exists for,
-// cursor streaming (in-memory, chunked, and SetStore-backed), and the
+// disassembly), round-trips against the reference evaluator on the paper's
+// worked examples, the arena-reuse and fused-chain invariants the VM exists
+// for, cursor streaming (in-memory, chunked, and SetStore-backed), and the
 // span/counter emission the observability layer promises.
 
 #include <gtest/gtest.h>
@@ -219,15 +219,12 @@ TEST(Vm, FusedChainInternsOnlyTheRoot) {
   EXPECT_EQ(stats.interned_intermediate_rows, 0u);
   EXPECT_GE(stats.peak_rows, result->cardinality());
 
-  // EXPLAIN ANALYZE engine=vm reports the same zero, per instruction.
-  AnalyzeResult analyzed = *ExplainAnalyze(plan, env, Engine::kVm);
+  // EXPLAIN ANALYZE reports the same zero, per instruction.
+  AnalyzeResult analyzed = *ExplainAnalyze(plan, env);
   EXPECT_EQ(analyzed.value, *result);
-  EXPECT_EQ(analyzed.engine, Engine::kVm);
   EXPECT_EQ(analyzed.MaterializedIntermediateCardinality(), 0u)
       << analyzed.Render();
-  EXPECT_EQ(analyzed.stats.intermediate_cardinality, 0u);
-  EXPECT_NE(analyzed.Render().find("engine: vm"), std::string::npos);
-  EXPECT_NE(analyzed.ToJson().find("\"engine\": \"vm\""), std::string::npos);
+  EXPECT_EQ(analyzed.stats.interned_intermediate_rows, 0u);
 }
 
 TEST(Vm, ArenaCapacitySteadyAcrossExecutions) {
@@ -437,22 +434,21 @@ TEST(Vm, RangeOverIndexedStoreReadsOnlyInRangeLeaves) {
   std::remove(path.c_str());
 }
 
-TEST(Vm, EvalWithEngineAndStatsParity) {
-  // The engine seam: both engines produce the same value, and the VM's
-  // stats mapping reports zero intermediates for the fused chain where the
-  // interpreter reports the staged hop.
+TEST(Vm, StatsCountOnlyInternedIntermediates) {
+  // Both evaluators produce the same value, but the reference evaluator
+  // counts the staged hops as intermediates while the VM, whose fused chain
+  // never interns them, counts none.
   Bindings env = FriendsEnv();
   ExprPtr plan = *ParsePlan(
       "union(image[<1>, <2>](@friends, @start), image[<1>, <2>](@friends, {<bob>}))");
-  EvalStats interp_stats, vm_stats;
-  XSet via_interp = *EvalWithEngine(Engine::kInterp, plan, env, &interp_stats);
-  XSet via_vm = *EvalWithEngine(Engine::kVm, plan, env, &vm_stats);
-  EXPECT_EQ(via_interp, via_vm);
-  EXPECT_GT(interp_stats.intermediate_cardinality, 0u);
-  EXPECT_EQ(vm_stats.intermediate_cardinality, 0u);
-  EXPECT_EQ(EngineFromEnv(), Engine::kInterp);  // tests run without XST_ENGINE
-  EXPECT_STREQ(EngineName(Engine::kVm), "vm");
-  EXPECT_STREQ(EngineName(Engine::kInterp), "interp");
+  EvalStats eval_stats;
+  VmStats vm_stats;
+  XSet via_eval = *Eval(plan, env, &eval_stats);
+  XSet via_vm = *VmEval(*Compile(plan), env, nullptr, &vm_stats);
+  EXPECT_EQ(via_eval, via_vm);
+  EXPECT_GT(eval_stats.intermediate_cardinality, 0u);
+  EXPECT_EQ(vm_stats.interned_intermediate_rows, 0u);
+  EXPECT_EQ(vm_stats.materializations, 1u);
 }
 
 }  // namespace

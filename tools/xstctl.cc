@@ -14,9 +14,8 @@
 //   xstctl <store> catalog              dump the catalog (itself a set)
 //   xstctl <store> dump_metrics         process metrics registry as JSON
 //
-// run/explain take --engine=vm|interp (default: the XST_ENGINE environment
-// selection) and --optimize. With --engine=vm, script operands stream from
-// the store through the cursor layer instead of being prefetched.
+// run/explain/verify take --optimize. `run` compiles each statement and
+// runs it on the VM, streaming stored operands through the cursor layer.
 //
 // Exit code 0 on success, 1 on any error (errors print to stderr).
 
@@ -49,8 +48,8 @@ int Usage() {
                "usage: xstctl <store-file> <command> [args]\n"
                "commands: list | get <name> | put <name> <text> | del <name>\n"
                "          put_indexed <name> <text>\n"
-               "          run <script-file> [--engine=vm|interp] [--optimize]\n"
-               "          explain <plan> [--engine=vm|interp] [--optimize]\n"
+               "          run <script-file> [--optimize]\n"
+               "          explain <plan> [--optimize]\n"
                "          verify <script-file> [--optimize]\n"
                "          scrub | compact | stats | catalog | dump_metrics\n");
   return 1;
@@ -87,18 +86,12 @@ class ChainedCursorSource final : public CursorSource {
   StoreCursorSource store_;
 };
 
-// Parses trailing [--engine=...] [--optimize] flags shared by run/explain.
-bool ParseEngineFlags(int argc, char** argv, int first, xsp::Engine* engine,
-                      bool* optimize) {
-  *engine = xsp::EngineFromEnv();
+// Parses the trailing [--optimize] flag shared by run/explain/verify.
+bool ParseOptimizeFlag(int argc, char** argv, int first, bool* optimize) {
   *optimize = false;
   for (int i = first; i < argc; ++i) {
     if (std::strcmp(argv[i], "--optimize") == 0) {
       *optimize = true;
-    } else if (std::strcmp(argv[i], "--engine=vm") == 0) {
-      *engine = xsp::Engine::kVm;
-    } else if (std::strcmp(argv[i], "--engine=interp") == 0) {
-      *engine = xsp::Engine::kInterp;
     } else {
       std::fprintf(stderr, "xstctl: unknown flag '%s'\n", argv[i]);
       return false;
@@ -107,8 +100,9 @@ bool ParseEngineFlags(int argc, char** argv, int first, xsp::Engine* engine,
   return true;
 }
 
-// Copies every stored set a plan names into the binding environment (when
-// not already bound by the script) — the interpreter's path to the store.
+// Copies every stored set a plan names into a binding environment: EXPLAIN
+// ANALYZE runs over bindings, and the optimizer's R2 rewrite composes only
+// carriers it can see bound.
 Status PrefetchNamedLeaves(const xsp::ExprPtr& plan, SetStore& store,
                            xsp::Bindings* env) {
   std::vector<std::string> names;
@@ -122,7 +116,7 @@ Status PrefetchNamedLeaves(const xsp::ExprPtr& plan, SetStore& store,
   return Status::OK();
 }
 
-int RunCommand(SetStore& store, const char* path, xsp::Engine engine, bool optimize) {
+int RunCommand(SetStore& store, const char* path, bool optimize) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "xstctl: cannot read script '%s'\n", path);
@@ -143,16 +137,9 @@ int RunCommand(SetStore& store, const char* path, xsp::Engine engine, bool optim
       if (!optimized.ok()) return Fail(optimized.status());
       plan = *optimized;
     }
-    Result<XSet> value = Status::Invalid("unreachable");
-    if (engine == xsp::Engine::kVm) {
-      auto program = xsp::Compile(plan);
-      if (!program.ok()) return Fail(program.status());
-      value = xsp::VmEval(*program, source, &ctx);
-    } else {
-      Status st = PrefetchNamedLeaves(plan, store, &env);
-      if (!st.ok()) return Fail(st);
-      value = xsp::Eval(plan, env);
-    }
+    auto program = xsp::Compile(plan);
+    if (!program.ok()) return Fail(program.status());
+    Result<XSet> value = xsp::VmEval(*program, source, &ctx);
     if (!value.ok()) {
       return Fail(value.status().WithContext("statement '" + statement.source + "'"));
     }
@@ -165,8 +152,7 @@ int RunCommand(SetStore& store, const char* path, xsp::Engine engine, bool optim
   return 0;
 }
 
-int ExplainCommand(SetStore& store, const char* plan_text, xsp::Engine engine,
-                   bool optimize) {
+int ExplainCommand(SetStore& store, const char* plan_text, bool optimize) {
   auto plan = xsp::ParsePlan(plan_text);
   if (!plan.ok()) return Fail(plan.status());
   xsp::Bindings env;
@@ -177,7 +163,7 @@ int ExplainCommand(SetStore& store, const char* plan_text, xsp::Engine engine,
     if (!optimized.ok()) return Fail(optimized.status());
     plan = *optimized;
   }
-  auto analyzed = xsp::ExplainAnalyze(*plan, env, engine);
+  auto analyzed = xsp::ExplainAnalyze(*plan, env);
   if (!analyzed.ok()) return Fail(analyzed.status());
   std::printf("%s", analyzed->Render().c_str());
   return 0;
@@ -276,31 +262,11 @@ int main(int argc, char** argv) {
     std::printf("deleted '%s'\n", argv[3]);
     return 0;
   }
-  if (command == "run") {
-    if (argc < 4) return Usage();
-    xsp::Engine engine;
+  if (command == "run" || command == "explain" || command == "verify") {
     bool optimize;
-    if (!ParseEngineFlags(argc, argv, 4, &engine, &optimize)) return Usage();
-    return RunCommand(store, argv[3], engine, optimize);
-  }
-  if (command == "explain") {
-    if (argc < 4) return Usage();
-    xsp::Engine engine;
-    bool optimize;
-    if (!ParseEngineFlags(argc, argv, 4, &engine, &optimize)) return Usage();
-    return ExplainCommand(store, argv[3], engine, optimize);
-  }
-  if (command == "verify") {
-    if (argc < 4) return Usage();
-    bool optimize = false;
-    for (int i = 4; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--optimize") == 0) {
-        optimize = true;
-      } else {
-        std::fprintf(stderr, "xstctl: unknown flag '%s'\n", argv[i]);
-        return Usage();
-      }
-    }
+    if (argc < 4 || !ParseOptimizeFlag(argc, argv, 4, &optimize)) return Usage();
+    if (command == "run") return RunCommand(store, argv[3], optimize);
+    if (command == "explain") return ExplainCommand(store, argv[3], optimize);
     return VerifyCommand(argv[3], optimize);
   }
   if (command == "scrub") {
