@@ -59,7 +59,7 @@ SetStore* GetStore() {
   return store.get();
 }
 
-// Full Get round-trips: pin + decode of a cached page per key.
+// Full Get round-trips: copy + decode of a cached page per key.
 void BM_PagerConcurrentGet(benchmark::State& state) {
   SetStore* store = GetStore();
   if (store == nullptr) {
@@ -84,7 +84,7 @@ BENCHMARK(BM_PagerConcurrentGet)
     ->Threads(8)
     ->UseRealTime();
 
-// B+tree point probes: short pin times, so latch hand-off dominates.
+// B+tree point probes: short page copies, so latch hand-off dominates.
 void BM_PagerConcurrentProbe(benchmark::State& state) {
   SetStore* store = GetStore();
   if (store == nullptr) {

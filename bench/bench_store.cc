@@ -102,11 +102,10 @@ void BM_StoreGetColdPool(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreGetColdPool)->Arg(1 << 14);
 
-void BM_PagerPinnedFetch(benchmark::State& state) {
-  // Pager-level cost of the pin discipline: fetch a resident page, touch it,
-  // release the pin. Measures the PageRef overhead on the hot hit path
-  // (LRU splice + pin/unpin bookkeeping) that every blob read pays per page.
-  std::string path = BenchPath("pinned_fetch");
+void BM_PagerSnapshotHit(benchmark::State& state) {
+  // Pager-level cost of the hot hit path every blob and B+tree read pays per
+  // page: latch the shard, splice the LRU, copy the resident page out.
+  std::string path = BenchPath("snapshot_hit");
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
   obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter(internal::kPagerHitsCounter);
@@ -119,25 +118,24 @@ void BM_PagerPinnedFetch(benchmark::State& state) {
   Pager& pager = *logged->pager;
   const uint32_t pages = 32;  // all resident: pure hit traffic
   for (uint32_t i = 0; i < pages; ++i) {
-    Result<PageRef> page = pager.AllocatePage();
-    if (!page.ok()) {
-      state.SkipWithError(page.status().ToString().c_str());
-      return;
-    }
-    PageWriteGuard guard(*page);
-    if (!guard->AddRecord("x").ok()) {
-      state.SkipWithError("setup failed");
+    Result<uint32_t> id = pager.AllocatePage();
+    Page page;
+    Status st = id.ok() ? page.AddRecord("x").status() : id.status();
+    if (st.ok()) st = pager.WritePage(*id, std::move(page));
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
       return;
     }
   }
   uint32_t id = 0;
+  Page snapshot;
   for (auto _ : state) {
-    Result<PageRef> page = pager.FetchPage(id);
-    if (!page.ok()) {
-      state.SkipWithError(page.status().ToString().c_str());
+    Status st = pager.ReadPageSnapshot(id, &snapshot);
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
       return;
     }
-    benchmark::DoNotOptimize((*page)->slot_count());
+    benchmark::DoNotOptimize(snapshot.slot_count());
     id = (id + 1) % pages;
   }
   state.SetItemsProcessed(state.iterations());
@@ -145,7 +143,7 @@ void BM_PagerPinnedFetch(benchmark::State& state) {
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
 }
-BENCHMARK(BM_PagerPinnedFetch);
+BENCHMARK(BM_PagerSnapshotHit);
 
 void BM_StoreManySmallSets(benchmark::State& state) {
   // Catalog-heavy workload: many named small sets.

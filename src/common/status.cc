@@ -26,8 +26,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "not implemented";
     case StatusCode::kParseError:
       return "parse error";
-    case StatusCode::kResourceExhausted:
-      return "resource exhausted";
     case StatusCode::kUnknown:
       return "unknown";
   }

@@ -26,7 +26,7 @@ enum class StatusCode : int8_t {
   kCorruption = 8,     ///< persistent data failed validation (checksum, framing)
   kNotImplemented = 9, ///< feature intentionally unavailable
   kParseError = 10,    ///< textual XST notation could not be parsed
-  kResourceExhausted = 11,  ///< a bounded resource (buffer-pool frames) is fully pinned
+  // 11 is retired; codes keep their numbers.
   kUnknown = 12,
 };
 
@@ -86,9 +86,6 @@ class [[nodiscard]] Status {
   static Status ParseError(std::string msg) {
     return Status(StatusCode::kParseError, std::move(msg));
   }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
 
   /// \brief True iff the operation succeeded.
   bool ok() const { return state_ == nullptr; }
@@ -111,7 +108,6 @@ class [[nodiscard]] Status {
   bool IsCorruption() const { return code() == StatusCode::kCorruption; }
   bool IsNotImplemented() const { return code() == StatusCode::kNotImplemented; }
   bool IsParseError() const { return code() == StatusCode::kParseError; }
-  bool IsResourceExhausted() const { return code() == StatusCode::kResourceExhausted; }
 
   /// \brief "OK" or "<code>: <message>".
   std::string ToString() const;

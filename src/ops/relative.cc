@@ -135,69 +135,10 @@ BuildSide Build(const XSet& g, const Sigma& omega, const RelativeProductOptions&
   return build;
 }
 
-// Probe phase: each member of F projects its ⟨x^{/σ₂/}, s^{/σ₂/}⟩ key into
-// the same scratch form, and `for_each_match(key, elem_len, visit)` calls
-// visit(entry) for every build entry with an equal key. The output parts
-// x^{/σ₁/}, s^{/σ₁/} are only projected on the first match, so non-joining
-// members never touch the interner; each match merges the canonical spans
-// and interns just the two output sets. The build side is read-only by now,
-// so chunks run in parallel.
-template <typename ForEachMatch>
-XSet Probe(const XSet& f, const Sigma& sigma, const RelativeProductOptions& options,
-           const BuildSide& build, const ForEachMatch& for_each_match) {
-  auto mf = f.members();
-  std::vector<Membership> out;
-  std::vector<std::vector<Membership>> rest = ParallelCollect(
-      mf.size(), kGrain, &out, [&](size_t lo, size_t hi, std::vector<Membership>* dst) {
-        std::vector<Membership> key;
-        std::vector<Membership> parts;
-        for (size_t i = lo; i < hi; ++i) {
-          const Membership& m = mf[i];
-          key.clear();
-          size_t elem_len = ProjectParts(m, sigma.s2, &key);
-          if (options.require_nonempty_key && elem_len == 0) continue;
-          size_t x_len = 0;
-          bool have_parts = false;
-          for_each_match(key, elem_len, [&](const BuildEntry& be) {
-            if (!have_parts) {
-              parts.clear();
-              x_len = ProjectParts(m, sigma.s1, &parts);
-              have_parts = true;
-            }
-            MemberSpan x_parts(parts);
-            MemberSpan yt(build.outs.data() + be.out_begin, be.out_len);
-            dst->push_back(Membership{
-                InternUnion(x_parts.first(x_len), yt.first(be.out_elem_len)),
-                InternUnion(x_parts.subspan(x_len), yt.subspan(be.out_elem_len))});
-          });
-        }
-      });
-  for (const std::vector<Membership>& part : rest) {
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return XST_VALIDATE(XSet::FromMembers(std::move(out)));
-}
-
 size_t NextPow2(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-// Total order over key spans for the ordered (nested-loop) build: the
-// element/scope split first — ⟨{a}, ∅⟩ and ⟨∅, {a}⟩ are different keys —
-// then length, then membership-lexicographic. Equality under this order is
-// exactly key-pair equality, which is all the join needs; the relative
-// order of distinct keys is arbitrary but deterministic.
-int CompareKeySpans(const Membership* a, uint32_t a_elem, uint32_t a_len,
-                    const Membership* b, uint32_t b_elem, uint32_t b_len) {
-  if (a_elem != b_elem) return a_elem < b_elem ? -1 : 1;
-  if (a_len != b_len) return a_len < b_len ? -1 : 1;
-  for (uint32_t i = 0; i < a_len; ++i) {
-    int c = CompareMembership(a[i], b[i]);
-    if (c != 0) return c;
-  }
-  return 0;
 }
 
 }  // namespace
@@ -217,45 +158,49 @@ XSet RelativeProduct(const XSet& f, const XSet& g, const Sigma& sigma, const Sig
     entries[i].next = head;
     head = i;
   }
-  return Probe(f, sigma, options, build,
-               [&](const std::vector<Membership>& key, size_t elem_len, const auto& visit) {
-                 const uint64_t h = HashKeySpan(key.data(), elem_len, key.size());
-                 for (uint32_t e = heads[h & bucket_mask]; e != kNoEntry; e = entries[e].next) {
-                   const BuildEntry& be = entries[e];
-                   if (be.hash == h && be.elem_len == elem_len && be.key_len == key.size() &&
-                       std::equal(key.begin(), key.end(), build.keys.begin() + be.key_begin)) {
-                     visit(be);
-                   }
-                 }
-               });
-}
-
-XSet RelativeProductNested(const XSet& f, const XSet& g, const Sigma& sigma, const Sigma& omega,
-                           const RelativeProductOptions& options) {
-  XST_TRACE_SPAN("op.relative_product_nested");
-  // Same build as the hash join, indexed by sorting on the canonical key
-  // span instead: duplicate keys become one contiguous run, so a probe's
-  // equal range IS the join fan-out.
-  BuildSide build = Build(g, omega, options);
-  const Membership* keys = build.keys.data();
-  std::sort(build.entries.begin(), build.entries.end(),
-            [keys](const BuildEntry& a, const BuildEntry& b) {
-              return CompareKeySpans(keys + a.key_begin, a.elem_len, a.key_len,
-                                     keys + b.key_begin, b.elem_len, b.key_len) < 0;
-            });
-  const std::vector<BuildEntry>& entries = build.entries;
-  return Probe(f, sigma, options, build,
-               [&](const std::vector<Membership>& key, size_t elem_len, const auto& visit) {
-                 auto compare = [&](const BuildEntry& e) {
-                   return CompareKeySpans(keys + e.key_begin, e.elem_len, e.key_len,
-                                          key.data(), static_cast<uint32_t>(elem_len),
-                                          static_cast<uint32_t>(key.size()));
-                 };
-                 auto it = std::partition_point(
-                     entries.begin(), entries.end(),
-                     [&](const BuildEntry& e) { return compare(e) < 0; });
-                 for (; it != entries.end() && compare(*it) == 0; ++it) visit(*it);
-               });
+  // Probe phase: each member of F projects its ⟨x^{/σ₂/}, s^{/σ₂/}⟩ key into
+  // the same scratch form and walks its hash chain for equal keys. The
+  // output parts x^{/σ₁/}, s^{/σ₁/} are only projected on the first match,
+  // so non-joining members never touch the interner; each match merges the
+  // canonical spans and interns just the two output sets. The build side is
+  // read-only by now, so chunks run in parallel.
+  auto mf = f.members();
+  std::vector<Membership> out;
+  std::vector<std::vector<Membership>> rest = ParallelCollect(
+      mf.size(), kGrain, &out, [&](size_t lo, size_t hi, std::vector<Membership>* dst) {
+        std::vector<Membership> key;
+        std::vector<Membership> parts;
+        for (size_t i = lo; i < hi; ++i) {
+          const Membership& m = mf[i];
+          key.clear();
+          size_t elem_len = ProjectParts(m, sigma.s2, &key);
+          if (options.require_nonempty_key && elem_len == 0) continue;
+          const uint64_t h = HashKeySpan(key.data(), elem_len, key.size());
+          size_t x_len = 0;
+          bool have_parts = false;
+          for (uint32_t e = heads[h & bucket_mask]; e != kNoEntry; e = entries[e].next) {
+            const BuildEntry& be = entries[e];
+            if (be.hash != h || be.elem_len != elem_len || be.key_len != key.size() ||
+                !std::equal(key.begin(), key.end(), build.keys.begin() + be.key_begin)) {
+              continue;
+            }
+            if (!have_parts) {
+              parts.clear();
+              x_len = ProjectParts(m, sigma.s1, &parts);
+              have_parts = true;
+            }
+            MemberSpan x_parts(parts);
+            MemberSpan yt(build.outs.data() + be.out_begin, be.out_len);
+            dst->push_back(Membership{
+                InternUnion(x_parts.first(x_len), yt.first(be.out_elem_len)),
+                InternUnion(x_parts.subspan(x_len), yt.subspan(be.out_elem_len))});
+          }
+        }
+      });
+  for (const std::vector<Membership>& part : rest) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return XST_VALIDATE(XSet::FromMembers(std::move(out)));
 }
 
 XSet RelativeProductStd(const XSet& r, const XSet& s) {

@@ -36,15 +36,6 @@ struct RelativeProductOptions {
 XSet RelativeProduct(const XSet& f, const XSet& g, const Sigma& sigma, const Sigma& omega,
                      const RelativeProductOptions& options = {});
 
-/// \brief F /σω G through an ordered inner index instead of the hash
-/// partition: G's key spans are sorted once and every F member
-/// binary-searches its run of matches, O((|F| + |G|) log |G| + output).
-/// Extensionally equal to RelativeProduct; exists as the index-nested-loop
-/// access path for planners that already hold G in key order (or want
-/// deterministic probe locality rather than hash dispersion).
-XSet RelativeProductNested(const XSet& f, const XSet& g, const Sigma& sigma, const Sigma& omega,
-                           const RelativeProductOptions& options = {});
-
 /// \brief The CST relative product R/S over sets of pairs:
 /// {⟨a,c⟩ : ⟨a,b⟩ ∈ R & ⟨b,c⟩ ∈ S}.
 XSet RelativeProductStd(const XSet& r, const XSet& s);

@@ -4,6 +4,7 @@
 #include "src/ops/boolean.h"
 #include "src/xsp/compile.h"
 #include "src/xsp/parser.h"
+#include "src/xsp/verify.h"
 #include "src/xsp/vm.h"
 
 namespace xst {
@@ -169,9 +170,12 @@ Result<XSet> Database::EvaluateView(const std::string& name,
     }
   }
   trail->pop_back();
+  // Verified before it runs, as in RunScript: VmEval verifies only at the
+  // XST_VM_VALIDATE tier.
   Result<xsp::Program> program = xsp::Compile(plan);
-  Result<XSet> value = program.ok() ? xsp::VmEval(*program, bindings)
-                                    : Result<XSet>(program.status());
+  Status verified = program.ok() ? xsp::VerifyProgram(*program) : program.status();
+  Result<XSet> value = verified.ok() ? xsp::VmEval(*program, bindings)
+                                     : Result<XSet>(verified);
   if (!value.ok()) return value.status().WithContext("view '" + name + "'");
   return value;
 }

@@ -164,50 +164,43 @@ class NodeView {
   uint32_t next_ = kInvalidPageId;
 };
 
-Status FillPage(Page* page, const Node& node) {
-  *page = Page();
+// Encodes `node` into a fresh page and writes it whole. The page goes in
+// under its shard latch, so a concurrent optimistic reader copies either the
+// whole old page or the whole new one (its epoch validation then rejects the
+// new one).
+Status WriteNode(Pager& pager, uint32_t page_id, const Node& node) {
+  Page page;
   std::string header(1, static_cast<char>(node.leaf ? kLeafNode : kInternalNode));
   if (node.leaf) {
     PutVarint(node.next == kInvalidPageId ? 0 : static_cast<uint64_t>(node.next) + 1,
               &header);
   }
-  XST_RETURN_NOT_OK(page->AddRecord(header).status());
+  XST_RETURN_NOT_OK(page.AddRecord(header).status());
   if (node.leaf) {
     for (const std::string& e : node.members) {
-      XST_RETURN_NOT_OK(page->AddRecord(e).status());
+      XST_RETURN_NOT_OK(page.AddRecord(e).status());
     }
   } else {
     for (const ChildEntry& e : node.children) {
       std::string record;
       PutVarint(e.child, &record);
       record += e.key;
-      XST_RETURN_NOT_OK(page->AddRecord(record).status());
+      XST_RETURN_NOT_OK(page.AddRecord(record).status());
     }
   }
-  return Status::OK();
-}
-
-Status WriteNode(Pager& pager, uint32_t page_id, const Node& node) {
-  XST_ASSIGN_OR_RAISE(PageRef page, pager.FetchPage(page_id));
-  // Content mutation happens under the frame's shard latch so a concurrent
-  // optimistic reader copies either the whole old page or the whole new one
-  // (its epoch validation then rejects the new one); the guard marks the
-  // frame unlogged on scope exit.
-  PageWriteGuard guard(page);
-  return FillPage(&*guard, node);
+  return pager.WritePage(page_id, std::move(page));
 }
 
 Result<uint32_t> AllocateNode(Pager& pager, const Node& node) {
-  XST_ASSIGN_OR_RAISE(PageRef page, pager.AllocatePage());
-  PageWriteGuard guard(page);
-  XST_RETURN_NOT_OK(FillPage(&*guard, node));
-  return page.id();
+  XST_ASSIGN_OR_RAISE(uint32_t page_id, pager.AllocatePage());
+  XST_RETURN_NOT_OK(WriteNode(pager, page_id, node));
+  return page_id;
 }
 
 /// Copies a node into the vector form mutations and Validate work on.
 Status ReadNode(Pager& pager, uint32_t page_id, Node* node) {
-  // Snapshot read: no pin held, safe on the concurrent optimistic read path
-  // (the copy is taken under the page's shard latch).
+  // Snapshot read: safe on the concurrent optimistic read path (the copy is
+  // taken under the page's shard latch).
   Page snapshot;
   XST_RETURN_NOT_OK(pager.ReadPageSnapshot(page_id, &snapshot));
   NodeView view;
@@ -667,8 +660,7 @@ Result<BTreeInfo> BTree::Build(Pager& pager, std::span<const Membership> members
   std::vector<size_t> bounds = costs.empty() ? std::vector<size_t>{0} : chunk(costs);
   std::vector<uint32_t> pages(bounds.size());
   for (size_t g = 0; g < bounds.size(); ++g) {
-    XST_ASSIGN_OR_RAISE(PageRef page, pager.AllocatePage());
-    pages[g] = page.id();
+    XST_ASSIGN_OR_RAISE(pages[g], pager.AllocatePage());
   }
   std::vector<Pending> level(bounds.size());
   size_t start = 0;

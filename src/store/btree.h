@@ -42,7 +42,7 @@
 // snapshot is consistent on its own, but a walk across leaves is only as
 // consistent as its caller makes it: SetStore runs a whole seek-and-walk
 // inside one validated read, so a multi-leaf answer is one commit.
-// Mutations run under SetStore::mu_ and write through pinned PageRefs.
+// Mutations run under SetStore::mu_ and write whole pages (WritePage).
 
 #pragma once
 

@@ -67,10 +67,10 @@ size_t ChunkCapacity() {
 
 size_t ShardsFor(size_t capacity) {
   // A power of two (page-id masking), at most 16, and small enough that
-  // every shard keeps >= 4 frames — thinner slices would turn pin pressure
-  // into spurious ResourceExhausted. Pools under 8 frames get one shard,
-  // which is exactly the coarse pager (same LRU order, same eviction
-  // counts).
+  // every shard keeps >= 4 frames, so a shard's LRU does not thrash on a
+  // few hot page ids that a pool-wide LRU would keep. Pools under 8 frames
+  // get one shard, which is exactly the coarse pager (same LRU order, same
+  // eviction counts).
   return FloorPow2(std::min<size_t>(16, std::max<size_t>(1, capacity / 4)));
 }
 
@@ -90,52 +90,6 @@ ShardLatchLock::ShardLatchLock(PagerShard* shard) : shard_(shard) {
 
 }  // namespace internal
 
-PageRef::PageRef(Pager* pager, internal::PageFrame* frame)
-    : pager_(pager), frame_(frame) {
-  // Pins are only ever acquired under the frame's shard latch (every PageRef
-  // is minted inside a latched pager section), so the 0->1 transition cannot
-  // race an eviction scan of the same shard.
-  if (frame_->pins.fetch_add(1, std::memory_order_relaxed) == 0) {
-    pager_->pinned_frames_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-PageRef& PageRef::operator=(PageRef&& other) noexcept {
-  if (this != &other) {
-    Reset();
-    pager_ = other.pager_;
-    frame_ = other.frame_;
-    other.pager_ = nullptr;
-    other.frame_ = nullptr;
-  }
-  return *this;
-}
-
-void PageRef::Reset() {
-  if (frame_ != nullptr) pager_->Unpin(frame_);
-  pager_ = nullptr;
-  frame_ = nullptr;
-}
-
-void Pager::Unpin(internal::PageFrame* frame) {
-  // Latch-free release: the evictor reads pins under the shard latch, and
-  // its acquisition of the latch orders after this release RMW; we never
-  // touch the frame after the decrement, so an immediate eviction is safe.
-  uint32_t before = frame->pins.fetch_sub(1, std::memory_order_acq_rel);
-  XST_CHECK(before > 0);
-  if (before == 1) pinned_frames_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-PageWriteGuard::PageWriteGuard(PageRef& ref)
-    : frame_(ref.frame_), latch_(&ref.pager_->ShardFor(ref.frame_->page_id)) {}
-
-PageWriteGuard::~PageWriteGuard() {
-  // The write window closes unlogged: content changed, so any previously
-  // logged image no longer matches and must not satisfy a commit drain.
-  // latch_ unlocks after this body, so the flag flips under it.
-  frame_->unlogged = true;
-}
-
 Result<std::unique_ptr<Pager>> Pager::Open(std::unique_ptr<File> file, Wal& wal,
                                            size_t capacity, const std::string& name) {
   if (capacity == 0) return Status::Invalid("buffer pool capacity must be >= 1");
@@ -149,13 +103,11 @@ Result<std::unique_ptr<Pager>> Pager::Open(std::unique_ptr<File> file, Wal& wal,
   // (allocated since the last checkpoint); they are real logical pages.
   const uint32_t page_count =
       std::max(static_cast<uint32_t>(*size / kPageSize), wal.PageCountLowerBound());
-  return std::unique_ptr<Pager>(new Pager(std::move(file), wal, name, capacity, page_count));
+  return std::unique_ptr<Pager>(new Pager(std::move(file), wal, capacity, page_count));
 }
 
-Pager::Pager(std::unique_ptr<File> file, Wal& wal, std::string name, size_t capacity,
-             uint32_t page_count)
+Pager::Pager(std::unique_ptr<File> file, Wal& wal, size_t capacity, uint32_t page_count)
     : file_(std::move(file)),
-      name_(std::move(name)),
       capacity_per_shard_(capacity / ShardsFor(capacity)),
       wal_(wal),
       page_count_(page_count) {
@@ -167,38 +119,51 @@ Pager::Pager(std::unique_ptr<File> file, Wal& wal, std::string name, size_t capa
   shard_mask_ = static_cast<uint32_t>(shards - 1);
 }
 
-Pager::~Pager() {
-  // Pin discipline: every PageRef must be released before its pager dies —
-  // a surviving handle would point into a freed frame. Nothing is written
-  // here: the log holds every committed page, and the store checkpoints.
-  XST_CHECK(pinned_frames() == 0);
+Status Pager::CheckInRange(uint32_t page_id) const {
+  const uint32_t count = page_count_.load(std::memory_order_acquire);
+  if (page_id < count) return Status::OK();
+  return Status::OutOfRange("page " + std::to_string(page_id) + " of " +
+                            std::to_string(count));
 }
 
-Result<PageRef> Pager::AllocatePage() {
+Result<internal::PageFrame*> Pager::InstallFrameLocked(internal::PagerShard& shard,
+                                                       uint32_t page_id) {
+  while (shard.lru.size() >= capacity_per_shard_) {
+    internal::PageFrame& victim = shard.lru.back();  // least recently used
+    if (victim.unlogged) {
+      // Spill to the log, never to the main file; any other frame's content
+      // is already in the log or the file, so it is just dropped.
+      // LogPageImage only records into the in-memory image table (no I/O),
+      // so it is legal under the latch (Wal::mu_ ranks above it).
+      XST_RETURN_NOT_OK(
+          wal_.LogPageImage(victim.page_id, victim.page.ToBytes(victim.page_id)));
+    }
+    shard.frames.erase(victim.page_id);
+    shard.lru.pop_back();
+    EvictionsCounter().Increment();
+  }
+  internal::PageFrame& frame = shard.lru.emplace_front();
+  frame.page_id = page_id;
+  shard.frames[page_id] = shard.lru.begin();
+  return &frame;
+}
+
+Result<uint32_t> Pager::AllocatePage() {
   // Allocation (like all mutation) is externally serialized — the store
   // holds SetStore::mu_ — so the id handoff below cannot race another
   // allocator; concurrent readers only ever touch ids < page_count_.
-  uint32_t id = page_count_.load(std::memory_order_relaxed);
+  const uint32_t id = page_count_.load(std::memory_order_relaxed);
   internal::PagerShard& shard = ShardFor(id);
   internal::ShardLatchLock latch(&shard);
-  Status st = EvictIfFullLocked(shard);
-  if (!st.ok()) return st;
-  internal::PageFrame& frame = shard.lru.emplace_front();
-  frame.page_id = id;
-  frame.unlogged = true;
-  shard.frames[id] = shard.lru.begin();
+  XST_ASSIGN_OR_RAISE(internal::PageFrame * frame, InstallFrameLocked(shard, id));
+  frame->unlogged = true;
   page_count_.store(id + 1, std::memory_order_release);
   AllocationsCounter().Increment();
-  return PageRef(this, &frame);
+  return id;
 }
 
-template <typename Use>
-Status Pager::Load(uint32_t page_id, Page* snapshot, const Use& use) {
-  if (page_id >= page_count_.load(std::memory_order_acquire)) {
-    return Status::OutOfRange(
-        "page " + std::to_string(page_id) + " of " +
-        std::to_string(page_count_.load(std::memory_order_relaxed)));
-  }
+Status Pager::ReadPageSnapshot(uint32_t page_id, Page* out) {
+  XST_RETURN_NOT_OK(CheckInRange(page_id));
   internal::PagerShard& shard = ShardFor(page_id);
   bool counted_miss = false;
   std::string bytes;  // sized only for a main-file read; LookupPage assigns it
@@ -216,15 +181,15 @@ Status Pager::Load(uint32_t page_id, Page* snapshot, const Use& use) {
       internal::ShardLatchLock latch(&shard);
       auto it = shard.frames.find(page_id);
       if (it != shard.frames.end()) {
-        // Resident — or cached by another thread during our file read, with
-        // the same version or a newer one.
+        // Resident — or cached or written by another thread during our file
+        // read, with the same version or a newer one. An in-pool copy.
         if (!counted_miss) HitsCounter().Increment();
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // touch
-        use(*it->second);
+        *out = it->second->page;
         return Status::OK();
       }
       if (!counted_miss) {
-        // Counted exactly once per load, no matter how many times the race
+        // Counted exactly once per read, no matter how many times the race
         // below makes us retry.
         counted_miss = true;
         MissesCounter().Increment();
@@ -243,21 +208,14 @@ Status Pager::Load(uint32_t page_id, Page* snapshot, const Use& use) {
       if (decoded) {
         Result<Page>& page = *decoded;
         if (!page.ok()) return page.status().WithContext("page " + std::to_string(page_id));
-        // A snapshot's two exemptions: it never caches a log image, and a
-        // shard with every frame pinned costs it only the caching, never the
-        // read itself.
-        Status st = Status::OK();
-        if (snapshot == nullptr || !logged) st = EvictIfFullLocked(shard);
-        if (snapshot != nullptr && (logged || !st.ok())) {
-          *snapshot = std::move(*page);
-          return Status::OK();
+        // A log image is never cached. A page read from the file is, unless
+        // making room fails (a failed spill), which costs the read only the
+        // caching.
+        if (!logged) {
+          Result<internal::PageFrame*> frame = InstallFrameLocked(shard, page_id);
+          if (frame.ok()) (*frame)->page = *page;
         }
-        if (!st.ok()) return st;
-        internal::PageFrame& frame = shard.lru.emplace_front();
-        frame.page = std::move(*page);
-        frame.page_id = page_id;
-        shard.frames[page_id] = shard.lru.begin();
-        use(frame);
+        *out = std::move(*page);
         return Status::OK();
       }
       // The newest version of this page is in the main file. Remember the
@@ -280,49 +238,23 @@ Status Pager::Load(uint32_t page_id, Page* snapshot, const Use& use) {
   }
 }
 
-Result<PageRef> Pager::FetchPage(uint32_t page_id) {
-  PageRef ref;
-  XST_RETURN_NOT_OK(
-      Load(page_id, nullptr, [&](internal::PageFrame& frame) { ref = PageRef(this, &frame); }));
-  return ref;
-}
-
-Status Pager::ReadPageSnapshot(uint32_t page_id, Page* out) {
-  // An in-pool copy under the latch; no pin is taken.
-  return Load(page_id, out, [&](const internal::PageFrame& frame) { *out = frame.page; });
-}
-
-Status Pager::EvictIfFullLocked(internal::PagerShard& shard) {
-  while (shard.lru.size() >= capacity_per_shard_) {
-    // Least-recently-used unpinned frame; pinned frames are untouchable.
-    // The pins load is ordered after any concurrent unpin's release RMW by
-    // this thread's latch acquisition.
-    auto victim = shard.lru.end();
-    for (auto it = std::prev(shard.lru.end());; --it) {
-      if (it->pins.load(std::memory_order_acquire) == 0) {
-        victim = it;
-        break;
-      }
-      if (it == shard.lru.begin()) break;
-    }
-    if (victim == shard.lru.end()) {
-      return Status::ResourceExhausted(
-          name_ + ": all " + std::to_string(capacity_per_shard_) +
-          " buffer-pool frames are pinned; release a PageRef or grow the pool");
-    }
-    if (victim->unlogged) {
-      // Spill to the log, never to the main file; any other frame's content
-      // is already in the log or the file, so it is just dropped.
-      // LogPageImage only records into the in-memory image table (no I/O),
-      // so it is legal under the latch (Wal::mu_ ranks above it).
-      Status st =
-          wal_.LogPageImage(victim->page_id, victim->page.ToBytes(victim->page_id));
-      if (!st.ok()) return st;
-    }
-    shard.frames.erase(victim->page_id);
-    shard.lru.erase(victim);
-    EvictionsCounter().Increment();
+Status Pager::WritePage(uint32_t page_id, Page page) {
+  XST_RETURN_NOT_OK(CheckInRange(page_id));
+  internal::PagerShard& shard = ShardFor(page_id);
+  internal::ShardLatchLock latch(&shard);
+  internal::PageFrame* frame = nullptr;
+  auto it = shard.frames.find(page_id);
+  if (it != shard.frames.end()) {
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // touch
+    frame = &*it->second;
+  } else {
+    XST_ASSIGN_OR_RAISE(frame, InstallFrameLocked(shard, page_id));
   }
+  // Under the latch, so a concurrent reader's in-pool copy or an eviction
+  // spill never sees a half-written page. Unlogged: any previously logged
+  // image no longer matches and must not satisfy a commit drain.
+  frame->page = std::move(page);
+  frame->unlogged = true;
   return Status::OK();
 }
 
@@ -331,7 +263,7 @@ Status Pager::DrainUnloggedToWal() {
     internal::ShardLatchLock latch(shard.get());
     for (internal::PageFrame& frame : shard->lru) {
       if (!frame.unlogged) continue;
-      // Buffer-only append (see EvictIfFullLocked) — legal under the latch.
+      // Buffer-only append (see InstallFrameLocked) — legal under the latch.
       Status st = wal_.LogPageImage(frame.page_id, frame.page.ToBytes(frame.page_id));
       if (!st.ok()) return st.WithContext("page " + std::to_string(frame.page_id));
       frame.unlogged = false;
@@ -370,15 +302,12 @@ Result<PageSpan> WritePageSpan(Pager& pager, std::string_view bytes) {
   span.byte_length = bytes.size();
   size_t offset = 0;
   do {
-    // AllocatePage returns the frame pinned and already unlogged; the pin drops
-    // at the end of each iteration, so even a capacity-1 pool makes progress.
-    XST_ASSIGN_OR_RAISE(PageRef page, pager.AllocatePage());
-    if (span.pages++ == 0) span.first_page = page.id();
-    // Content goes in under the shard latch (PageWriteGuard), so a concurrent
-    // reader's in-pool copy or an eviction spill never sees it half-written.
     const std::string_view chunk = bytes.substr(offset, ChunkCapacity());
-    PageWriteGuard guard(page);
-    XST_RETURN_NOT_OK(guard->AddRecord(chunk).status());
+    Page page;
+    XST_RETURN_NOT_OK(page.AddRecord(chunk).status());
+    XST_ASSIGN_OR_RAISE(uint32_t id, pager.AllocatePage());
+    if (span.pages++ == 0) span.first_page = id;
+    XST_RETURN_NOT_OK(pager.WritePage(id, std::move(page)));
     offset += chunk.size();
   } while (offset < bytes.size());
   return span;

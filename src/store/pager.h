@@ -1,5 +1,5 @@
-// Pager: a file of pages behind a latch-sharded LRU buffer pool with pin
-// discipline, written only through the write-ahead log.
+// Pager: a file of pages behind a latch-sharded LRU buffer pool, written
+// only through the write-ahead log.
 //
 // The 1977 paper's backend context (block devices, scarce memory) is
 // simulated with a page file plus a bounded cache. The pager counts hits,
@@ -10,42 +10,34 @@
 // checksum is seeded with the page id, so a misdirected write (right bytes,
 // wrong offset) is also Corruption.
 //
-// Access is exclusively through PageRef, an RAII pin handle: a pinned frame
-// is never evicted, so the reference stays valid for the handle's entire
-// lifetime — across further fetches and allocations. The historical
-// use-after-evict (holding a raw Page* across a pager call that recycled
-// the frame) is unrepresentable in this API. When every frame is pinned and
-// a fetch needs a new one, the pager returns ResourceExhausted instead of
-// invalidating anything. A PageRef reads; PageWriteGuard is the one way to
-// write a page.
+// Pages are values. A caller reads a copy (ReadPageSnapshot) and writes a
+// whole page (WritePage); no pointer into the pool ever leaves the pager,
+// so a frame can be evicted at any time and nothing dangles. WritePage and
+// AllocatePage are the only places a frame becomes unlogged.
 //
 // I/O goes through the File seam (file.h); tests interpose FaultFile to
 // prove every read/write/flush failure surfaces as a Status.
 //
 // The log is the pager's only writer (see wal.h and DESIGN.md §14): a page
 // that changed since the log last captured it spills its image into the log
-// when evicted, fetches read through the log's image table before touching
-// the file, and the main file is written only by ApplyCheckpointImage — the
+// when evicted, reads go through the log's image table before touching the
+// file, and the main file is written only by ApplyCheckpointImage — the
 // no-steal ordering that keeps uncommitted (and committed-but-unsynced)
 // pages from ever overtaking the log.
 //
 // Thread safety (DESIGN.md §15): the frame table is split into latch
 // shards keyed by page id, each holding its own LRU list and map behind a
-// rank-20 latch. Concurrent readers stream page copies out through
-// ReadPageSnapshot while a single writer (serialized externally on
-// SetStore::mu_) mutates content under PageWriteGuard; per-frame pin counts
-// are atomic so a reader-triggered eviction scan can race the writer's
-// pins. The latch protocol:
-//   * A shard latch is held only for map/LRU surgery and in-pool byte
-//     copies — never across main-file I/O.
-//   * FetchPage and ReadPageSnapshot share one load protocol (Load): a
-//     latched probe of the pool and the log's image table; on a miss, an
-//     unlatched main-file read and decode; then a re-latched re-check that
-//     prefers a frame or log image that raced in, and reads again if a
-//     checkpoint write (file_write_ticks_) completed meanwhile. Under the
-//     latch a fetch pins the frame and a snapshot copies it. A snapshot
-//     keeps two exemptions: a log image stays uncached, and with every
-//     frame of the shard pinned it keeps its copy instead of failing.
+// rank-20 latch. Concurrent readers copy pages out through ReadPageSnapshot
+// while a single writer (serialized externally on SetStore::mu_) moves
+// whole pages in through WritePage. The latch protocol:
+//   * A shard latch is held only for map/LRU surgery and in-pool page
+//     copies and moves — never across main-file I/O.
+//   * ReadPageSnapshot's load: a latched probe of the pool and the log's
+//     image table; on a miss, an unlatched main-file read and decode; then a
+//     re-latched re-check that prefers a frame or log image that raced in,
+//     and reads again if a checkpoint write (file_write_ticks_) completed
+//     meanwhile. A page read from the file is cached; a log image never is,
+//     and a read whose caching fails still returns its copy.
 //   * Shard latches never nest with each other; a WAL spill under a latch
 //     takes Wal::mu_, which ranks above the latch floor (rank order
 //     SetStore::mu_ < shard latch < Wal::mu_; locksmith-checked).
@@ -66,7 +58,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -96,20 +87,12 @@ inline constexpr const char* kPagerLatchAcquisitionsCounter =
 inline constexpr const char* kPagerLatchContentionCounter =
     "pager.latch.shard_contention";
 
-/// \brief A buffer-pool frame. Lives in a shard's LRU list (std::list nodes
-/// are address-stable), addressed by PageRef while pinned.
-///
-/// `pins` is atomic: pin acquisition (0→1 and every increment) happens under
-/// the owning shard's latch, but release is latch-free — the evictor's
-/// pins==0 load under the latch is ordered after the releasing decrement,
-/// and PageRef::Reset never touches the frame after that decrement, so a
-/// frame freed by the evictor is never revisited by the releasing thread.
-/// `page` and `unlogged` are guarded by the owning shard's latch (a
-/// per-instance capability TSA cannot express; see the file comment).
+/// \brief A buffer-pool frame. Lives in a shard's LRU list; `page` and
+/// `unlogged` are guarded by the owning shard's latch (a per-instance
+/// capability TSA cannot express; see the file comment).
 struct PageFrame {
   Page page;
   uint32_t page_id = kInvalidPageId;
-  std::atomic<uint32_t> pins{0};
   // The content changed since the log last captured it: eviction must spill
   // the image, and DrainUnloggedToWal must log it before a commit record
   // seals the transaction. A frame loaded from the log or the file starts
@@ -151,80 +134,6 @@ class XST_SCOPED_CAPABILITY ShardLatchLock {
 
 }  // namespace internal
 
-class Pager;
-
-/// \brief RAII pin on a buffer-pool frame.
-///
-/// Holding a PageRef guarantees the frame is resident and address-stable;
-/// releasing (destruction, move-assignment, Reset) unpins it. Move-only.
-/// A PageRef must not outlive its Pager (checked at pager teardown).
-///
-/// A PageRef reads: `ref->` is const, so a write that bypassed the log
-/// cannot compile. Mutate through PageWriteGuard (which latches the frame's
-/// shard and marks the frame unlogged), and read shared pages through
-/// Pager::ReadPageSnapshot. Direct `ref->` reads remain correct wherever
-/// the caller is the only thread touching the pager (tests, tools, the
-/// store's bootstrap).
-///
-/// [[nodiscard]]: a discarded PageRef unpins immediately, so the page the
-/// caller thought it pinned is evictable right away — exactly the
-/// use-after-evict window the pin API exists to close.
-class [[nodiscard]] PageRef {
- public:
-  PageRef() = default;
-  PageRef(PageRef&& other) noexcept { *this = std::move(other); }
-  PageRef& operator=(PageRef&& other) noexcept;
-  PageRef(const PageRef&) = delete;
-  PageRef& operator=(const PageRef&) = delete;
-  ~PageRef() { Reset(); }
-
-  /// \brief True iff the handle pins a frame.
-  explicit operator bool() const { return frame_ != nullptr; }
-
-  const Page* operator->() const { return &frame_->page; }
-  const Page& operator*() const { return frame_->page; }
-
-  /// \brief The pinned page's id.
-  uint32_t id() const { return frame_->page_id; }
-
-  /// \brief Unpins early (the handle becomes empty).
-  void Reset();
-
- private:
-  friend class Pager;
-  friend class PageWriteGuard;
-  PageRef(Pager* pager, internal::PageFrame* frame);
-
-  Pager* pager_ = nullptr;
-  internal::PageFrame* frame_ = nullptr;
-};
-
-/// \brief RAII content-write window on a pinned frame: latches the frame's
-/// shard on construction, exposes the page for mutation, and on destruction
-/// marks the frame unlogged before unlatching. The one way to write a page:
-/// it keeps concurrent snapshot readers from seeing half-written content
-/// (DESIGN.md §15), and the unlogged mark routes the new content to the log.
-///
-/// Which shard is latched depends on the pinned page id — a per-instance
-/// capability Clang's TSA cannot name, so the guard is opted out of the
-/// static analysis; the locksmith blocking-under-latch rule still sees the
-/// scope (keep it free of I/O and waits).
-class [[nodiscard]] PageWriteGuard {
- public:
-  explicit PageWriteGuard(PageRef& ref) XST_NO_THREAD_SAFETY_ANALYSIS;
-  ~PageWriteGuard() XST_NO_THREAD_SAFETY_ANALYSIS;
-
-  PageWriteGuard(const PageWriteGuard&) = delete;
-  PageWriteGuard& operator=(const PageWriteGuard&) = delete;
-
-  Page* operator->() const { return &frame_->page; }
-  Page& operator*() const { return frame_->page; }
-
- private:
-  internal::PageFrame* frame_;
-  internal::ShardLatchLock latch_;  // declared last: released after the dtor body
-};
-
 class Pager {
  public:
   /// \brief Opens a pager over `file` whose only writer is `wal`, which
@@ -235,25 +144,29 @@ class Pager {
   static Result<std::unique_ptr<Pager>> Open(std::unique_ptr<File> file, Wal& wal,
                                              size_t capacity, const std::string& name);
 
-  ~Pager();
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;
 
-  /// \brief Appends a fresh empty page and returns it pinned and unlogged.
-  /// ResourceExhausted if every frame in the page's shard is pinned.
-  Result<PageRef> AllocatePage();
+  /// \brief Appends a fresh empty page and returns its id. Its frame starts
+  /// unlogged, so the next commit logs the page even if no WritePage
+  /// follows.
+  Result<uint32_t> AllocatePage();
 
-  /// \brief Reads a page through the pool, pinned. ResourceExhausted if the
-  /// page is not resident and every frame in its shard is pinned.
-  Result<PageRef> FetchPage(uint32_t page_id);
-
-  /// \brief Copies the page's current content into `*out` without pinning:
-  /// hits copy the resident frame under its shard latch; misses read
-  /// through the log's image table and the main file with no latch held,
-  /// then re-latch, re-check for a raced-in newer version, and cache the
-  /// clean frame when that is provably safe. The read path of concurrent
-  /// SetStore readers (DESIGN.md §15).
+  /// \brief Copies the page's current content into `*out`: a hit copies the
+  /// resident frame under its shard latch; a miss reads through the log's
+  /// image table and the main file with no latch held, then re-latches,
+  /// re-checks for a raced-in newer version, and caches a page it read from
+  /// the file (see the file comment). The only read, and the read path of
+  /// concurrent SetStore readers (DESIGN.md §15).
   Status ReadPageSnapshot(uint32_t page_id, Page* out);
+
+  /// \brief Moves `page` into the page's frame under its shard latch and
+  /// marks the frame unlogged, so a concurrent reader copies either the
+  /// whole old page or the whole new one. A miss evicts as a read miss does
+  /// (spilling an unlogged victim to the log) and loads nothing: the write
+  /// replaces the page whole. OutOfRange past the last page. The caller
+  /// serializes writes, as it does every mutation.
+  Status WritePage(uint32_t page_id, Page page);
 
   /// \brief Logs every unlogged frame's image (the pages the current
   /// transaction mutated that pool pressure has not already spilled).
@@ -270,42 +183,31 @@ class Pager {
   /// \brief Number of pages in the file.
   uint32_t page_count() const { return page_count_.load(std::memory_order_acquire); }
 
-  /// \brief Currently pinned frames (for tests and invariant checks).
-  size_t pinned_frames() const { return pinned_frames_.load(std::memory_order_relaxed); }
-
   /// \brief The number of latch shards the frame table is split into.
   size_t latch_shards() const { return shards_.size(); }
 
  private:
-  friend class PageRef;
-  friend class PageWriteGuard;
-
-  Pager(std::unique_ptr<File> file, Wal& wal, std::string name, size_t capacity,
-        uint32_t page_count);
+  Pager(std::unique_ptr<File> file, Wal& wal, size_t capacity, uint32_t page_count);
 
   internal::PagerShard& ShardFor(uint32_t page_id) const {
     return *shards_[page_id & shard_mask_];
   }
-  /// The one page-load protocol behind FetchPage and ReadPageSnapshot (see
-  /// the file comment): `use` runs under the shard latch on the frame that
-  /// holds the page. A snapshot load (non-null `snapshot`) decodes straight
-  /// into *snapshot instead when the page comes from the log, or when every
-  /// frame of the shard is pinned.
-  template <typename Use>
-  Status Load(uint32_t page_id, Page* snapshot, const Use& use);
-  Status EvictIfFullLocked(internal::PagerShard& shard) XST_REQUIRES(shard.latch);
-  void Unpin(internal::PageFrame* frame);
+  Status CheckInRange(uint32_t page_id) const;
+  /// Evicts down to one free slot in `shard`, then installs a frame for
+  /// `page_id` at the LRU front. Fails only if spilling a victim to the log
+  /// fails.
+  Result<internal::PageFrame*> InstallFrameLocked(internal::PagerShard& shard,
+                                                  uint32_t page_id)
+      XST_REQUIRES(shard.latch);
 
   std::unique_ptr<File> file_;  // internally synchronized (StdioFile::mu_)
-  const std::string name_;
   const size_t capacity_per_shard_;
   Wal& wal_;  // unowned; outlives the pager
   std::atomic<uint32_t> page_count_;
-  std::atomic<size_t> pinned_frames_{0};
-  // Counts every main-file write (checkpoint images).
-  // A load miss records it before reading the file unlatched and uses its
-  // bytes only if it is unchanged at re-latch — otherwise a checkpoint may
-  // have made the file newer than what was read (see Load).
+  // Counts every main-file write (checkpoint images). A read miss records
+  // it before reading the file unlatched and uses its bytes only if it is
+  // unchanged at re-latch — otherwise a checkpoint may have made the file
+  // newer than what was read (see ReadPageSnapshot).
   std::atomic<uint64_t> file_write_ticks_{0};
   // Immutable after construction (the vector itself; shards are internally
   // latched). unique_ptr because Mutex is not movable.
@@ -328,8 +230,8 @@ struct PageSpan {
 /// The caller serializes allocation, as it does every mutation.
 Result<PageSpan> WritePageSpan(Pager& pager, std::string_view bytes);
 
-/// \brief Reads a span back into *out through page snapshots (no pin, no
-/// store lock). Corruption unless every page holds a chunk and the chunks
+/// \brief Reads a span back into *out through page snapshots (no store
+/// lock). Corruption unless every page holds a chunk and the chunks
 /// total byte_length.
 Status ReadPageSpan(Pager& pager, const PageSpan& span, std::string* out);
 

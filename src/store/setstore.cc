@@ -154,12 +154,10 @@ Result<std::unique_ptr<SetStore>> SetStore::Open(const std::string& path,
       // Fresh store: the superblock + empty catalog are themselves the
       // store's first WAL transaction.
       store->wal_->BeginTxn();
-      {
-        XST_ASSIGN_OR_RAISE(PageRef superblock, store->pager_->AllocatePage());
-        // The sizeof-based XST_DCHECK counts as a use even under NDEBUG, so
-        // no (void) cast is needed to silence -Wunused-variable.
-        XST_DCHECK(superblock.id() == 0);
-      }
+      XST_ASSIGN_OR_RAISE(uint32_t superblock, store->pager_->AllocatePage());
+      // The sizeof-based XST_DCHECK counts as a use even under NDEBUG, so no
+      // (void) cast is needed to silence -Wunused-variable.
+      XST_DCHECK(superblock == 0);
       fresh = store->CommitLocked(store->catalog_);
       if (!fresh.ok()) return fresh.status();
     } else {
@@ -238,23 +236,16 @@ Status SetStore::StageCatalog(const Catalog& staged) {
   XSet with_span = XSet::Pair(pointer, XSet::Int(blob.pages));
   std::string superblock_record = EncodeXSetToString(with_span);
 
-  XST_ASSIGN_OR_RAISE(PageRef superblock, pager_->FetchPage(0));
-  PageWriteGuard guard(superblock);  // marks unlogged on scope exit
-  *guard = Page();  // reset: the superblock holds exactly one record
-  Result<uint32_t> slot = guard->AddRecord(superblock_record);
-  if (!slot.ok()) return slot.status();
-  return Status::OK();
+  Page superblock;  // the superblock holds exactly one record
+  XST_RETURN_NOT_OK(superblock.AddRecord(superblock_record).status());
+  return pager_->WritePage(0, std::move(superblock));
 }
 
 Status SetStore::LoadCatalog() {
-  XSet with_span = XSet::Empty();
-  {
-    // Scoped pin: the superblock must be unpinned before ReadBlob below, or
-    // a capacity-1 pool could never load its own catalog.
-    XST_ASSIGN_OR_RAISE(PageRef superblock, pager_->FetchPage(0));
-    XST_ASSIGN_OR_RAISE(std::string_view record, superblock->GetRecord(0));
-    XST_ASSIGN_OR_RAISE(with_span, DecodeXSetWhole(record));
-  }
+  Page superblock;
+  XST_RETURN_NOT_OK(pager_->ReadPageSnapshot(0, &superblock));
+  XST_ASSIGN_OR_RAISE(std::string_view record, superblock.GetRecord(0));
+  XST_ASSIGN_OR_RAISE(XSet with_span, DecodeXSetWhole(record));
   XST_ASSIGN_OR_RAISE(XSet pointer, TupleGet(with_span, 1));
   XST_ASSIGN_OR_RAISE(XSet span_val, TupleGet(with_span, 2));
   XST_ASSIGN_OR_RAISE(XSet first_val, TupleGet(pointer, 1));

@@ -6,6 +6,7 @@
 #include "src/xsp/compile.h"
 #include "src/xsp/optimizer.h"
 #include "src/xsp/parser.h"
+#include "src/xsp/verify.h"
 #include "src/xsp/vm.h"
 
 namespace xst {
@@ -77,9 +78,12 @@ Result<ScriptOutput> RunScript(const Script& script, Bindings initial, bool opti
     if (optimize) {
       XST_ASSIGN_OR_RAISE(plan, Optimize(plan, output.bindings));
     }
+    // Verified before it runs: VmEval verifies only at the XST_VM_VALIDATE
+    // tier, and the VM's operand checks are DCHECKs that rely on the proof.
     Result<Program> program = Compile(plan);
-    Result<XSet> value = program.ok() ? VmEval(*program, output.bindings, &ctx)
-                                      : Result<XSet>(program.status());
+    Status verified = program.ok() ? VerifyProgram(*program) : program.status();
+    Result<XSet> value = verified.ok() ? VmEval(*program, output.bindings, &ctx)
+                                       : Result<XSet>(verified);
     if (!value.ok()) {
       return value.status().WithContext("statement '" + statement.source + "'");
     }

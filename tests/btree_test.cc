@@ -24,25 +24,12 @@ namespace {
 
 using testing::X;
 
-class TempFile {
+// A unique temp store path per test, its files removed on destruction.
+class TempFile : public testing::ScopedStorePath {
  public:
-  explicit TempFile(const std::string& tag) {
-    path_ = ::testing::TempDir();
-    if (path_.empty()) path_ = "/tmp/";
-    if (path_.back() != '/') path_ += '/';
-    path_ += "xst_btree_test_" + tag + "_" + std::to_string(::getpid());
-    Remove();
-  }
-  ~TempFile() { Remove(); }
-  const std::string& path() const { return path_; }
-
- private:
-  void Remove() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".wal").c_str());
-  }
-
-  std::string path_;
+  explicit TempFile(const std::string& tag)
+      : ScopedStorePath(::testing::TempDir() + "xst_btree_test_" + tag + "_" +
+                        std::to_string(::getpid())) {}
 };
 
 // Opens a pager over its log, with a log transaction open, and burns page
@@ -51,7 +38,7 @@ class TempFile {
 testing::LoggedPager OpenPager(const std::string& path, size_t capacity = 64) {
   Result<testing::LoggedPager> logged = testing::OpenLoggedPager(path, capacity);
   EXPECT_TRUE(logged.ok()) << logged.status().ToString();
-  Result<PageRef> page0 = logged->pager->AllocatePage();
+  Result<uint32_t> page0 = logged->pager->AllocatePage();
   EXPECT_TRUE(page0.ok());
   return std::move(*logged);
 }
@@ -492,11 +479,9 @@ TEST(BTreeValidate, DetectsTamperedNodesAndWrongCounts) {
   Result<BTreeCursorPos> pos = tree.SeekFirst();
   ASSERT_TRUE(pos.ok());
   {
-    Result<PageRef> leaf = pager->FetchPage(pos->leaf);
-    ASSERT_TRUE(leaf.ok());
-    PageWriteGuard guard(*leaf);
-    *guard = Page();
-    ASSERT_TRUE(guard->AddRecord(std::string(1, '\x01')).ok());
+    Page internal_node;
+    ASSERT_TRUE(internal_node.AddRecord(std::string(1, '\x01')).ok());
+    ASSERT_TRUE(pager->WritePage(pos->leaf, std::move(internal_node)).ok());
   }
   EXPECT_TRUE(ValidateBTree(*pager, *info).IsCorruption());
 }

@@ -5,7 +5,6 @@
 
 #include <unistd.h>
 
-#include <cstdio>
 
 #include "src/rel/database.h"
 #include "src/rel/order.h"
@@ -20,27 +19,20 @@ using testing::X;
 class DatabaseTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir();
-    if (path_.empty()) path_ = "/tmp/";
-    if (path_.back() != '/') path_ += '/';
-    path_ += std::string("xst_db_") +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
-             std::to_string(::getpid());
-    std::remove(path_.c_str());
-    auto db = Database::Open(path_);
+    auto db = Database::Open(file_.path());
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::move(*db);
-  }
-  void TearDown() override {
-    db_.reset();
-    std::remove(path_.c_str());
   }
 
   Schema PartsSchema() {
     return *Schema::Make({{"id", AttrType::kInt}, {"name", AttrType::kSymbol}});
   }
 
-  std::string path_;
+  // Declared before db_, so the store closes before its files go.
+  testing::ScopedStorePath file_{
+      ::testing::TempDir() + "xst_db_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid())};
   std::unique_ptr<Database> db_;
 };
 
@@ -93,7 +85,7 @@ TEST_F(DatabaseTest, PersistsAcrossReopen) {
   ASSERT_TRUE(db_->CreateTable("parts", PartsSchema()).ok());
   ASSERT_TRUE(db_->Insert("parts", {{XSet::Int(7), XSet::Symbol("gear")}}).ok());
   db_.reset();
-  auto reopened = Database::Open(path_);
+  auto reopened = Database::Open(file_.path());
   ASSERT_TRUE(reopened.ok());
   Result<Relation> parts = (*reopened)->Read("parts");
   ASSERT_TRUE(parts.ok());

@@ -6,7 +6,6 @@
 
 #include <unistd.h>
 
-#include <cstdio>
 
 #include "src/process/process.h"
 #include "src/rel/algebra.h"
@@ -24,17 +23,10 @@ using testing::X;
 
 class TempStore : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir();
-    if (path_.empty()) path_ = "/tmp/";
-    if (path_.back() != '/') path_ += '/';
-    path_ += std::string("xst_integration_") +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
-             std::to_string(::getpid());
-    std::remove(path_.c_str());
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_;
+  testing::ScopedStorePath file_{
+      ::testing::TempDir() + "xst_integration_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid())};
 };
 
 TEST_F(TempStore, RelationsSurviveStorage) {
@@ -46,12 +38,12 @@ TEST_F(TempStore, RelationsSurviveStorage) {
   ASSERT_TRUE(orders.ok());
   ASSERT_TRUE(customers.ok());
   {
-    auto store = SetStore::Open(path_);
+    auto store = SetStore::Open(file_.path());
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Put("orders", orders->xst.tuples()).ok());
     ASSERT_TRUE((*store)->Put("customers", customers->xst.tuples()).ok());
   }
-  auto store = SetStore::Open(path_);
+  auto store = SetStore::Open(file_.path());
   ASSERT_TRUE(store.ok());
   Result<XSet> orders_back = (*store)->Get("orders");
   ASSERT_TRUE(orders_back.ok());
@@ -69,12 +61,12 @@ TEST_F(TempStore, XspPlansOverStoredSets) {
   // Store CST-style relations, load them as XSP bindings, run an optimized
   // two-hop query, and compare against direct evaluation.
   {
-    auto store = SetStore::Open(path_);
+    auto store = SetStore::Open(file_.path());
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Put("friend", X("{<ann, bob>, <bob, cho>, <cho, dee>}")).ok());
     ASSERT_TRUE((*store)->Put("likes", X("{<bob, tea>, <cho, jazz>, <dee, go>}")).ok());
   }
-  auto store = SetStore::Open(path_);
+  auto store = SetStore::Open(file_.path());
   ASSERT_TRUE(store.ok());
   xsp::Bindings env;
   for (const std::string& name : (*store)->List()) {
@@ -108,11 +100,11 @@ TEST_F(TempStore, SelectivitySweepParity) {
   ASSERT_TRUE(orders.ok());
   ASSERT_TRUE(customers.ok());
   {
-    auto store = SetStore::Open(path_);
+    auto store = SetStore::Open(file_.path());
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Put("orders", orders->xst.tuples()).ok());
   }
-  auto store = SetStore::Open(path_);
+  auto store = SetStore::Open(file_.path());
   ASSERT_TRUE(store.ok());
   Result<XSet> back = (*store)->Get("orders");
   ASSERT_TRUE(back.ok());
@@ -133,11 +125,11 @@ TEST_F(TempStore, ProcessesPersistAsSets) {
   // recover it, and confirm the behavior survives.
   Process original(X("{<a, x>, <b, y>}"), Sigma::Inv());
   {
-    auto store = SetStore::Open(path_);
+    auto store = SetStore::Open(file_.path());
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Put("behavior", original.ToXSet()).ok());
   }
-  auto store = SetStore::Open(path_);
+  auto store = SetStore::Open(file_.path());
   ASSERT_TRUE(store.ok());
   Result<XSet> repr = (*store)->Get("behavior");
   ASSERT_TRUE(repr.ok());

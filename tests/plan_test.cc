@@ -5,8 +5,6 @@
 
 #include <unistd.h>
 
-#include <cstdio>
-
 #include "src/rel/algebra.h"
 #include "src/rel/plan.h"
 #include "tests/testing.h"
@@ -20,9 +18,7 @@ using testing::X;
 class PlanTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = "/tmp/xst_plan_test_" + std::to_string(::getpid());
-    std::remove(path_.c_str());
-    auto db = Database::Open(path_);
+    auto db = Database::Open(file_.path());
     ASSERT_TRUE(db.ok());
     db_ = std::move(*db);
 
@@ -52,12 +48,9 @@ class PlanTest : public ::testing::Test {
                                         {XSet::Symbol("south"), XSet::Symbol("lee")}})
                     .ok());
   }
-  void TearDown() override {
-    db_.reset();
-    std::remove(path_.c_str());
-  }
-
-  std::string path_;
+  // Declared before db_, so the store closes before its files go.
+  testing::ScopedStorePath file_{::testing::TempDir() + "xst_plan_test_" +
+                                 std::to_string(::getpid())};
   std::unique_ptr<Database> db_;
 };
 

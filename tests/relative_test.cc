@@ -148,46 +148,5 @@ TEST(RelativeProductOp, AgreesWithNaiveDefinition) {
   }
 }
 
-TEST(RelativeProductNestedOp, AgreesWithHashJoin) {
-  // The ordered (index-nested-loop) access path must be extensionally equal
-  // to the hash join on every spec family and random relation pair,
-  // including fan-out, empty-key matching, and the strict-key option.
-  testing::RandomSetGen gen(77);
-  std::vector<std::pair<Sigma, Sigma>> families = {
-      {{Spec({{1, 1}}), Spec({{2, 1}})}, {Spec({{1, 1}}), Spec({{2, 2}})}},  // compose
-      {{Spec({{1, 1}, {2, 2}}), Spec({{2, 1}})}, {Spec({{1, 1}}), Spec({{2, 3}})}},  // keep key
-      {{Spec({{1, 1}}), Spec({{1, 2}, {2, 1}})}, {Spec({{1, 1}, {2, 2}}), Spec({{2, 2}})}},
-  };
-  for (int i = 0; i < 60; ++i) {
-    XSet f = gen.Relation();
-    std::vector<XSet> g_pairs;
-    for (int k = 0; k < 5; ++k) {
-      g_pairs.push_back(XSet::Pair(XSet::Symbol("r" + std::to_string(gen.Next() % 4)),
-                                   XSet::Symbol("z" + std::to_string(gen.Next() % 3))));
-    }
-    XSet g = XSet::Classical(g_pairs);
-    for (const auto& [sigma, omega] : families) {
-      EXPECT_EQ(RelativeProductNested(f, g, sigma, omega),
-                RelativeProduct(f, g, sigma, omega));
-      RelativeProductOptions strict;
-      strict.require_nonempty_key = true;
-      EXPECT_EQ(RelativeProductNested(f, g, sigma, omega, strict),
-                RelativeProduct(f, g, sigma, omega, strict));
-    }
-  }
-}
-
-TEST(RelativeProductNestedOp, ParameterSets) {
-  Sigma sigma{Spec({{1, 1}}), Spec({{2, 1}})};
-  Sigma omega{Spec({{1, 1}}), Spec({{2, 2}})};
-  EXPECT_EQ(RelativeProductNested(X(kF), X(kG), sigma, omega), X("{<a, c>}"));
-  XSet f = X("{<a, m>, <b, m>}");
-  XSet g = X("{<m, x>, <m, y>}");
-  EXPECT_EQ(RelativeProductNested(f, g, sigma, omega),
-            X("{<a, x>, <a, y>, <b, x>, <b, y>}"));
-  EXPECT_EQ(RelativeProductNested(X("{}"), X(kG), sigma, omega), X("{}"));
-  EXPECT_EQ(RelativeProductNested(X(kF), X("{}"), sigma, omega), X("{}"));
-}
-
 }  // namespace
 }  // namespace xst

@@ -5,8 +5,6 @@
 
 #include <unistd.h>
 
-#include <cstdio>
-
 #include "src/rel/database.h"
 #include "src/xsp/script.h"
 #include "tests/testing.h"
@@ -80,12 +78,25 @@ image[<1>, <2>](@g, image[<1>, <2>](@f, {<a>, <b>}))
   EXPECT_EQ(plain->results[0], X("{<1>, <2>}"));
 }
 
+// Verifications counted so far, process-wide.
+uint64_t VerifiedPrograms() {
+  return obs::MetricsRegistry::Global().GetCounter("xsp.verify.programs").value();
+}
+
+TEST(ScriptTest, EveryStatementIsVerifiedBeforeItRuns) {
+  // In every build type, not only where VmEval verifies on its own (the
+  // XST_VM_VALIDATE tier or XST_VERIFY_PROGRAMS).
+  const uint64_t before = VerifiedPrograms();
+  Result<xsp::ScriptOutput> output =
+      xsp::RunScript(*xsp::ParseScript("a = {1}\nunion(@a, {2})"), {});
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  EXPECT_GE(VerifiedPrograms() - before, 2u);
+}
+
 class ViewTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = "/tmp/xst_view_test_" + std::to_string(::getpid());
-    std::remove(path_.c_str());
-    auto db = rel::Database::Open(path_);
+    auto db = rel::Database::Open(file_.path());
     ASSERT_TRUE(db.ok());
     db_ = std::move(*db);
     rel::Schema schema = *rel::Schema::Make(
@@ -95,11 +106,9 @@ class ViewTest : public ::testing::Test {
                                       {XSet::Symbol("b"), XSet::Symbol("c")}})
                     .ok());
   }
-  void TearDown() override {
-    db_.reset();
-    std::remove(path_.c_str());
-  }
-  std::string path_;
+  // Declared before db_, so the store closes before its files go.
+  testing::ScopedStorePath file_{::testing::TempDir() + "xst_view_test_" +
+                                 std::to_string(::getpid())};
   std::unique_ptr<rel::Database> db_;
 };
 
@@ -130,10 +139,20 @@ TEST_F(ViewTest, ViewsComposeOverViews) {
   EXPECT_EQ(*value, X("{<b>, <c>}"));
 }
 
+TEST_F(ViewTest, EveryViewIsVerifiedBeforeItRuns) {
+  ASSERT_TRUE(db_->CreateView("reach", "closure(@edges)").ok());
+  ASSERT_TRUE(
+      db_->CreateView("from_a", "image[<1>, <2>](@reach, {<a>})").ok());
+  const uint64_t before = VerifiedPrograms();
+  Result<XSet> value = db_->QueryView("from_a");  // evaluates both views
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_GE(VerifiedPrograms() - before, 2u);
+}
+
 TEST_F(ViewTest, PersistAcrossReopen) {
   ASSERT_TRUE(db_->CreateView("reach", "closure(@edges)").ok());
   db_.reset();
-  auto reopened = rel::Database::Open(path_);
+  auto reopened = rel::Database::Open(file_.path());
   ASSERT_TRUE(reopened.ok());
   Result<XSet> value = (*reopened)->QueryView("reach");
   ASSERT_TRUE(value.ok());

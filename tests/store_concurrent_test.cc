@@ -39,25 +39,12 @@ namespace {
 
 using testing::X;
 
-class TempFile {
+// A unique temp store path per test, its files removed on destruction.
+class TempFile : public testing::ScopedStorePath {
  public:
-  explicit TempFile(const std::string& tag) {
-    path_ = ::testing::TempDir();
-    if (path_.empty()) path_ = "/tmp/";
-    if (path_.back() != '/') path_ += '/';
-    path_ += "xst_concurrent_test_" + tag + "_" + std::to_string(::getpid());
-    Remove();
-  }
-  ~TempFile() { Remove(); }
-  const std::string& path() const { return path_; }
-
- private:
-  void Remove() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".wal").c_str());
-  }
-
-  std::string path_;
+  explicit TempFile(const std::string& tag)
+      : ScopedStorePath(::testing::TempDir() + "xst_concurrent_test_" + tag + "_" +
+                        std::to_string(::getpid())) {}
 };
 
 // "{0, 1, ..., n-1}" — version n of the hot set; each version is
@@ -591,18 +578,19 @@ TEST(StoreConcurrentTest, ReadersNeverReturnACommitWhoseFsyncFailed) {
   }
 }
 
-// Record 0 of page `id`, read through the pager's pinned path (FetchPage)
-// or its snapshot path (ReadPageSnapshot).
-Result<std::string> ReadRecord(Pager& pager, uint32_t id, bool pinned) {
+// Record 0 of page `id`, read through a page snapshot.
+Result<std::string> ReadRecord(Pager& pager, uint32_t id) {
   Page snapshot;
-  PageRef ref;
-  if (pinned) {
-    XST_ASSIGN_OR_RAISE(ref, pager.FetchPage(id));
-  } else {
-    XST_RETURN_NOT_OK(pager.ReadPageSnapshot(id, &snapshot));
-  }
-  XST_ASSIGN_OR_RAISE(std::string_view record, (pinned ? *ref : snapshot).GetRecord(0));
+  XST_RETURN_NOT_OK(pager.ReadPageSnapshot(id, &snapshot));
+  XST_ASSIGN_OR_RAISE(std::string_view record, snapshot.GetRecord(0));
   return std::string(record);
+}
+
+// A page holding the one record `record`.
+Page PageWith(std::string_view record) {
+  Page page;
+  EXPECT_TRUE(page.AddRecord(record).ok());
+  return page;
 }
 
 // A pool miss that races a checkpoint. The reader reads version 1 of a page
@@ -610,8 +598,8 @@ Result<std::string> ReadRecord(Pager& pager, uint32_t id, bool pinned) {
 // checkpointed into the file and evicted, so neither the pool nor the log
 // holds it. The file-write tick must send the reader back to the file: the
 // stale bytes may be neither returned nor cached.
-void CheckpointRaceCase(const std::string& tag, bool pinned) {
-  TempFile tmp(tag);
+TEST(PagerLoadTest, SnapshotMissRacingACheckpointRereadsTheFile) {
+  TempFile tmp("ckpt_race_snapshot");
   auto gate = std::make_shared<ReadGate>();
   gate->park_after_read.store(true);
   Result<std::unique_ptr<File>> file = StdioFile::Open(tmp.path());
@@ -624,16 +612,15 @@ void CheckpointRaceCase(const std::string& tag, bool pinned) {
   ASSERT_EQ(pager.latch_shards(), 1u);
 
   // Page 0 holds the raced record; pages 1-4 fill the 4-frame pool, and
-  // fetching them evicts page 0.
+  // reading them evicts page 0.
   constexpr uint32_t kPages = 5;
   const auto evict_page_0 = [&] {
-    for (uint32_t id = 1; id < kPages; ++id) ASSERT_TRUE(pager.FetchPage(id).ok());
+    for (uint32_t id = 1; id < kPages; ++id) ASSERT_TRUE(ReadRecord(pager, id).ok());
   };
   for (uint32_t id = 0; id < kPages; ++id) {
-    Result<PageRef> page = pager.AllocatePage();
+    Result<uint32_t> page = pager.AllocatePage();
     ASSERT_TRUE(page.ok());
-    PageWriteGuard guard(*page);
-    ASSERT_TRUE(guard->AddRecord(id == 0 ? "v1" : "filler").ok());
+    ASSERT_TRUE(pager.WritePage(*page, PageWith(id == 0 ? "v1" : "filler")).ok());
   }
   ASSERT_TRUE(testing::CommitAndCheckpoint(pager, wal).ok());
   evict_page_0();
@@ -641,17 +628,9 @@ void CheckpointRaceCase(const std::string& tag, bool pinned) {
   gate->park_offset.store(0);
   gate->parks_left.store(1);
   Result<std::string> raced = Status::Invalid("unset");
-  std::thread reader([&] { raced = ReadRecord(pager, 0, pinned); });
+  std::thread reader([&] { raced = ReadRecord(pager, 0); });
   EXPECT_TRUE(WaitForArrivals(*gate, 1));
-  {
-    Result<PageRef> page = pager.FetchPage(0);
-    EXPECT_TRUE(page.ok());
-    if (page.ok()) {
-      PageWriteGuard guard(*page);
-      *guard = Page();
-      EXPECT_TRUE(guard->AddRecord("v2").ok());
-    }
-  }
+  EXPECT_TRUE(pager.WritePage(0, PageWith("v2")).ok());
   EXPECT_TRUE(testing::CommitAndCheckpoint(pager, wal).ok());
   evict_page_0();
   gate->releases.store(1);
@@ -659,17 +638,9 @@ void CheckpointRaceCase(const std::string& tag, bool pinned) {
 
   ASSERT_TRUE(raced.ok()) << raced.status().ToString();
   EXPECT_EQ(*raced, "v2");
-  Result<std::string> again = ReadRecord(pager, 0, pinned);
+  Result<std::string> again = ReadRecord(pager, 0);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(*again, "v2");
-}
-
-TEST(PagerLoadTest, SnapshotMissRacingACheckpointRereadsTheFile) {
-  CheckpointRaceCase("ckpt_race_snapshot", /*pinned=*/false);
-}
-
-TEST(PagerLoadTest, FetchMissRacingACheckpointRereadsTheFile) {
-  CheckpointRaceCase("ckpt_race_fetch", /*pinned=*/true);
 }
 
 }  // namespace

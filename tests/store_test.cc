@@ -32,30 +32,12 @@ bool FileExists(const std::string& path) {
   return f.good();
 }
 
-// A unique temp path per test, removed on destruction.
-class TempFile {
+// A unique temp store path per test, its files removed on destruction.
+class TempFile : public testing::ScopedStorePath {
  public:
-  explicit TempFile(const std::string& tag) {
-    path_ = ::testing::TempDir();
-    if (path_.empty()) path_ = "/tmp/";
-    if (path_.back() != '/') path_ += '/';
-    path_ += "xst_store_test_" + tag + "_" + std::to_string(::getpid());
-    Remove();
-  }
-  ~TempFile() { Remove(); }
-  const std::string& path() const { return path_; }
-
- private:
-  // The ".wal" sidecar belongs to the main file (a stale one would replay
-  // the previous test's state into a fresh store), so remove them together.
-  void Remove() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".wal").c_str());
-    std::remove((path_ + ".compact").c_str());
-    std::remove((path_ + ".compact.wal").c_str());
-  }
-
-  std::string path_;
+  explicit TempFile(const std::string& tag)
+      : ScopedStorePath(::testing::TempDir() + "xst_store_test_" + tag + "_" +
+                        std::to_string(::getpid())) {}
 };
 
 TEST(PageTest, AddGetDelete) {
@@ -117,20 +99,48 @@ TEST(PageTest, ChecksumCatchesBitFlips) {
 }
 
 // Every pager test runs the pager the way the store does: over its log,
-// with a log transaction open. Writes go through PageWriteGuard, and an
-// evicted page that changed since the log captured it spills to the log.
+// with a log transaction open. Writes replace whole pages (WritePage), reads
+// copy them (ReadPageSnapshot), and an evicted page that changed since the
+// log captured it spills to the log.
 LoggedPager OpenPagerOrDie(const std::string& path, size_t capacity) {
   Result<LoggedPager> logged = OpenLoggedPager(path, capacity);
   EXPECT_TRUE(logged.ok()) << logged.status().ToString();
   return std::move(*logged);
 }
 
+// A page holding the one record `record`.
+Page PageWith(const std::string& record) {
+  Page page;
+  EXPECT_TRUE(page.AddRecord(record).ok());
+  return page;
+}
+
+// Writes a page holding `record` over page `id`.
+void WriteRecord(Pager& pager, uint32_t id, const std::string& record) {
+  Status st = pager.WritePage(id, PageWith(record));
+  ASSERT_TRUE(st.ok()) << st.ToString();
+}
+
 // Allocates a page and writes `record` into it.
 void AllocateWithRecord(Pager& pager, const std::string& record) {
-  Result<PageRef> page = pager.AllocatePage();
-  ASSERT_TRUE(page.ok()) << page.status().ToString();
-  PageWriteGuard guard(*page);
-  ASSERT_TRUE(guard->AddRecord(record).ok());
+  Result<uint32_t> id = pager.AllocatePage();
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_NO_FATAL_FAILURE(WriteRecord(pager, *id, record));
+}
+
+// Record 0 of page `id`, read through a snapshot.
+Result<std::string> ReadRecord(Pager& pager, uint32_t id) {
+  Page snapshot;
+  XST_RETURN_NOT_OK(pager.ReadPageSnapshot(id, &snapshot));
+  XST_ASSIGN_OR_RAISE(std::string_view record, snapshot.GetRecord(0));
+  return std::string(record);
+}
+
+// Reads page `id` and discards the copy (the caching and counting are the
+// point).
+Status Touch(Pager& pager, uint32_t id) {
+  Page snapshot;
+  return pager.ReadPageSnapshot(id, &snapshot);
 }
 
 // Log records appended so far: a spilled page image, a drained one, or a
@@ -143,27 +153,28 @@ TEST(PagerTest, AllocateFetchPersist) {
   TempFile file("pager_basic");
   {
     LoggedPager logged = OpenPagerOrDie(file.path(), 4);
-    Result<PageRef> page = logged.pager->AllocatePage();
-    ASSERT_TRUE(page.ok());
-    EXPECT_EQ(page->id(), 0u);
-    {
-      PageWriteGuard guard(*page);
-      ASSERT_TRUE(guard->AddRecord("persisted").ok());
-    }
-    page->Reset();
+    Result<uint32_t> id = logged.pager->AllocatePage();
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(*id, 0u);
+    ASSERT_NO_FATAL_FAILURE(WriteRecord(*logged.pager, 0, "persisted"));
     ASSERT_TRUE(CommitAndCheckpoint(*logged.pager, *logged.wal).ok());
   }
   LoggedPager logged = OpenPagerOrDie(file.path(), 4);
   EXPECT_EQ(logged.pager->page_count(), 1u);
-  Result<PageRef> page = logged.pager->FetchPage(0);
-  ASSERT_TRUE(page.ok());
-  EXPECT_EQ(*(*page)->GetRecord(0), "persisted");
+  Result<std::string> record = ReadRecord(*logged.pager, 0);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_EQ(*record, "persisted");
 }
 
 TEST(PagerTest, FetchBeyondEndFails) {
   TempFile file("pager_oob");
   LoggedPager logged = OpenPagerOrDie(file.path(), 4);
-  EXPECT_TRUE(logged.pager->FetchPage(0).status().IsOutOfRange());
+  EXPECT_TRUE(Touch(*logged.pager, 0).IsOutOfRange());
+  EXPECT_TRUE(logged.pager->WritePage(0, PageWith("lost")).IsOutOfRange());
+  ASSERT_TRUE(logged.pager->AllocatePage().ok());
+  EXPECT_TRUE(Touch(*logged.pager, 1).IsOutOfRange());
+  EXPECT_TRUE(logged.pager->WritePage(1, PageWith("lost")).IsOutOfRange());
+  EXPECT_EQ(logged.pager->page_count(), 1u);
 }
 
 TEST(PagerTest, LruEvictionCountsAndWritesBack) {
@@ -176,17 +187,20 @@ TEST(PagerTest, LruEvictionCountsAndWritesBack) {
     ASSERT_NO_FATAL_FAILURE(AllocateWithRecord(pager, "page " + std::to_string(i)));
   }
   EXPECT_GT(counters.evictions(), 0u);
-  // Re-read everything: early pages must have been spilled to the log on
-  // eviction.
+  // Re-read everything: the early pages must have been spilled to the log
+  // on eviction.
   for (uint32_t i = 0; i < 4; ++i) {
-    Result<PageRef> page = pager.FetchPage(i);
-    ASSERT_TRUE(page.ok()) << page.status().ToString();
-    EXPECT_EQ(*(*page)->GetRecord(0), "page " + std::to_string(i));
+    Result<std::string> record = ReadRecord(pager, i);
+    ASSERT_TRUE(record.ok()) << record.status().ToString();
+    EXPECT_EQ(*record, "page " + std::to_string(i));
   }
-  EXPECT_GT(counters.misses(), 0u);
-  // Each page spilled exactly once: a page re-read from the log is clean,
-  // so evicting it again logs nothing, and nothing reaches the main file.
-  EXPECT_EQ(LogAppends() - appends_before, 4u);
+  // Pages 0 and 1 miss and are read from their log images, which a read
+  // never caches, so the re-reads evict nothing; pages 2 and 3 hit. Each
+  // spilled page was logged exactly once, and nothing reached the main file.
+  EXPECT_EQ(counters.misses(), 2u);
+  EXPECT_EQ(counters.hits(), 2u);
+  EXPECT_EQ(counters.evictions(), 2u);
+  EXPECT_EQ(LogAppends() - appends_before, 2u);
   EXPECT_EQ(counters.writebacks(), 0u);
 }
 
@@ -197,99 +211,43 @@ TEST(PagerTest, HotPageStaysCached) {
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(pager.AllocatePage().ok());
   ASSERT_TRUE(CommitAndCheckpoint(pager, *logged.wal).ok());
   PagerCounters counters;
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(pager.FetchPage(0).ok());
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(Touch(pager, 0).ok());
   EXPECT_GE(counters.hits(), 9u);
 }
 
-TEST(PagerTest, PinnedFrameSurvivesEvictionPressure) {
-  // Regression shape for the historical use-after-evict: hold a reference
-  // across fetches that force evictions. With raw Page* the frame would be
-  // recycled under the caller; with PageRef the pin keeps it resident and
-  // the eviction picks other victims.
-  TempFile file("pager_pin_pressure");
-  LoggedPager logged = OpenPagerOrDie(file.path(), 2);
-  Pager& pager = *logged.pager;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_NO_FATAL_FAILURE(AllocateWithRecord(pager, "page " + std::to_string(i)));
-  }
-  ASSERT_TRUE(CommitAndCheckpoint(pager, *logged.wal).ok());
-
-  Result<PageRef> held = pager.FetchPage(0);
-  ASSERT_TRUE(held.ok());
-  EXPECT_EQ(pager.pinned_frames(), 1u);
-  // Sweep every other page through the 2-frame pool; page 0 must not move.
-  for (uint32_t i = 1; i < 4; ++i) {
-    Result<PageRef> page = pager.FetchPage(i);
-    ASSERT_TRUE(page.ok()) << page.status().ToString();
-    EXPECT_EQ(*(*page)->GetRecord(0), "page " + std::to_string(i));
-  }
-  EXPECT_EQ(*(*held)->GetRecord(0), "page 0");  // still valid, still page 0
-  held->Reset();
-  EXPECT_EQ(pager.pinned_frames(), 0u);
-}
-
 TEST(PagerTest, CapacityOnePoolInterleavings) {
-  // The fetch/allocate interleavings that dangled under the raw-pointer API
-  // now either succeed (pin released) or fail loudly (pin held).
+  // A one-frame pool: every allocation, write and read of another page
+  // evicts the one resident frame, spilling it to the log when it changed.
+  // Alternating them must lose no record.
   TempFile file("pager_cap1");
   LoggedPager logged = OpenPagerOrDie(file.path(), 1);
   Pager& pager = *logged.pager;
-  {
-    Result<PageRef> p0 = pager.AllocatePage();
-    ASSERT_TRUE(p0.ok());
-    {
-      PageWriteGuard guard(*p0);
-      ASSERT_TRUE(guard->AddRecord("zero").ok());
+  constexpr uint32_t kPages = 4;
+  const auto record = [](uint32_t id, int version) {
+    return "page " + std::to_string(id) + " v" + std::to_string(version);
+  };
+  for (uint32_t id = 0; id < kPages; ++id) {
+    ASSERT_NO_FATAL_FAILURE(AllocateWithRecord(pager, record(id, 1)));
+    // Every page so far reads back, the one just written and the spilled.
+    for (uint32_t j = 0; j <= id; ++j) {
+      Result<std::string> got = ReadRecord(pager, j);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, record(j, 1));
     }
-    // Allocation needs a fresh frame: ResourceExhausted, and the held
-    // reference stays intact rather than dangling.
-    EXPECT_TRUE(pager.AllocatePage().status().IsResourceExhausted());
-    // Fetching the already-resident page is a second pin on the same frame,
-    // not a new one, so it succeeds.
-    {
-      Result<PageRef> again = pager.FetchPage(0);
-      ASSERT_TRUE(again.ok());
-      EXPECT_EQ(*(*again)->GetRecord(0), "zero");
-      EXPECT_EQ(pager.pinned_frames(), 1u);  // one frame, two pins
-    }
-    EXPECT_EQ(*(*p0)->GetRecord(0), "zero");
   }
-  // Pin released: allocation succeeds. While the new page is pinned, a fetch
-  // of the now-evicted page 0 is refused rather than recycling the frame.
-  {
-    Result<PageRef> p1 = pager.AllocatePage();
-    ASSERT_TRUE(p1.ok());
-    EXPECT_EQ(p1->id(), 1u);
-    {
-      PageWriteGuard guard(*p1);
-      ASSERT_TRUE(guard->AddRecord("one").ok());
-    }
-    EXPECT_TRUE(pager.FetchPage(0).status().IsResourceExhausted());
+  // Rewrite each page, reading another one in between.
+  for (uint32_t id = 0; id < kPages; ++id) {
+    ASSERT_NO_FATAL_FAILURE(WriteRecord(pager, id, record(id, 2)));
+    Result<std::string> other = ReadRecord(pager, (id + 1) % kPages);
+    ASSERT_TRUE(other.ok()) << other.status().ToString();
+    EXPECT_EQ(*other, record((id + 1) % kPages, id + 1 < kPages ? 1 : 2));
   }
-  Result<PageRef> p0 = pager.FetchPage(0);
-  ASSERT_TRUE(p0.ok());
-  EXPECT_EQ(*(*p0)->GetRecord(0), "zero");
-  p0->Reset();
-  Result<PageRef> p1 = pager.FetchPage(1);
-  ASSERT_TRUE(p1.ok());
-  EXPECT_EQ(*(*p1)->GetRecord(0), "one");
-}
-
-TEST(PagerTest, PinExhaustionReportsResourceExhausted) {
-  TempFile file("pager_exhaust");
-  LoggedPager logged = OpenPagerOrDie(file.path(), 2);
-  Pager& pager = *logged.pager;
-  Result<PageRef> a = pager.AllocatePage();
-  Result<PageRef> b = pager.AllocatePage();
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(pager.pinned_frames(), 2u);
-  Status st = pager.AllocatePage().status();
-  EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
-  EXPECT_NE(st.message().find("pinned"), std::string::npos);
-  // Releasing one pin unblocks the pool.
-  b->Reset();
-  EXPECT_TRUE(pager.AllocatePage().ok());
+  ASSERT_TRUE(CommitAndCheckpoint(pager, *logged.wal).ok());
+  for (uint32_t id = 0; id < kPages; ++id) {
+    Result<std::string> got = ReadRecord(pager, id);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, record(id, 2));
+  }
 }
 
 TEST(PagerTest, LruTouchOrderGovernsEviction) {
@@ -301,14 +259,14 @@ TEST(PagerTest, LruTouchOrderGovernsEviction) {
   }
   ASSERT_TRUE(CommitAndCheckpoint(pager, *logged.wal).ok());
   // Pool now holds {1, 2} (0 was evicted by the third allocation).
-  ASSERT_TRUE(pager.FetchPage(1).ok());  // touch 1: LRU order is now 2 < 1
+  ASSERT_TRUE(Touch(pager, 1).ok());  // touch 1: LRU order is now 2 < 1
   PagerCounters counters;
-  ASSERT_TRUE(pager.FetchPage(0).ok());  // must evict 2, not 1
+  ASSERT_TRUE(Touch(pager, 0).ok());  // must evict 2, not 1
   EXPECT_EQ(counters.misses(), 1u);
   EXPECT_EQ(counters.evictions(), 1u);
-  ASSERT_TRUE(pager.FetchPage(1).ok());  // 1 survived: hit
+  ASSERT_TRUE(Touch(pager, 1).ok());  // 1 survived: hit
   EXPECT_EQ(counters.hits(), 1u);
-  ASSERT_TRUE(pager.FetchPage(2).ok());  // 2 was the victim: miss again
+  ASSERT_TRUE(Touch(pager, 2).ok());  // 2 was the victim: miss again
   EXPECT_EQ(counters.misses(), 2u);
 }
 
@@ -327,17 +285,18 @@ TEST(PagerTest, StatsCountersExact) {
   EXPECT_EQ(counters.writebacks(), 0u);
   EXPECT_EQ(counters.hits(), 0u);
   EXPECT_EQ(counters.misses(), 0u);
-  // Fetch resident page 2 (hit), evicted page 0 (miss + eviction of 1 +
-  // its spill).
-  ASSERT_TRUE(pager.FetchPage(2).ok());
-  ASSERT_TRUE(pager.FetchPage(0).ok());
+  // Read resident page 2 (hit) and evicted page 0 (miss). Page 0 comes from
+  // its log image, which a read never caches, so nothing more is evicted or
+  // spilled.
+  ASSERT_TRUE(Touch(pager, 2).ok());
+  ASSERT_TRUE(Touch(pager, 0).ok());
   EXPECT_EQ(counters.hits(), 1u);
   EXPECT_EQ(counters.misses(), 1u);
-  EXPECT_EQ(counters.evictions(), 2u);
-  EXPECT_EQ(LogAppends() - appends_before, 2u);
-  // The commit drains the one resident unlogged page: page 2 (page 0 was
-  // re-read clean from the log), plus the commit record. Only the
-  // checkpoint writes the main file: one write-back per logged page.
+  EXPECT_EQ(counters.evictions(), 1u);
+  EXPECT_EQ(LogAppends() - appends_before, 1u);
+  // The commit drains the two resident unlogged pages, 1 and 2, plus the
+  // commit record. Only the checkpoint writes the main file: one write-back
+  // per logged page.
   ASSERT_TRUE(CommitAndCheckpoint(pager, *logged.wal).ok());
   EXPECT_EQ(LogAppends() - appends_before, 4u);
   EXPECT_EQ(counters.writebacks(), 3u);

@@ -1,15 +1,17 @@
 // Shared test utilities: notation shortcuts, deterministic random
-// extended-set generators for property suites, and a pager run over its log
-// with its counters.
+// extended-set generators for property suites, scratch store paths, and a
+// pager run over its log with its counters.
 
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <random>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/macros.h"
@@ -120,6 +122,29 @@ class PagerCounters {
   uint64_t Delta(size_t i) const { return Value(i) - base_[i]; }
 
   std::array<uint64_t, kNames.size()> base_{};
+};
+
+/// \brief A scratch store path: the files a store at `path` writes — the
+/// main file, its ".wal" log, and a compaction's ".compact" pair — are
+/// removed on construction (a stale log would replay an earlier run into a
+/// fresh store) and again on destruction, so a test leaves nothing behind.
+class ScopedStorePath {
+ public:
+  explicit ScopedStorePath(std::string path) : path_(std::move(path)) { Remove(); }
+  ~ScopedStorePath() { Remove(); }
+  ScopedStorePath(const ScopedStorePath&) = delete;
+  ScopedStorePath& operator=(const ScopedStorePath&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  void Remove() const {
+    for (const char* suffix : {"", ".wal", ".compact", ".compact.wal"}) {
+      std::remove((path_ + suffix).c_str());
+    }
+  }
+
+  std::string path_;
 };
 
 /// \brief A pager run the way the store runs it: over its log, with a log

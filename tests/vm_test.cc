@@ -8,7 +8,6 @@
 
 #include <unistd.h>
 
-#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -339,16 +338,13 @@ TEST(Vm, ChunkedCursorBatchesReassemble) {
 }
 
 TEST(Vm, StoreCursorSourceStreamsFromPager) {
-  std::string path = ::testing::TempDir();
-  if (path.empty()) path = "/tmp/";
-  if (path.back() != '/') path += '/';
-  path += "xst_vm_test_" + std::to_string(::getpid());
-  std::remove(path.c_str());
+  const testing::ScopedStorePath file(::testing::TempDir() + "xst_vm_test_" +
+                                      std::to_string(::getpid()));
 
   Bindings env = FriendsEnv();
   env["seven"] = XSet::Int(7);
   {
-    auto store = SetStore::Open(path);
+    auto store = SetStore::Open(file.path());
     ASSERT_TRUE(store.ok());
     for (const auto& [name, value] : env) {
       ASSERT_TRUE((*store)->Put(name, value).ok());
@@ -365,18 +361,14 @@ TEST(Vm, StoreCursorSourceStreamsFromPager) {
     }
     EXPECT_TRUE(VmEval(*Compile(Expr::Named("missing")), source).status().IsNotFound());
   }
-  std::remove(path.c_str());
 }
 
 TEST(Vm, RangeOverIndexedStoreReadsOnlyInRangeLeaves) {
   // A range σ-restriction over a stored set reads only its slice of the
   // index: the pager counters prove kLoadRange touched a root-to-leaf spine
   // plus the in-range leaves, not the whole tree.
-  std::string path = ::testing::TempDir();
-  if (path.empty()) path = "/tmp/";
-  if (path.back() != '/') path += '/';
-  path += "xst_vm_range_" + std::to_string(::getpid());
-  std::remove(path.c_str());
+  const testing::ScopedStorePath file(::testing::TempDir() + "xst_vm_range_" +
+                                      std::to_string(::getpid()));
 
   // Integer atoms order numerically under Compare, so [100, 120] is a
   // 21-member contiguous slice of the canonical list.
@@ -388,7 +380,7 @@ TEST(Vm, RangeOverIndexedStoreReadsOnlyInRangeLeaves) {
   Bindings env;
   env["big"] = big;
   {
-    auto store = SetStore::Open(path);
+    auto store = SetStore::Open(file.path());
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->PutIndexed("big", big).ok());
     StoreCursorSource source(**store);
@@ -431,7 +423,6 @@ TEST(Vm, RangeOverIndexedStoreReadsOnlyInRangeLeaves) {
     ASSERT_TRUE(whole.ok());
     EXPECT_GT(full.hits() + full.misses(), range_touches);
   }
-  std::remove(path.c_str());
 }
 
 TEST(Vm, StatsCountOnlyInternedIntermediates) {

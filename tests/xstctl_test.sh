@@ -1,8 +1,8 @@
 #!/bin/sh
 # Drives the xstctl binary end to end on a fresh store: put, put_indexed,
-# run (a bind that shadows a stored set, a range over a stored index),
-# explain (with and without --optimize), verify, scrub and stats, and an
-# unknown flag's exit code.
+# run (a bind that shadows a stored set, a range over a stored index, and
+# the verification of every statement it runs), explain (with and without
+# --optimize), verify, scrub and stats, and an unknown flag's exit code.
 #
 # usage: xstctl_test.sh <xstctl-binary> <scratch-dir>
 set -u
@@ -43,6 +43,15 @@ expect run "{<a, b>, <b, c>}
 {<z, z>}
 {<z>}
 {<2, y>, <3, z>}" "$out"
+
+# run verifies each statement's program before the VM runs it, in every
+# build type; the metrics dump counts at least one verification per
+# statement (builds that also verify inside the VM count two).
+XST_METRICS_OUT="$dir/metrics.json" "$xstctl" "$store" run "$dir/script.xsp" > /dev/null ||
+  fail "run with XST_METRICS_OUT exited $?"
+verified=$(sed -n 's/^ *"xsp\.verify\.programs": \([0-9]*\).*/\1/p' "$dir/metrics.json")
+[ "${verified:-0}" -ge 5 ] ||
+  fail "run verified ${verified:-no} programs for its 5 statements"
 
 # EXPLAIN ANALYZE: one row per VM instruction, labelled by the typed
 # listing. Times vary, so keep each row's label and row count only.

@@ -33,14 +33,6 @@ Rules (see DESIGN.md section 7 for rationale):
                          `--`, or assignment inside one changes behavior
                          between build types.
 
-  raw-page-pointer       Outside store/pager.*, buffer-pool pages must be
-                         held as PageRef pins — binding a raw `Page*` from
-                         FetchPage/AllocatePage or from a PageRef deref
-                         (`.get()`, `&*`, `operator->`) recreates the
-                         use-after-evict the pin API exists to prevent (the
-                         pointed-to frame can be recycled by any later pager
-                         call).
-
   bare-mutex             std::mutex / lock_guard / unique_lock /
                          condition_variable (and their variants) are
                          forbidden outside src/common/sync.* — shared state
@@ -87,7 +79,7 @@ Rules (see DESIGN.md section 7 for rationale):
                          global hierarchy. The checker builds a call graph,
                          propagates held-lock sets interprocedurally through
                          XST_REQUIRES annotations, MutexLock scopes, and the
-                         pager's ShardLatchLock/PageWriteGuard latch guards,
+                         pager's ShardLatchLock latch guard,
                          and rejects any acquisition whose rank is not
                          strictly greater than every rank already held on
                          that path. Unranked locks do not participate.
@@ -252,10 +244,6 @@ PAIRING_RE = re.compile(r"XST_DCHECK\s*\(\s*IsCanonicalMemberList")
 SIDE_EFFECT_RE = re.compile(
     r"\+\+|--|(?<![=!<>+\-*/%&|^])=(?![=])"
 )
-PAGE_FETCH_RE = re.compile(r"\b(FetchPage|AllocatePage)\s*\(")
-PAGE_PTR_RE = re.compile(r"\bPage\s*\*")
-PAGE_PTR_DECL_RE = re.compile(r"\bPage\s*\*\s*\w+\s*=")
-PAGEREF_DEREF_RE = re.compile(r"\.get\(\)|&\s*\*|operator->")
 BARE_MUTEX_RE = re.compile(
     r"std::(mutex|recursive_mutex|shared_mutex|timed_mutex|recursive_timed_mutex|"
     r"lock_guard|unique_lock|shared_lock|scoped_lock|"
@@ -320,27 +308,6 @@ def rule_dcheck_side_effects(rel_path, lines, _raw):
             if SIDE_EFFECT_RE.search(arg):
                 yield i, ("side effect inside XST_DCHECK; the argument is "
                           "unevaluated under NDEBUG")
-
-
-def rule_raw_page_pointer(rel_path, lines, _raw):
-    if _exempt(rel_path, ("store/pager.h", "store/pager.cc")):
-        return  # the PageRef implementation itself
-    for i, line in enumerate(lines, 1):
-        if not PAGE_PTR_RE.search(line):
-            continue
-        # The fetch may sit on the declaring line or the two after it (a
-        # multi-line statement); a pin deref within a line either side.
-        fetch = PAGE_FETCH_RE.search("\n".join(lines[i - 1:i + 2]))
-        if fetch:
-            source = fetch.group(1)
-        elif (PAGE_PTR_DECL_RE.search(line) and
-              PAGEREF_DEREF_RE.search("\n".join(lines[max(0, i - 2):i + 1]))):
-            source = "a PageRef deref"
-        else:
-            continue
-        yield i, (f"raw Page* bound from {source}; hold the PageRef pin (a "
-                  "raw frame pointer dangles as soon as the pool evicts the "
-                  "page)")
 
 
 def rule_bare_mutex(rel_path, lines, _raw):
@@ -687,10 +654,9 @@ FIELD_DECL_RE = re.compile(
 FIELD_WRITE_RE = re.compile(
     r"(?<![\w.])(\w+_)\s*(?:=(?!=)|\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<=|>>=|\+\+|--)"
     r"|(?:\+\+|--)\s*(\w+_)\b")
-# The sharded pager's scoped latch guards: both take a PagerShard's latch in
-# their constructor, so a textual guard declaration is a latch acquisition.
-GUARD_ACQ_RE = re.compile(
-    r"\b(?:internal::)?(?:ShardLatchLock|PageWriteGuard)\s+\w+\s*[({]")
+# The sharded pager's scoped latch guard takes a PagerShard's latch in its
+# constructor, so a textual guard declaration is a latch acquisition.
+GUARD_ACQ_RE = re.compile(r"\b(?:internal::)?ShardLatchLock\s+\w+\s*[({]")
 SHARD_LATCH_IDENTITY = "PagerShard::latch"
 CALL_RE = re.compile(r"\b(\w+)\s*\(")
 # Identifier-before-( matches that are never function calls of interest.
@@ -1023,7 +989,6 @@ RULES = {
     "interner-mutation": rule_interner_mutation,
     "sorted-members-dcheck": rule_sorted_members_dcheck,
     "dcheck-side-effects": rule_dcheck_side_effects,
-    "raw-page-pointer": rule_raw_page_pointer,
     "bare-mutex": rule_bare_mutex,
     "lock-across-parallelfor": rule_lock_across_parallelfor,
     "obs-doc-comments": rule_obs_doc_comments,
@@ -1144,21 +1109,6 @@ SELF_TEST_FIXTURES = [
      "int x = 0;  // xst-lint: allow(raw-new-delete)\nstd::thread t;\n"),
     ("raw-new-delete", False,
      "auto* n = new Node();  // xst-lint: allow(raw-new-delete)\n"),
-    ("raw-page-pointer", True, "Result<Page*> page = pager.FetchPage(id);\n"),
-    ("raw-page-pointer", True, "Page* raw = *pager->FetchPage(0);\n"),
-    ("raw-page-pointer", True,
-     "Page* raw =\n    pager.AllocatePage().ValueOrDie();\n"),
-    ("raw-page-pointer", False, "Result<PageRef> page = pager.FetchPage(id);\n"),
-    ("raw-page-pointer", False, "PageRef page = *pager.FetchPage(id);\n"),
-    ("raw-page-pointer", False, "// FetchPage used to return Page*\n"),
-    ("raw-page-pointer", False,
-     "Page* raw = *pager.FetchPage(0);  // xst-lint: allow(raw-page-pointer)\n"),
-    ("raw-page-pointer", True, "Page* p = ref.get();\n"),
-    ("raw-page-pointer", True, "Page* p = &*pager->FetchPage(0);\n"),
-    ("raw-page-pointer", True, "Page* p = ref.operator->();\n", "src/store/btree.cc"),
-    ("raw-page-pointer", False, "PageRef ref = *pager.FetchPage(id);\n"),
-    ("raw-page-pointer", False, "Page* frame;\n"),  # no pin on the RHS
-    ("raw-page-pointer", False, "Page* p = ref.get();\n", "src/store/pager.cc"),
     ("bare-mutex", True, "std::mutex mu;\n"),
     ("bare-mutex", True, "std::lock_guard<std::mutex> lock(mu);\n"),
     ("bare-mutex", True, "std::condition_variable cv;\n"),

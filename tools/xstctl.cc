@@ -139,7 +139,11 @@ int RunCommand(SetStore& store, const char* path, bool optimize) {
     }
     auto program = xsp::Compile(plan);
     if (!program.ok()) return Fail(program.status());
-    Result<XSet> value = xsp::VmEval(*program, source, &ctx);
+    // Verified before it runs, as in RunScript: VmEval verifies only at the
+    // XST_VM_VALIDATE tier.
+    Status verified = xsp::VerifyProgram(*program);
+    Result<XSet> value =
+        verified.ok() ? xsp::VmEval(*program, source, &ctx) : Result<XSet>(verified);
     if (!value.ok()) {
       return Fail(value.status().WithContext("statement '" + statement.source + "'"));
     }
