@@ -1,11 +1,11 @@
 // BEN-BTREE: the ordered-index storage mode — tree build vs blob put,
 // point membership probes, single-member mutations (the operation blob
-// storage cannot do without rewriting the whole span), and range cursors
-// against full materialization.
+// storage cannot do without rewriting the whole span), range cursors
+// against full materialization, and a whole-index read larger than the
+// pool. Every case removes its store's files, `.wal` sidecar included.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +22,7 @@ std::string BenchPath(const char* tag) {
 
 void BM_BTreeBuild(benchmark::State& state) {
   std::string path = BenchPath("build");
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
   auto store = SetStore::Open(path);
   if (!store.ok()) {
     state.SkipWithError("open failed");
@@ -37,7 +37,7 @@ void BM_BTreeBuild(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
 }
 BENCHMARK(BM_BTreeBuild)->Arg(1 << 10)->Arg(1 << 13);
 
@@ -54,7 +54,7 @@ void BM_BTreeContains(benchmark::State& state) {
   // Alternating hits ⟨j, j⟩ and misses ⟨j, j+1⟩ at spread j: a miss sorts
   // right beside a hit, so both search all the way into the leaf.
   std::string path = BenchPath("contains");
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
   const int64_t n = state.range(0);
   auto store =
       SetStore::Open(path, SetStoreOptions{.buffer_pool_pages = kCachedIndexPool});
@@ -78,7 +78,7 @@ void BM_BTreeContains(benchmark::State& state) {
     ++i;
   }
   state.SetItemsProcessed(state.iterations());
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
 }
 BENCHMARK(BM_BTreeContains)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 16);
 
@@ -86,7 +86,7 @@ void BM_BTreeRange24(benchmark::State& state) {
   // A 24-member element range at spread offsets: one seek plus a slice of
   // the member list, the shape of a browse anchor lookup.
   std::string path = BenchPath("range24");
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
   const int64_t n = state.range(0);
   auto store =
       SetStore::Open(path, SetStoreOptions{.buffer_pool_pages = kCachedIndexPool});
@@ -120,7 +120,7 @@ void BM_BTreeRange24(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() * 24);
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
 }
 BENCHMARK(BM_BTreeRange24)->Arg(1 << 16);
 
@@ -128,7 +128,7 @@ void BM_BTreeInsertErase(benchmark::State& state) {
   // One member in, same member out: the tree touches a root-to-leaf spine
   // per mutation where the blob mode would re-encode the whole set.
   std::string path = BenchPath("mutate");
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
   auto store = SetStore::Open(path, SetStoreOptions{.buffer_pool_pages = 256});
   if (!store.ok() ||
       !(*store)->PutIndexed("r", bench::PairRelation(state.range(0))).ok()) {
@@ -145,7 +145,7 @@ void BM_BTreeInsertErase(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() * 2);
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
 }
 BENCHMARK(BM_BTreeInsertErase)->Arg(1 << 10)->Arg(1 << 14);
 
@@ -153,7 +153,7 @@ void BM_BTreeRangeCursor(benchmark::State& state) {
   // A 64-member interval out of range(0) members: page reads stay
   // proportional to the slice, not the set.
   std::string path = BenchPath("range");
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
   auto store = SetStore::Open(path, SetStoreOptions{.buffer_pool_pages = 256});
   if (!store.ok() ||
       !(*store)->PutIndexed("r", bench::PairRelation(state.range(0))).ok()) {
@@ -178,14 +178,47 @@ void BM_BTreeRangeCursor(benchmark::State& state) {
     benchmark::DoNotOptimize(n);
   }
   state.SetItemsProcessed(state.iterations() * 64);
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
 }
 BENCHMARK(BM_BTreeRangeCursor)->Arg(1 << 12)->Arg(1 << 16);
+
+void BM_BTreeWholeIndexRead(benchmark::State& state) {
+  // A whole-index cursor over range(0) pairs through a 64-page pool, the
+  // shape of an analytics scan: the leaves do not fit the pool, and the
+  // read decodes them across the thread pool. Real time, since the decode
+  // runs on the pool's workers too.
+  std::string path = BenchPath("whole");
+  bench::RemoveStoreFiles(path);
+  const int64_t n = state.range(0);
+  auto store = SetStore::Open(path, SetStoreOptions{.buffer_pool_pages = 64});
+  if (!store.ok() || !(*store)->PutIndexed("r", bench::PairRelation(n)).ok()) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  for (auto _ : state) {
+    auto cursor = (*store)->OpenCursor("r");
+    if (!cursor.ok()) {
+      state.SkipWithError("cursor failed");
+      return;
+    }
+    int64_t read = 0;
+    for (auto batch = (*cursor)->NextBatch(); !batch.empty(); batch = (*cursor)->NextBatch()) {
+      read += static_cast<int64_t>(batch.size());
+    }
+    if (read != n) {
+      state.SkipWithError("whole read missed members");
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  bench::RemoveStoreFiles(path);
+}
+BENCHMARK(BM_BTreeWholeIndexRead)->Arg(1 << 16)->UseRealTime();
 
 void BM_BlobGetForContrast(benchmark::State& state) {
   // The blob-mode full materialization a range query previously required.
   std::string path = BenchPath("blob");
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
   auto store = SetStore::Open(path, SetStoreOptions{.buffer_pool_pages = 256});
   if (!store.ok() ||
       !(*store)->Put("r", bench::PairRelation(state.range(0))).ok()) {
@@ -196,7 +229,7 @@ void BM_BlobGetForContrast(benchmark::State& state) {
     benchmark::DoNotOptimize((*store)->Get("r"));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
 }
 BENCHMARK(BM_BlobGetForContrast)->Arg(1 << 12)->Arg(1 << 16);
 

@@ -2,17 +2,17 @@
 // choice that makes equality O(1) and structural sharing free.
 //
 //   * interning a *fresh* value pays hashing + one shard lock;
-//   * interning a *seen* value is a lookup that returns the shared node;
+//   * interning a *seen* value is a lock-free lookup that returns the
+//     shared node;
 //   * re-interning many distinct seen values (a stored read's decode) is a
 //     lookup per value that misses cache in the shard table and the node;
 //   * equality after interning is a pointer compare at any size;
 //   * the arena is thread-safe: concurrent interning of one value family
-//     scales with shard count.
+//     scales with shard count, and hits take no lock, so re-interning seen
+//     values (a stored read decoded on several cores) scales with threads.
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,35 +73,41 @@ void BM_EqualityBySize(benchmark::State& state) {
 }
 BENCHMARK(BM_EqualityBySize)->Arg(1 << 4)->Arg(1 << 12)->Arg(1 << 18);
 
+// 16k interns split over the threads: even items re-intern one of 50
+// shared pairs (contended hits), odd items intern a fresh pair (misses that
+// insert and grow the tables).
 void BM_ConcurrentInterning(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    std::atomic<int64_t> base{0};
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&base] {
-        int64_t my_base = base.fetch_add(100000);
-        for (int i = 0; i < 2000; ++i) {
-          // Half shared (contended), half thread-private (fresh).
-          benchmark::DoNotOptimize(XSet::Pair(XSet::Int(i % 50), XSet::Int(i % 50)));
-          benchmark::DoNotOptimize(
-              XSet::Pair(XSet::Int(20000000 + my_base + i), XSet::Int(i)));
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
-  state.SetItemsProcessed(state.iterations() * threads * 4000);
+  bench::RunOnThreads(state, static_cast<int>(state.range(0)), 16000,
+                      [](int64_t begin, int64_t end) {
+                        for (int64_t i = begin; i < end; ++i) {
+                          benchmark::DoNotOptimize(
+                              i % 2 == 0
+                                  ? XSet::Pair(XSet::Int(i % 50), XSet::Int(i % 50))
+                                  : XSet::Pair(XSet::Int(20000000 + i), XSet::Int(i)));
+                        }
+                        return true;
+                      });
 }
-// Real time: the workers run on their own threads, so the main thread's CPU
-// time would count almost none of their work.
-BENCHMARK(BM_ConcurrentInterning)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConcurrentInterning)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
+
+// Hits only, the shape of a stored read decoded on several cores: 64k
+// distinct stored-shape pairs, interned before the clock starts, re-interned
+// from their integer components, split over the threads.
+void BM_ConcurrentSeenPairs(benchmark::State& state) {
+  constexpr int64_t kPairs = 65536;
+  constexpr int64_t kOffset = int64_t{1} << 32;
+  benchmark::DoNotOptimize(bench::PairRelation(kPairs, 1, kOffset));
+  bench::RunOnThreads(state, static_cast<int>(state.range(0)), kPairs,
+                      [](int64_t begin, int64_t end) {
+                        for (int64_t i = begin; i < end; ++i) {
+                          const int64_t k = i % kPairs;
+                          benchmark::DoNotOptimize(
+                              XSet::Pair(XSet::Int(k), XSet::Int(kOffset + k)));
+                        }
+                        return true;
+                      });
+}
+BENCHMARK(BM_ConcurrentSeenPairs)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_ArenaStats(benchmark::State& state) {
   for (auto _ : state) {

@@ -3,7 +3,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -43,7 +42,7 @@ BENCHMARK(BM_DecodeRelation)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_StorePut(benchmark::State& state) {
   std::string path = BenchPath("put");
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
   auto store = SetStore::Open(path);
   if (!store.ok()) {
     state.SkipWithError("open failed");
@@ -58,14 +57,14 @@ void BM_StorePut(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
 }
 BENCHMARK(BM_StorePut)->Arg(1 << 10)->Arg(1 << 13);
 
 void BM_StoreGetWarm(benchmark::State& state) {
   // Blob resident in the pool: read = pool hits + decode.
   std::string path = BenchPath("get_warm");
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
   auto store = SetStore::Open(path, SetStoreOptions{.buffer_pool_pages = 1024});
   if (!store.ok() || !(*store)->Put("r", bench::PairRelation(state.range(0))).ok()) {
     state.SkipWithError("setup failed");
@@ -75,7 +74,7 @@ void BM_StoreGetWarm(benchmark::State& state) {
     benchmark::DoNotOptimize((*store)->Get("r"));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
 }
 BENCHMARK(BM_StoreGetWarm)->Arg(1 << 10)->Arg(1 << 14);
 
@@ -83,7 +82,7 @@ void BM_StoreGetColdPool(benchmark::State& state) {
   // Pool far smaller than the blob: every Get sweeps the file through a
   // 4-page cache — the block-device regime the 1977 backend assumed.
   std::string path = BenchPath("get_cold");
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
   // Registry counters are process-wide: count this run's store from its open.
   obs::Counter& misses =
       obs::MetricsRegistry::Global().GetCounter(internal::kPagerMissesCounter);
@@ -98,7 +97,7 @@ void BM_StoreGetColdPool(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
   state.counters["pool_misses"] = static_cast<double>(misses.value() - misses_before);
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
 }
 BENCHMARK(BM_StoreGetColdPool)->Arg(1 << 14);
 
@@ -106,8 +105,7 @@ void BM_PagerSnapshotHit(benchmark::State& state) {
   // Pager-level cost of the hot hit path every blob and B+tree read pays per
   // page: latch the shard, splice the LRU, copy the resident page out.
   std::string path = BenchPath("snapshot_hit");
-  std::remove(path.c_str());
-  std::remove((path + ".wal").c_str());
+  bench::RemoveStoreFiles(path);
   obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter(internal::kPagerHitsCounter);
   const uint64_t hits_before = hits.value();
   Result<testing::LoggedPager> logged = testing::OpenLoggedPager(path, 64);
@@ -140,15 +138,14 @@ void BM_PagerSnapshotHit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["hits"] = static_cast<double>(hits.value() - hits_before);
-  std::remove(path.c_str());
-  std::remove((path + ".wal").c_str());
+  bench::RemoveStoreFiles(path);
 }
 BENCHMARK(BM_PagerSnapshotHit);
 
 void BM_StoreManySmallSets(benchmark::State& state) {
   // Catalog-heavy workload: many named small sets.
   std::string path = BenchPath("many");
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
   auto store = SetStore::Open(path);
   if (!store.ok()) {
     state.SkipWithError("open failed");
@@ -164,7 +161,7 @@ void BM_StoreManySmallSets(benchmark::State& state) {
     }
     ++i;
   }
-  std::remove(path.c_str());
+  bench::RemoveStoreFiles(path);
 }
 BENCHMARK(BM_StoreManySmallSets);
 

@@ -28,11 +28,6 @@ std::string BenchPath(const char* tag) {
   return "/tmp/xst_bench_wal_" + std::string(tag) + ".db";
 }
 
-void RemoveStoreFiles(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove((path + ".wal").c_str());
-}
-
 constexpr auto kDeviceFsyncLatency = std::chrono::microseconds(50);
 
 class SlowSyncFile : public File {
@@ -73,7 +68,7 @@ std::unique_ptr<SetStore> g_store;
 void BM_WalCommitGroup(benchmark::State& state) {
   const std::string path = BenchPath("group");
   if (state.thread_index() == 0) {
-    RemoveStoreFiles(path);
+    bench::RemoveStoreFiles(path);
     SetStoreOptions options;
     options.buffer_pool_pages = 256;
     options.file_factory = SlowSyncWalFactory();
@@ -99,7 +94,7 @@ void BM_WalCommitGroup(benchmark::State& state) {
     WalStats stats = g_store->wal_stats();
     state.counters["durable_lsn"] = static_cast<double>(stats.durable_lsn);
     g_store.reset();
-    RemoveStoreFiles(path);
+    bench::RemoveStoreFiles(path);
   }
 }
 
@@ -126,7 +121,7 @@ void BM_WalRecoveryReplay(benchmark::State& state) {
   const int64_t commits = state.range(0);
   const std::string base = BenchPath("replay_base");
   const std::string work = BenchPath("replay_work");
-  RemoveStoreFiles(base);
+  bench::RemoveStoreFiles(base);
   {
     SetStoreOptions options;
     options.buffer_pool_pages = 64;
@@ -153,7 +148,7 @@ void BM_WalRecoveryReplay(benchmark::State& state) {
   }
   for (auto _ : state) {
     state.PauseTiming();
-    RemoveStoreFiles(work);
+    bench::RemoveStoreFiles(work);
     if (!CopyFileBytes(base, work) ||
         !CopyFileBytes(base + ".wal", work + ".wal")) {
       state.SkipWithError("copying the log template failed");
@@ -172,8 +167,8 @@ void BM_WalRecoveryReplay(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * commits);
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(log_bytes));
   state.counters["log_bytes"] = static_cast<double>(log_bytes);
-  RemoveStoreFiles(base);
-  RemoveStoreFiles(work);
+  bench::RemoveStoreFiles(base);
+  bench::RemoveStoreFiles(work);
 }
 BENCHMARK(BM_WalRecoveryReplay)
     ->Arg(16)

@@ -1,6 +1,8 @@
 #include "src/core/interner.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <string>
 
 #include "src/common/hash.h"
@@ -87,60 +89,102 @@ size_t NodeBytes(const internal::Node& n) {
 // One open-addressing slot. The hash sits inline, so a probe dereferences
 // only a node whose full 64-bit hash matches. A null node marks an empty
 // slot; nodes are immortal, so nothing is erased and there are no
-// tombstones.
+// tombstones. Hits probe without the shard lock while an insert may be
+// filling a slot, so both fields are atomic: the writer stores the hash,
+// then release-stores the node; a reader acquire-loads the node, then
+// reads the hash.
 struct Slot {
-  uint64_t hash = 0;
-  const internal::Node* node = nullptr;
+  std::atomic<uint64_t> hash{0};
+  std::atomic<const internal::Node*> node{nullptr};
+};
+
+// A power-of-two slot array, at most half full. A grow replaces it with a
+// doubled one, but a lock-free probe may still be walking it, so the
+// successor owns it and it is never freed.
+struct SlotTable {
+  SlotTable(size_t size, SlotTable* replaced_table)
+      : mask(size - 1), slots(new Slot[size]), replaced(replaced_table) {}
+
+  size_t size() const { return mask + 1; }
+
+  const size_t mask;
+  const std::unique_ptr<Slot[]> slots;
+  const std::unique_ptr<SlotTable> replaced;
 };
 
 constexpr size_t kInitialSlots = 256;  // per shard; a power of two
+
+// Writes a slot for `n` (whose hash is `hash`) at the first empty slot of
+// its probe run: the hash first, then the node with release.
+void Place(SlotTable& t, uint64_t hash, const internal::Node* n) {
+  size_t i = hash & t.mask;
+  while (t.slots[i].node.load(std::memory_order_relaxed) != nullptr) i = (i + 1) & t.mask;
+  t.slots[i].hash.store(hash, std::memory_order_relaxed);
+  t.slots[i].node.store(n, std::memory_order_release);
+}
 
 }  // namespace
 
 // A shard's nodes of every kind share one linear-probing table. The top
 // kShardBits of a hash pick the shard and its low bits the home slot.
+// Probes take no lock; inserts and growth take `shard_mu`.
 struct alignas(64) Interner::Shard {
   Mutex shard_mu XST_LOCK_RANK(60);
-  // Power-of-two size, at most half full.
-  std::vector<Slot> slots XST_GUARDED_BY(shard_mu) = std::vector<Slot>(kInitialSlots);
+  // The live table. Replaced only under `shard_mu`, by a release store
+  // after the doubled table is filled; leaked with the arena.
+  std::atomic<SlotTable*> table{new SlotTable(kInitialSlots, nullptr)};
   size_t used XST_GUARDED_BY(shard_mu) = 0;
 
-  // The interned node with `key`'s kind and payload, or nullptr.
-  const internal::Node* Find(uint64_t hash, const internal::Node& key) const
-      XST_REQUIRES(shard_mu) {
-    const size_t mask = slots.size() - 1;
-    for (size_t i = hash & mask;; i = (i + 1) & mask) {
-      const Slot& slot = slots[i];
-      if (slot.node == nullptr) return nullptr;
-      if (slot.hash == hash && SameKey(*slot.node, key)) return slot.node;
+  // The interned node with `key`'s kind and payload, or nullptr. Needs no
+  // lock: it probes whichever table it loads, and a table holds every node
+  // interned before it was published. A miss while an insert or a grow
+  // runs may be stale, so Intern confirms a miss under the lock.
+  const internal::Node* Find(uint64_t hash, const internal::Node& key) const {
+    const SlotTable& t = *table.load(std::memory_order_acquire);
+    for (size_t i = hash & t.mask;; i = (i + 1) & t.mask) {
+      const Slot& slot = t.slots[i];
+      const internal::Node* n = slot.node.load(std::memory_order_acquire);
+      if (n == nullptr) return nullptr;
+      if (slot.hash.load(std::memory_order_relaxed) == hash && SameKey(*n, key)) return n;
     }
   }
 
-  // Adds `n`, which Find just missed, doubling the table first if the
-  // insert would leave it more than half full.
+  // Adds `n`, which Find just missed under the lock, doubling the table
+  // first if the insert would leave it more than half full. `n` must be
+  // final: readers see it as soon as its slot is written.
   void Insert(const internal::Node* n) XST_REQUIRES(shard_mu) {
-    if (2 * (used + 1) > slots.size()) Grow();
-    Place(Slot{n->hash, n});
+    SlotTable* t = table.load(std::memory_order_relaxed);
+    if (2 * (used + 1) > t->size()) t = Grow(t);
+    Place(*t, n->hash, n);
     ++used;
     NodesGauge().Add(1);
     BytesGauge().Add(static_cast<int64_t>(NodeBytes(*n)));
   }
 
-  void Place(Slot s) XST_REQUIRES(shard_mu) {
-    const size_t mask = slots.size() - 1;
-    size_t i = s.hash & mask;
-    while (slots[i].node != nullptr) i = (i + 1) & mask;
-    slots[i] = s;
+  // Fills a doubled table by the stored hashes (no node is touched), then
+  // publishes it. The replaced table stays allocated, owned by its
+  // successor, for probes still walking it, and stays in the byte gauge.
+  SlotTable* Grow(SlotTable* old) XST_REQUIRES(shard_mu) {
+    auto* next = new SlotTable(2 * old->size(), old);
+    for (size_t i = 0; i < old->size(); ++i) {
+      const Slot& s = old->slots[i];
+      if (const internal::Node* n = s.node.load(std::memory_order_relaxed)) {
+        Place(*next, s.hash.load(std::memory_order_relaxed), n);
+      }
+    }
+    table.store(next, std::memory_order_release);
+    BytesGauge().Add(static_cast<int64_t>(next->size() * sizeof(Slot)));
+    return next;
   }
 
-  // Re-places every slot by its stored hash; no node is touched.
-  void Grow() XST_REQUIRES(shard_mu) {
-    std::vector<Slot> old(2 * slots.size());
-    old.swap(slots);
-    for (const Slot& s : old) {
-      if (s.node != nullptr) Place(s);
+  // Every node in the live table (the caller holds `shard_mu`, so no
+  // insert or grow runs beside it).
+  template <typename Fn>
+  void ForEachNode(const Fn& fn) const XST_REQUIRES(shard_mu) {
+    const SlotTable& t = *table.load(std::memory_order_relaxed);
+    for (size_t i = 0; i < t.size(); ++i) {
+      if (const internal::Node* n = t.slots[i].node.load(std::memory_order_relaxed)) fn(n);
     }
-    BytesGauge().Add(static_cast<int64_t>(old.size() * sizeof(Slot)));
   }
 };
 
@@ -165,6 +209,8 @@ Interner::Shard& Interner::ShardFor(uint64_t hash) const {
 const internal::Node* Interner::Intern(internal::Node key) {
   key.hash = internal::ComputeNodeHash(key);
   Shard& shard = ShardFor(key.hash);
+  // A hit, nearly every call, takes no lock; a miss confirms under it.
+  if (const internal::Node* hit = shard.Find(key.hash, key)) return hit;
   MutexLock lock(&shard.shard_mu);
   if (const internal::Node* hit = shard.Find(key.hash, key)) return hit;
   auto* n = new internal::Node(std::move(key));
@@ -199,9 +245,7 @@ const internal::Node* Interner::Set(std::vector<Membership> members) {
 
 const internal::Node* Interner::Find(const internal::Node& key) const {
   const uint64_t h = internal::ComputeNodeHash(key);
-  Shard& shard = ShardFor(h);
-  MutexLock lock(&shard.shard_mu);
-  return shard.Find(h, key);
+  return ShardFor(h).Find(h, key);
 }
 
 std::vector<const internal::Node*> Interner::SnapshotNodes() const {
@@ -209,9 +253,7 @@ std::vector<const internal::Node*> Interner::SnapshotNodes() const {
   for (int i = 0; i < kNumShards; ++i) {
     Shard& shard = shards_[i];
     MutexLock lock(&shard.shard_mu);
-    for (const Slot& s : shard.slots) {
-      if (s.node != nullptr) nodes.push_back(s.node);
-    }
+    shard.ForEachNode([&](const internal::Node* n) { nodes.push_back(n); });
   }
   return nodes;
 }
@@ -239,15 +281,14 @@ InternerStats Interner::GetStats() const {
   for (int i = 0; i < kNumShards; ++i) {
     Shard& shard = shards_[i];
     MutexLock lock(&shard.shard_mu);
-    for (const Slot& s : shard.slots) {
-      if (s.node == nullptr) continue;
-      if (s.node->kind == NodeKind::kSet) {
+    shard.ForEachNode([&](const internal::Node* n) {
+      if (n->kind == NodeKind::kSet) {
         ++stats.set_count;
-        stats.membership_count += s.node->members.size();
+        stats.membership_count += n->members.size();
       } else {
         ++stats.atom_count;
       }
-    }
+    });
   }
   return stats;
 }

@@ -13,13 +13,17 @@
 // hash's low bits and doubled before it passes half full. A probe compares
 // inline hashes and dereferences only a node whose hash matches, to confirm
 // its kind and key. Re-interning a value that already exists (what every
-// store decode does) is therefore one lock, a short run of slots and a read
-// of the matching node.
+// store decode does) is therefore a short run of slots and a read of the
+// matching node, with no lock.
 //
-// Thread safety: fully thread-safe. Each shard's table is guarded by a short
-// mutex, held for probes and growth alike; a lock-free fast path serves
-// small integer atoms, which dominate tuple-heavy workloads (tuple scopes
-// are 1..n).
+// Thread safety: fully thread-safe. Probes take no lock: a shard publishes
+// its table through an atomic pointer, a slot's hash is stored before its
+// node is release-stored, and a node is final before its slot is written.
+// A miss takes the shard's mutex, probes again and inserts; growth fills a
+// doubled table under that mutex and then publishes it. A replaced table
+// is never freed (its successor owns it), because a lock-free probe may
+// still be walking it. Small integer atoms, which dominate tuple-heavy
+// workloads (tuple scopes are 1..n), come from a fixed cache.
 //
 // Metrics: the `interner.nodes` and `interner.bytes` gauges move only when
 // a value is interned for the first time.
@@ -61,11 +65,12 @@ class Interner {
   /// \brief The unique ∅ node.
   const internal::Node* EmptySet() const { return empty_; }
 
-  /// \brief Lookup only (never interns): the interned node with `key`'s
-  /// kind and payload (int value, text, or member list), found under the
-  /// hash recomputed from them, or nullptr. The structural validator
-  /// (core/validate.cc) passes a node itself, which must come back
-  /// pointer-equal if hash-consing is coherent.
+  /// \brief Lookup only (never interns, takes no lock): the interned node
+  /// with `key`'s kind and payload (int value, text, or member list), found
+  /// under the hash recomputed from them, or nullptr. A node interned
+  /// before the call is always found; one interned concurrently may not be.
+  /// The structural validator (core/validate.cc) passes a node itself,
+  /// which must come back pointer-equal if hash-consing is coherent.
   const internal::Node* Find(const internal::Node& key) const;
 
   /// \brief Every interned node, copied out shard by shard. Safe to use
@@ -100,7 +105,8 @@ class Interner {
 namespace internal {
 
 /// \brief Registry gauges sizing the arena: live nodes, and bytes held by
-/// node headers, payloads and slot tables (allocator overhead excluded).
+/// node headers, payloads and slot tables, replaced tables included
+/// (allocator overhead excluded).
 inline constexpr const char* kInternerNodesGauge = "interner.nodes";
 inline constexpr const char* kInternerBytesGauge = "interner.bytes";
 

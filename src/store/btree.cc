@@ -1,12 +1,16 @@
 #include "src/store/btree.h"
 
 #include <algorithm>
+#include <deque>
+#include <iterator>
 #include <unordered_set>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/macros.h"
+#include "src/common/thread_pool.h"
 #include "src/core/order.h"
+#include "src/ops/span_kernels.h"
 #include "src/store/codec.h"
 
 namespace xst {
@@ -357,6 +361,70 @@ Status DescendToLeaf(Pager& pager, uint32_t root, const SearchKey* key, Page* pa
     XST_ASSIGN_OR_RAISE(page_id, view->Child(idx));
   }
   return Corrupt(root, "descent exceeds max height");
+}
+
+/// One copied leaf of a range read and the entries [begin, end) it serves.
+struct LeafRun {
+  NodeView view;
+  size_t begin = 0;
+  size_t end = 0;
+
+  size_t size() const { return end - begin; }
+};
+
+/// What one decode chunk of a range read produced: its members in order,
+/// ended by the first error it met, by the first entry past the upper
+/// bound, or by the chunk's end.
+struct DecodedRun {
+  std::vector<Membership> members;
+  Status status;
+  bool past_hi = false;
+};
+
+/// Whether resolved entry bytes hold an element past `hi`, compared in
+/// encoded form, so an entry past the bound is never decoded.
+Result<bool> PastHi(std::string_view bytes, const XSet& hi) {
+  size_t offset = 0;
+  int cmp = 0;
+  XST_RETURN_NOT_OK(CompareEncoded(bytes, &offset, hi, &cmp));
+  return cmp > 0;
+}
+
+/// Whether leaf entry i's element is past `hi`.
+Result<bool> EntryPastHi(Pager& pager, const NodeView& leaf, size_t i, const XSet& hi) {
+  std::string overflow;
+  XST_ASSIGN_OR_RAISE(std::string_view payload, leaf.Record(i));
+  XST_ASSIGN_OR_RAISE(std::string_view bytes, ResolveEntry(pager, payload, &overflow));
+  return PastHi(bytes, hi);
+}
+
+/// Decodes members [b, e) of a range read, numbered across `runs` from
+/// `starts`, into dst->members. Every run but the last ends within `hi`,
+/// so only the last run's entries are checked against it; the first entry
+/// past it sets dst->past_hi and ends the chunk.
+Status DecodeRuns(Pager& pager, const std::vector<LeafRun>& runs,
+                  const std::vector<size_t>& starts, const XSet* hi, size_t b, size_t e,
+                  DecodedRun* dst) {
+  size_t k = static_cast<size_t>(std::upper_bound(starts.begin(), starts.end(), b) -
+                                 starts.begin()) - 1;
+  std::string overflow;
+  dst->members.reserve(dst->members.size() + (e - b));
+  for (size_t i = b; i < e; ++i) {
+    while (i - starts[k] >= runs[k].size()) ++k;
+    const LeafRun& run = runs[k];
+    XST_ASSIGN_OR_RAISE(std::string_view payload, run.view.Record(run.begin + i - starts[k]));
+    XST_ASSIGN_OR_RAISE(std::string_view bytes, ResolveEntry(pager, payload, &overflow));
+    if (hi != nullptr && k + 1 == runs.size()) {
+      XST_ASSIGN_OR_RAISE(bool past, PastHi(bytes, *hi));
+      if (past) {
+        dst->past_hi = true;
+        return Status::OK();
+      }
+    }
+    XST_ASSIGN_OR_RAISE(Membership m, DecodeEntryBytes(bytes));
+    dst->members.push_back(std::move(m));
+  }
+  return Status::OK();
 }
 
 /// Byte-midpoint split index: entries [0, cut) stay, [cut, n) move right.
@@ -747,55 +815,78 @@ Result<bool> BTree::Contains(const Membership& m) const {
   return at.equal;
 }
 
-Result<BTreeCursorPos> BTree::SeekFirst() const {
-  Page page;
+Status BTree::ReadRange(const XSet* lo, const XSet* hi,
+                        std::vector<Membership>* out) const {
+  Pager& pager = *pager_;
+  // Seek: the ghost key ⟨lo, -∞⟩ lands on the first entry whose element is
+  // ≥ lo, which may be past its leaf's last entry.
+  const SearchKey lo_key{lo, nullptr};
+  std::deque<Page> pages(1);  // stable addresses for the runs' views
   NodeView leaf;
-  XST_RETURN_NOT_OK(DescendToLeaf(*pager_, info_.root, nullptr, &page, &leaf));
-  return BTreeCursorPos{leaf.page_id(), 1};
-}
-
-Result<BTreeCursorPos> BTree::SeekElement(const XSet& lo) const {
-  // The ghost key ⟨lo, -∞⟩ lands on the first entry whose element is ≥ lo;
-  // past-the-end positions resolve through the leaf chain on the first
-  // ReadLeafBatch.
-  const SearchKey key{&lo, nullptr};
-  Page page;
-  NodeView leaf;
-  XST_RETURN_NOT_OK(DescendToLeaf(*pager_, info_.root, &key, &page, &leaf));
-  XST_ASSIGN_OR_RAISE(SearchResult at, Search(*pager_, leaf, key));
-  return BTreeCursorPos{leaf.page_id(), static_cast<uint32_t>(at.index) + 1};
-}
-
-Result<bool> BTree::ReadLeafBatch(BTreeCursorPos* pos, const XSet* hi_element,
-                                  std::vector<Membership>* out) const {
-  if (pos->leaf == kInvalidPageId) return false;
-  Page page;
-  XST_RETURN_NOT_OK(pager_->ReadPageSnapshot(pos->leaf, &page));
-  NodeView leaf;
-  XST_RETURN_NOT_OK(leaf.Parse(pos->leaf, page));
-  if (!leaf.leaf()) return Corrupt(pos->leaf, "cursor landed on an internal node");
-  std::string overflow;
-  for (size_t i = pos->slot >= 1 ? pos->slot - 1 : 0; i < leaf.entry_count(); ++i) {
-    XST_ASSIGN_OR_RAISE(std::string_view payload, leaf.Record(i));
-    XST_ASSIGN_OR_RAISE(std::string_view bytes,
-                        ResolveEntry(*pager_, payload, &overflow));
-    if (hi_element != nullptr) {
-      // The bound is checked on the encoded element: an entry past it is
-      // never decoded.
-      size_t offset = 0;
-      int cmp = 0;
-      XST_RETURN_NOT_OK(CompareEncoded(bytes, &offset, *hi_element, &cmp));
-      if (cmp > 0) {
-        pos->leaf = kInvalidPageId;
-        return true;
-      }
-    }
-    XST_ASSIGN_OR_RAISE(Membership m, DecodeEntryBytes(bytes));
-    out->push_back(std::move(m));
+  XST_RETURN_NOT_OK(DescendToLeaf(pager, info_.root, lo != nullptr ? &lo_key : nullptr,
+                                  &pages.back(), &leaf));
+  size_t begin = 0;
+  if (lo != nullptr) {
+    XST_ASSIGN_OR_RAISE(SearchResult at, Search(pager, leaf, lo_key));
+    begin = at.index;
   }
-  pos->leaf = leaf.next();
-  pos->slot = 1;
-  return true;
+
+  // Walk: copy leaves along the chain until one whose last entry passes hi.
+  // A failure here comes after every copied entry in member order, so it
+  // is reported only if they all decode within hi.
+  std::vector<LeafRun> runs;
+  Status walk;
+  for (;;) {
+    runs.push_back(LeafRun{leaf, begin, leaf.entry_count()});
+    if (hi != nullptr && begin < leaf.entry_count()) {
+      // On an error this leaf is the last one copied: its decode meets the
+      // bound or the same error in member order.
+      Result<bool> past = EntryPastHi(pager, leaf, leaf.entry_count() - 1, *hi);
+      if (!past.ok()) walk = past.status();
+      if (!past.ok() || *past) break;
+    }
+    const uint32_t next = leaf.next();
+    if (next == kInvalidPageId) break;
+    if (pages.size() > pager.page_count()) {
+      walk = Corrupt(next, "leaf chain does not end");
+      break;
+    }
+    pages.emplace_back();
+    walk = pager.ReadPageSnapshot(next, &pages.back());
+    if (walk.ok()) walk = leaf.Parse(next, pages.back());
+    if (walk.ok() && !leaf.leaf()) walk = Corrupt(next, "leaf chain reaches an internal node");
+    if (!walk.ok()) break;
+    begin = 0;
+  }
+
+  // Decode: chunks of the copied entries across the pool, concatenated in
+  // member order up to the first error or the first entry past hi.
+  std::vector<size_t> starts;  // the read's index of each run's first entry
+  starts.reserve(runs.size());
+  size_t total = 0;
+  for (const LeafRun& run : runs) {
+    starts.push_back(total);
+    total += run.size();
+  }
+  DecodedRun first;
+  first.members = std::move(*out);
+  std::vector<DecodedRun> rest = ParallelCollect(
+      total, kSpanGrain, &first, [&](size_t b, size_t e, DecodedRun* dst) {
+        dst->status = DecodeRuns(pager, runs, starts, hi, b, e, dst);
+      });
+  *out = std::move(first.members);
+  if (!first.status.ok()) return first.status;
+  if (first.past_hi) return Status::OK();
+  size_t decoded = out->size();
+  for (const DecodedRun& chunk : rest) decoded += chunk.members.size();
+  out->reserve(decoded);
+  for (DecodedRun& chunk : rest) {
+    out->insert(out->end(), std::make_move_iterator(chunk.members.begin()),
+                std::make_move_iterator(chunk.members.end()));
+    if (!chunk.status.ok()) return chunk.status;
+    if (chunk.past_hi) return Status::OK();
+  }
+  return walk;
 }
 
 Status BTree::Validate() const {

@@ -35,13 +35,15 @@
 // the byte midpoint, and underflow is repaired by borrow (when the sibling
 // is byte-rich) or merge (when both halves fit one page).
 //
-// Reads (Contains, SeekFirst, SeekElement, ReadLeafBatch) take no store
-// lock: each node visit copies one ReadPageSnapshot and searches it in
-// place, comparing encoded keys against the probe (CompareEncoded) and
-// decoding only the members a read returns (DESIGN.md §13.1, §15.2). Each
-// snapshot is consistent on its own, but a walk across leaves is only as
-// consistent as its caller makes it: SetStore runs a whole seek-and-walk
-// inside one validated read, so a multi-leaf answer is one commit.
+// Reads (Contains, ReadRange) take no store lock: each node visit copies one
+// ReadPageSnapshot and searches it in place, comparing encoded keys against
+// the probe (CompareEncoded) and decoding only the members a read returns.
+// ReadRange walks the leaves first, copying each in-range leaf, and then
+// decodes the copies across the thread pool, so a large read re-interns its
+// members on every core (DESIGN.md §13.1, §15.2). Each snapshot is
+// consistent on its own, but a walk across leaves is only as consistent as
+// its caller makes it: SetStore runs a whole read inside one validated
+// view, so a multi-leaf answer is one commit.
 // Mutations run under SetStore::mu_ and write whole pages (WritePage).
 
 #pragma once
@@ -76,14 +78,6 @@ struct BTreeInfo {
   uint64_t member_count = 0;
 };
 
-/// \brief A streaming position: the current leaf page and the next record
-/// index to read within it (record 0 is the node header, so entry i lives
-/// at record i+1). leaf == kInvalidPageId means exhausted.
-struct BTreeCursorPos {
-  uint32_t leaf = kInvalidPageId;
-  uint32_t slot = 1;
-};
-
 /// \brief Handle over one stored tree. Mutations update the handle's info()
 /// (root/height/member_count); the caller persists it to the catalog.
 class BTree {
@@ -110,19 +104,14 @@ class BTree {
   /// \brief Point lookup along one root-to-leaf path.
   Result<bool> Contains(const Membership& m) const;
 
-  /// \brief Position at the first entry of the leftmost leaf.
-  Result<BTreeCursorPos> SeekFirst() const;
-
-  /// \brief Position at the first entry whose ELEMENT is ≥ lo under the
-  /// structural order — the lower edge of a range σ-restriction.
-  Result<BTreeCursorPos> SeekElement(const XSet& lo) const;
-
-  /// \brief Appends the rest of pos's leaf to `out` and advances pos to the
-  /// next leaf. When `hi_element` is non-null, stops (and exhausts the
-  /// cursor) at the first entry whose element exceeds it. Returns false
-  /// when the cursor was already exhausted.
-  Result<bool> ReadLeafBatch(BTreeCursorPos* pos, const XSet* hi_element,
-                             std::vector<Membership>* out) const;
+  /// \brief The one read: appends every member whose ELEMENT lies in
+  /// [*lo, *hi] under the structural order (a null bound is open) to `out`,
+  /// in canonical order. It seeks `lo`, copies the in-range leaves, then
+  /// decodes their entries in chunks of kSpanGrain members on the global
+  /// pool; a read of at most one grain decodes inline. Nothing past `hi` is
+  /// decoded, and a failure is the first error in member order, exactly as
+  /// a serial walk would report it.
+  Status ReadRange(const XSet* lo, const XSet* hi, std::vector<Membership>* out) const;
 
   /// \brief Full structural check: key ordering within and across nodes,
   /// parent key == exact child-subtree minimum, uniform leaf depth, byte

@@ -8,9 +8,10 @@
 //  - blob sets decode into the interner and arrive as an XSetCursor, whose
 //    WholeSet() hands the value over (the only representation that keeps
 //    atoms);
-//  - ordered-index sets (SetStore::PutIndexed) are walked leaf by leaf into
-//    a MemberListCursor, which gives out the owned member list as one
-//    batch.
+//  - ordered-index sets (SetStore::PutIndexed) are read by one
+//    BTree::ReadRange, which walks the in-range leaves and decodes them
+//    across the thread pool, into a MemberListCursor that gives out the
+//    owned member list as one batch.
 // StoreCursorSource picks per name through SetStore::OpenCursor, so VM
 // consumers of the kLoadBinding path are storage-mode agnostic. Errors
 // (I/O, corruption) come back from the open; the cursors never fail.

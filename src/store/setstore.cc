@@ -513,13 +513,8 @@ Status SetStore::ReadIndexMembers(Pager& pager, const std::string& name,
 #if XST_VALIDATE_LEVEL >= 2
   if (Status valid = tree.Validate(); !valid.ok()) return fail(valid);
 #endif
-  Result<BTreeCursorPos> pos = lo != nullptr ? tree.SeekElement(*lo) : tree.SeekFirst();
-  if (!pos.ok()) return fail(pos.status());
-  for (;;) {
-    Result<bool> more = tree.ReadLeafBatch(&*pos, hi, out);
-    if (!more.ok()) return fail(more.status());
-    if (!*more) return Status::OK();
-  }
+  if (Status read = tree.ReadRange(lo, hi, out); !read.ok()) return fail(read);
+  return Status::OK();
 }
 
 Result<XSet> SetStore::MaterializeIndex(Pager& pager, const std::string& name,

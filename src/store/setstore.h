@@ -282,10 +282,11 @@ class SetStore {
   /// it against a captured view's pager).
   static Result<XSet> DecodeBlobSet(Pager& pager, const std::string& name,
                                     const CatalogEntry& entry);
-  /// The one leaf walk over an ordered-index set: validates the tree at
-  /// XST_VALIDATE_LEVEL >= 2, seeks `*lo` (or the first leaf) and appends
-  /// every member up to `*hi` (or the last) to `out`, in canonical order.
-  /// Static for the same reason as DecodeBlobSet.
+  /// The one read of an ordered-index set: validates the tree at
+  /// XST_VALIDATE_LEVEL >= 2, then BTree::ReadRange appends every member
+  /// from `*lo` (or the first) up to `*hi` (or the last) to `out`, in
+  /// canonical order: it walks the leaves, then decodes them across the
+  /// thread pool. Static for the same reason as DecodeBlobSet.
   static Status ReadIndexMembers(Pager& pager, const std::string& name,
                                  const CatalogEntry& entry, const XSet* lo,
                                  const XSet* hi, std::vector<Membership>* out);

@@ -1,6 +1,7 @@
 // B+tree structural invariants: bulk load, split/merge/underflow under
-// random mutation, element-range seeks, overflow entries, and corruption
-// detection by ValidateBTree.
+// random mutation, element-range reads (decoded across the thread pool when
+// large), overflow entries, and corruption detection by ValidateBTree and
+// by reads.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/core/order.h"
+#include "src/obs/metrics.h"
+#include "src/ops/span_kernels.h"
 #include "src/store/btree.h"
+#include "src/store/codec.h"
 #include "src/store/pager.h"
 #include "tests/testing.h"
 
@@ -68,16 +73,48 @@ std::vector<Membership> FatMembers(int n, size_t pad = 700) {
   return members;
 }
 
-std::vector<Membership> Drain(const BTree& tree) {
-  Result<BTreeCursorPos> pos = tree.SeekFirst();
-  EXPECT_TRUE(pos.ok()) << pos.status().ToString();
+// ReadRange over [*lo, *hi] (null bounds are open), expected to succeed.
+std::vector<Membership> Read(const BTree& tree, const XSet* lo = nullptr,
+                             const XSet* hi = nullptr) {
   std::vector<Membership> out;
-  for (;;) {
-    Result<bool> more = tree.ReadLeafBatch(&*pos, nullptr, &out);
-    EXPECT_TRUE(more.ok()) << more.status().ToString();
-    if (!*more) break;
-  }
+  Status read = tree.ReadRange(lo, hi, &out);
+  EXPECT_TRUE(read.ok()) << read.ToString();
   return out;
+}
+
+// One leaf of a tree, as its page says: the page id and its entry count.
+struct LeafPage {
+  uint32_t page = kInvalidPageId;
+  size_t entries = 0;
+};
+
+// The tree's leaves in chain order, read off the pages in the node format
+// of store/btree.h: down the leftmost spine (an internal node's entry
+// record 1 starts with varint(child)), then along each leaf header's
+// varint(next + 1).
+std::vector<LeafPage> LeafChain(Pager& pager, const BTreeInfo& info) {
+  std::vector<LeafPage> leaves;
+  Page page;
+  uint32_t id = info.root;
+  for (uint32_t level = 1; level < info.height; ++level) {
+    EXPECT_TRUE(pager.ReadPageSnapshot(id, &page).ok());
+    Result<std::string_view> first = page.GetRecord(1);
+    size_t offset = 0;
+    uint64_t child = 0;
+    EXPECT_TRUE(first.ok() && GetVarint(*first, &offset, &child));
+    id = static_cast<uint32_t>(child);
+  }
+  while (id != kInvalidPageId && leaves.size() <= pager.page_count()) {
+    EXPECT_TRUE(pager.ReadPageSnapshot(id, &page).ok());
+    Result<std::string_view> header = page.GetRecord(0);
+    size_t offset = 1;
+    uint64_t next_plus_1 = 0;
+    EXPECT_TRUE(header.ok() && (*header)[0] == '\0' &&
+                GetVarint(*header, &offset, &next_plus_1));
+    leaves.push_back(LeafPage{id, page.slot_count() - size_t{1}});
+    id = next_plus_1 == 0 ? kInvalidPageId : static_cast<uint32_t>(next_plus_1 - 1);
+  }
+  return leaves;
 }
 
 void ExpectSameMembers(const std::vector<Membership>& got,
@@ -98,7 +135,7 @@ TEST(BTreeBuild, EmptyTreeIsASingleLeaf) {
   EXPECT_EQ(info->member_count, 0u);
   BTree tree(pager.get(), *info);
   EXPECT_TRUE(tree.Validate().ok());
-  EXPECT_TRUE(Drain(tree).empty());
+  EXPECT_TRUE(Read(tree).empty());
 }
 
 TEST(BTreeBuild, BulkLoadRoundTripsAndValidates) {
@@ -113,7 +150,7 @@ TEST(BTreeBuild, BulkLoadRoundTripsAndValidates) {
   BTree tree(pager.get(), *info);
   Status valid = tree.Validate();
   ASSERT_TRUE(valid.ok()) << valid.ToString();
-  ExpectSameMembers(Drain(tree), members);
+  ExpectSameMembers(Read(tree), members);
 }
 
 TEST(BTreeBuild, DeepTreeWithFatEntries) {
@@ -127,7 +164,7 @@ TEST(BTreeBuild, DeepTreeWithFatEntries) {
   BTree tree(pager.get(), *info);
   Status valid = tree.Validate();
   ASSERT_TRUE(valid.ok()) << valid.ToString();
-  ExpectSameMembers(Drain(tree), members);
+  ExpectSameMembers(Read(tree), members);
 }
 
 TEST(BTreeInsert, SplitsPreserveInvariantsAndOrder) {
@@ -156,7 +193,7 @@ TEST(BTreeInsert, SplitsPreserveInvariantsAndOrder) {
   EXPECT_GE(tree.info().height, 3u);
   Status valid = tree.Validate();
   ASSERT_TRUE(valid.ok()) << valid.ToString();
-  ExpectSameMembers(Drain(tree), members);
+  ExpectSameMembers(Read(tree), members);
 
   // Re-inserting is a no-op that reports false.
   Result<bool> dup = tree.Insert(members[42]);
@@ -202,7 +239,7 @@ TEST(BTreeErase, MergeAndUnderflowRepairDownToEmpty) {
   EXPECT_EQ(tree.info().member_count, 0u);
   EXPECT_EQ(tree.info().height, 1u);  // the root collapsed back to a leaf
   EXPECT_TRUE(tree.Validate().ok());
-  EXPECT_TRUE(Drain(tree).empty());
+  EXPECT_TRUE(Read(tree).empty());
 
   // Erasing from the empty tree reports false.
   Result<bool> gone = tree.Erase(members[0]);
@@ -243,10 +280,10 @@ TEST(BTreeFuzz, RandomMutationsAgainstReferenceSet) {
   EXPECT_EQ(tree.info().member_count, reference.size());
   ASSERT_TRUE(tree.Validate().ok());
   std::vector<Membership> want(reference.begin(), reference.end());
-  ExpectSameMembers(Drain(tree), want);
+  ExpectSameMembers(Read(tree), want);
 }
 
-TEST(BTreeRange, SeekElementStreamsExactlyTheInterval) {
+TEST(BTreeRange, ReadRangeReadsExactlyTheInterval) {
   TempFile file("range");
   testing::LoggedPager logged = OpenPager(file.path());
   const std::unique_ptr<Pager>& pager = logged.pager;
@@ -258,14 +295,7 @@ TEST(BTreeRange, SeekElementStreamsExactlyTheInterval) {
   ASSERT_GT(pager->page_count(), 20u);
 
   const XSet lo = XSet::Int(700), hi = XSet::Int(731);
-  Result<BTreeCursorPos> pos = tree.SeekElement(lo);
-  ASSERT_TRUE(pos.ok()) << pos.status().ToString();
-  std::vector<Membership> got;
-  for (;;) {
-    Result<bool> more = tree.ReadLeafBatch(&*pos, &hi, &got);
-    ASSERT_TRUE(more.ok()) << more.status().ToString();
-    if (!*more) break;
-  }
+  std::vector<Membership> got = Read(tree, &lo, &hi);
   ASSERT_EQ(got.size(), 32u);
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].element.int_value(), 700 + static_cast<int64_t>(i));
@@ -273,30 +303,149 @@ TEST(BTreeRange, SeekElementStreamsExactlyTheInterval) {
 
   // Range scans touch the descent path plus the in-range leaves only.
   testing::PagerCounters counters;
-  pos = tree.SeekElement(lo);
-  ASSERT_TRUE(pos.ok());
-  got.clear();
-  for (;;) {
-    Result<bool> more = tree.ReadLeafBatch(&*pos, &hi, &got);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-  }
+  got = Read(tree, &lo, &hi);
+  EXPECT_EQ(got.size(), 32u);
   EXPECT_LE(counters.hits() + counters.misses(),
             static_cast<uint64_t>(tree.info().height) + 3)
       << "a narrow range scan touches the descent path plus in-range leaves, "
          "not the whole tree (" << pager->page_count() << " pages)";
 
-  // An empty interval (lo > hi) streams nothing.
-  pos = tree.SeekElement(XSet::Int(100));
-  ASSERT_TRUE(pos.ok());
-  got.clear();
-  const XSet below = XSet::Int(99);
-  for (;;) {
-    Result<bool> more = tree.ReadLeafBatch(&*pos, &below, &got);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
+  // An empty interval (lo > hi) reads nothing.
+  const XSet above = XSet::Int(100), below = XSet::Int(99);
+  EXPECT_TRUE(Read(tree, &above, &below).empty());
+}
+
+// A read of more than one grain decodes across the pool: the whole tree,
+// and intervals that start and end mid-leaf, each equal to the canonical
+// list a serial walk gives. A short range decodes inline on the caller.
+TEST(BTreeRange, LargeReadsDecodeAcrossThePoolInMemberOrder) {
+  TempFile file("parallel");
+  testing::LoggedPager logged = OpenPager(file.path(), 256);
+  const std::unique_ptr<Pager>& pager = logged.pager;
+  std::vector<Membership> members;
+  for (int i = 0; i < 24000; ++i) {
+    members.push_back(
+        Membership{XSet::Pair(XSet::Int(i / 3), XSet::Int(i)), XSet::Int(i % 5)});
   }
-  EXPECT_TRUE(got.empty());
+  std::sort(members.begin(), members.end(), [](const Membership& a, const Membership& b) {
+    return CompareMembership(a, b) < 0;
+  });
+  Result<BTreeInfo> info = BTree::Build(*pager, members);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  BTree tree(pager.get(), *info);
+  const std::vector<LeafPage> leaves = LeafChain(*pager, *info);
+  ASSERT_GE(leaves.size(), 8u);
+
+  // The member index at the middle of leaf k.
+  auto mid_leaf = [&](size_t k) {
+    size_t index = leaves[k].entries / 2;
+    for (size_t j = 0; j < k; ++j) index += leaves[j].entries;
+    return index;
+  };
+  // The expected read: every member whose element lies in [lo, hi].
+  auto want = [&](const XSet* lo, const XSet* hi) {
+    std::vector<Membership> expect;
+    for (const Membership& m : members) {
+      if ((lo == nullptr || Compare(m.element, *lo) >= 0) &&
+          (hi == nullptr || Compare(m.element, *hi) <= 0)) {
+        expect.push_back(m);
+      }
+    }
+    return expect;
+  };
+  const XSet lo = members[mid_leaf(1)].element;
+  const XSet hi = members[mid_leaf(leaves.size() - 2)].element;
+  ASSERT_GE(want(&lo, &hi).size(), 3 * kSpanGrain);
+
+  obs::Counter& worker_chunks = obs::MetricsRegistry::Global().GetCounter("pool.chunks.worker");
+  const uint64_t before = worker_chunks.value();
+  {
+    SCOPED_TRACE("whole tree");
+    ExpectSameMembers(Read(tree), members);
+    if (ThreadPool::Global().size() > 0) {
+      // Workers pick up chunks as soon as they wake; a loaded host may let
+      // the caller finish a read alone, so give them a few more reads.
+      for (int retry = 0; retry < 20 && worker_chunks.value() == before; ++retry) {
+        ExpectSameMembers(Read(tree), members);
+      }
+      EXPECT_GT(worker_chunks.value(), before) << "a whole read never reached a worker";
+    }
+  }
+  {
+    SCOPED_TRACE("from mid-leaf");
+    ExpectSameMembers(Read(tree, &lo, nullptr), want(&lo, nullptr));
+  }
+  {
+    SCOPED_TRACE("to mid-leaf");
+    ExpectSameMembers(Read(tree, nullptr, &hi), want(nullptr, &hi));
+  }
+  {
+    SCOPED_TRACE("both bounds");
+    ExpectSameMembers(Read(tree, &lo, &hi), want(&lo, &hi));
+  }
+
+  // A 64-member range stays on the caller.
+  const XSet short_lo = members[mid_leaf(3)].element;
+  const XSet short_hi = members[mid_leaf(3) + 63].element;
+  ASSERT_EQ(want(&short_lo, &short_hi).size(), 64u);
+  const uint64_t short_before = worker_chunks.value();
+  ExpectSameMembers(Read(tree, &short_lo, &short_hi), want(&short_lo, &short_hi));
+  EXPECT_EQ(worker_chunks.value(), short_before);
+}
+
+// An undecodable entry in a late leaf, past every chunk the caller decodes
+// first, fails the read: Corruption, never OK with fewer members. A range
+// that stops before it is unaffected.
+TEST(BTreeRange, AnUndecodableLateEntryFailsTheRead) {
+  TempFile file("late_corrupt");
+  testing::LoggedPager logged = OpenPager(file.path(), 256);
+  const std::unique_ptr<Pager>& pager = logged.pager;
+  std::vector<Membership> members = SmallMembers(20000);
+  Result<BTreeInfo> info = BTree::Build(*pager, members);
+  ASSERT_TRUE(info.ok());
+  BTree tree(pager.get(), *info);
+  const std::vector<LeafPage> leaves = LeafChain(*pager, *info);
+  ASSERT_GE(leaves.size(), 8u);
+
+  // Rewrite the leaf three from the end with its middle entry replaced by
+  // a tag the codec does not know.
+  const LeafPage& victim = leaves[leaves.size() - 3];
+  size_t first_member = 0;
+  for (const LeafPage& leaf : leaves) {
+    if (leaf.page == victim.page) break;
+    first_member += leaf.entries;
+  }
+  const size_t bad_slot = victim.entries / 2 + 1;  // record 0 is the header
+  {
+    Page original;
+    ASSERT_TRUE(pager->ReadPageSnapshot(victim.page, &original).ok());
+    Page tampered;
+    for (uint32_t slot = 0; slot < original.slot_count(); ++slot) {
+      Result<std::string_view> record = original.GetRecord(slot);
+      ASSERT_TRUE(record.ok());
+      ASSERT_TRUE(tampered.AddRecord(slot == bad_slot ? std::string_view("\x7f\x7f")
+                                                      : *record)
+                      .ok());
+    }
+    ASSERT_TRUE(pager->WritePage(victim.page, std::move(tampered)).ok());
+  }
+
+  std::vector<Membership> out;
+  Status whole = tree.ReadRange(nullptr, nullptr, &out);
+  EXPECT_TRUE(whole.IsCorruption()) << whole.ToString();
+  const XSet lo = XSet::Int(5);
+  out.clear();
+  Status from = tree.ReadRange(&lo, nullptr, &out);
+  EXPECT_TRUE(from.IsCorruption()) << from.ToString();
+
+  // A bound that an intact entry before the bad one passes stops the read
+  // there, so the bad entry is never compared or decoded.
+  const size_t bad_member = first_member + bad_slot - 1;
+  const XSet hi = members[bad_member - 2].element;
+  out.clear();
+  Status before_bad = tree.ReadRange(nullptr, &hi, &out);
+  ASSERT_TRUE(before_bad.ok()) << before_bad.ToString();
+  EXPECT_EQ(out.size(), bad_member - 1);
 }
 
 TEST(BTreeOverflow, EntriesBeyondInlineLimitSpillAndRoundTrip) {
@@ -318,7 +467,7 @@ TEST(BTreeOverflow, EntriesBeyondInlineLimitSpillAndRoundTrip) {
   BTree tree(pager.get(), *info);
   Status valid = tree.Validate();
   ASSERT_TRUE(valid.ok()) << valid.ToString();
-  ExpectSameMembers(Drain(tree), members);
+  ExpectSameMembers(Read(tree), members);
 
   // Mutations on overflow entries keep the tree valid.
   Membership extra{XSet::String(std::string(5000, 'z')), XSet::Int(9)};
@@ -385,15 +534,9 @@ TEST(BTreeOverflow, SearchesThroughOverflowKeysMatchAModel) {
   // Streams the element interval [element(lo), element(hi)] and checks it
   // against the model.
   auto range = [&](int lo, int hi) {
-    Result<BTreeCursorPos> pos = tree.SeekElement(element(lo));
-    ASSERT_TRUE(pos.ok()) << pos.status().ToString();
+    const XSet lo_element = element(lo);
     const XSet hi_element = element(hi);
-    std::vector<Membership> got;
-    for (;;) {
-      Result<bool> more = tree.ReadLeafBatch(&*pos, &hi_element, &got);
-      ASSERT_TRUE(more.ok()) << more.status().ToString();
-      if (!*more) break;
-    }
+    std::vector<Membership> got = Read(tree, &lo_element, &hi_element);
     std::vector<Membership> want;
     for (const Membership& m : model) {
       if (Compare(m.element, element(lo)) >= 0 && Compare(m.element, hi_element) <= 0) {
@@ -405,24 +548,19 @@ TEST(BTreeOverflow, SearchesThroughOverflowKeysMatchAModel) {
   };
   // A seek whose element's run begins in the previous leaf must descend
   // left of the internal key that carries that element.
-  Result<BTreeCursorPos> leaf = tree.SeekFirst();
-  ASSERT_TRUE(leaf.ok());
+  const std::vector<Membership> all = Read(tree);
   int split_runs = 0;
-  std::vector<Membership> prev;
-  for (;;) {
-    std::vector<Membership> batch;
-    Result<bool> more = tree.ReadLeafBatch(&*leaf, nullptr, &batch);
-    ASSERT_TRUE(more.ok()) << more.status().ToString();
-    if (!*more) break;
-    if (!prev.empty() && !batch.empty() &&
-        Compare(prev.back().element, batch.front().element) == 0) {
+  size_t boundary = 0;
+  for (const LeafPage& leaf : LeafChain(*pager, tree.info())) {
+    if (boundary > 0 && boundary < all.size() &&
+        Compare(all[boundary - 1].element, all[boundary].element) == 0) {
       ++split_runs;
-      const std::string& text = batch.front().element.str_value();
+      const std::string& text = all[boundary].element.str_value();
       const int k = std::stoi(text.substr(text.size() - 6));
       range(k, k);
       range(k - 1, k + 1);
     }
-    prev = std::move(batch);
+    boundary += leaf.entries;
   }
   ASSERT_GT(split_runs, 0) << "no element run straddles a leaf boundary";
 
@@ -452,7 +590,7 @@ TEST(BTreeOverflow, SearchesThroughOverflowKeysMatchAModel) {
     const int lo = static_cast<int>(rng() % 203) - 1;
     range(lo, lo + static_cast<int>(rng() % 20));
   }
-  ExpectSameMembers(Drain(tree), std::vector<Membership>(model.begin(), model.end()));
+  ExpectSameMembers(Read(tree), std::vector<Membership>(model.begin(), model.end()));
 }
 
 TEST(BTreeValidate, DetectsTamperedNodesAndWrongCounts) {
@@ -476,12 +614,12 @@ TEST(BTreeValidate, DetectsTamperedNodesAndWrongCounts) {
   EXPECT_TRUE(ValidateBTree(*pager, wrong_height).IsCorruption());
 
   // Rewriting a leaf as an internal node is caught structurally.
-  Result<BTreeCursorPos> pos = tree.SeekFirst();
-  ASSERT_TRUE(pos.ok());
+  const std::vector<LeafPage> leaves = LeafChain(*pager, *info);
+  ASSERT_FALSE(leaves.empty());
   {
     Page internal_node;
     ASSERT_TRUE(internal_node.AddRecord(std::string(1, '\x01')).ok());
-    ASSERT_TRUE(pager->WritePage(pos->leaf, std::move(internal_node)).ok());
+    ASSERT_TRUE(pager->WritePage(leaves.front().page, std::move(internal_node)).ok());
   }
   EXPECT_TRUE(ValidateBTree(*pager, *info).IsCorruption());
 }

@@ -1,7 +1,9 @@
 // The hash-consing arena: its size gauges move only when a value is
-// interned for the first time, and concurrent interning through repeated
-// table growth keeps exactly one node per value, statistics that agree with
-// the node snapshot, and a coherent arena. CI also runs this under TSan.
+// interned for the first time, concurrent interning through repeated table
+// growth keeps exactly one node per value, statistics that agree with the
+// node snapshot, and a coherent arena, and lock-free hits racing that
+// growth return the node each value already had. CI also runs this under
+// TSan.
 
 #include <gtest/gtest.h>
 
@@ -116,6 +118,60 @@ TEST(InternerStress, ConcurrentGrowthKeepsOneNodePerValue) {
   EXPECT_EQ(stats.atom_count - before.atom_count, distinct + 1);  // + the last pair's v + 1
   EXPECT_EQ(stats.set_count - before.set_count, distinct);
   EXPECT_EQ(static_cast<uint64_t>(Gauge(internal::kInternerNodesGauge)), NodeCount(stats));
+  EXPECT_TRUE(ValidateInterner().ok());
+}
+
+// Hits take no lock. Four threads re-intern values interned before the race
+// (large ints and pairs over them, as a stored read's decode does) while
+// four more intern fresh values, enough to double every shard's table
+// several times under the hits. Every hit must return the node the value
+// had before the race.
+TEST(InternerStress, LockFreeHitsReturnThePreRaceNodeWhileTablesGrow) {
+  constexpr int64_t kSeen = 4096;
+  constexpr int64_t kSeenBase = 5000000000;
+  constexpr int kHitters = 4;
+  constexpr int kGrowers = 4;
+  constexpr int64_t kFreshPerGrower = 20000;
+  constexpr int64_t kFreshBase = 6000000000;
+  std::vector<const internal::Node*> seen_ints;
+  std::vector<const internal::Node*> seen_pairs;
+  for (int64_t i = 0; i < kSeen; ++i) {
+    seen_ints.push_back(XSet::Int(kSeenBase + i).node());
+    seen_pairs.push_back(XSet::Pair(XSet::Int(kSeenBase + i), XSet::Int(-kSeenBase - i)).node());
+  }
+
+  std::atomic<int> growers_left{kGrowers};
+  std::atomic<int64_t> wrong{0};
+  std::atomic<int64_t> hits{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kHitters; ++t) {
+    threads.emplace_back([&, t] {
+      // At least one pass, and keep going until every grower is done.
+      do {
+        for (int64_t j = 0; j < kSeen; ++j) {
+          const int64_t i = (j * 7 + t * 1024) % kSeen;  // threads start apart
+          if (XSet::Int(kSeenBase + i).node() != seen_ints[i] ||
+              XSet::Pair(XSet::Int(kSeenBase + i), XSet::Int(-kSeenBase - i)).node() !=
+                  seen_pairs[i]) {
+            wrong.fetch_add(1);
+          }
+        }
+        hits.fetch_add(kSeen);
+      } while (growers_left.load() > 0);
+    });
+  }
+  for (int g = 0; g < kGrowers; ++g) {
+    threads.emplace_back([&, g] {
+      const int64_t lo = kFreshBase + g * kFreshPerGrower;
+      for (int64_t v = lo; v < lo + kFreshPerGrower; ++v) {
+        XSet::Pair(XSet::Int(v), XSet::Int(v + 1));
+      }
+      growers_left.fetch_sub(1);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GE(hits.load(), kHitters * kSeen);
   EXPECT_TRUE(ValidateInterner().ok());
 }
 

@@ -1,8 +1,9 @@
 // Concurrent readers against the sharded pager latch: a static store read
 // from many threads must serve exact values, and readers racing a writer on
 // the optimistic read path must only ever observe fully-published versions
-// (never a torn mix of two commits), a multi-leaf range cursor included
-// while the writer reshapes the leaves under it. A reader parked inside its
+// (never a torn mix of two commits), multi-leaf range and whole-index
+// cursors included while the writer reshapes the leaves under them (a large
+// read decodes its leaves on the thread pool). A reader parked inside its
 // optimistic window must retry, then run under the store lock, exactly as
 // often as writers invalidate it. A reader racing a commit whose fsync
 // fails must answer from the durable prefix. A pager miss parked after its
@@ -19,6 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -235,25 +237,35 @@ TEST(StoreConcurrentTest, IndexProbesMonotoneUnderRewrites) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(StoreConcurrentTest, RangeReadsRacingMemberMutationsSeeOneCommit) {
-  TempFile tmp("range_race");
-  Result<std::unique_ptr<SetStore>> store = SetStore::Open(tmp.path());
-  ASSERT_TRUE(store.ok());
+// Whether a read of an index of even integers, racing a writer that inserts
+// one odd member and erases it again, is one commit: strictly ascending
+// integer elements in [lo, hi], exactly `evens` of them even and at most
+// one odd. An answer stitched from two commits can miss or repeat members
+// the inserts shift between leaves, or hold two odd members.
+bool IsOneCommit(const std::vector<Membership>& got, int lo, int hi, int evens) {
+  int even = 0;
+  int odd = 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const XSet& e = got[i].element;
+    if (!e.is_int() || e.int_value() < lo || e.int_value() > hi ||
+        (i > 0 && CompareMembership(got[i - 1], got[i]) >= 0)) {
+      return false;
+    }
+    (e.int_value() % 2 == 0 ? even : odd) += 1;
+  }
+  return even == evens && odd <= 1;
+}
 
-  // The even integers 0..5998: 3,000 members over several leaves.
-  std::vector<Membership> evens;
-  for (int i = 0; i < 6000; i += 2) evens.push_back(Membership{XSet::Int(i), XSet::Empty()});
-  ASSERT_TRUE((*store)->PutIndexed("idx", XSet::FromMembers(std::move(evens))).ok());
-
-  // The writer inserts one odd member of [kLo, kHi] and erases it again, so
-  // every commit holds the 2,001 evens of the range and at most one odd
-  // member. An answer stitched from two commits can miss or repeat members
-  // the inserts shift between leaves, or hold two odd members.
-  constexpr int kLo = 1000;
-  constexpr int kHi = 5001;
-  constexpr int kEvensInRange = 2001;
+// Races two readers against a writer on the index "idx" of even integers.
+// The writer inserts one odd member of [lo, hi] and erases it again, over
+// and over, so every commit holds the `evens` even members of the interval
+// and at most one odd member. Once the writer is committing, each reader
+// opens `reads` cursors through `open` and drains them; every answer must
+// be one commit (IsOneCommit).
+void RaceReadersAgainstOddMemberWriter(
+    SetStore& store, int lo, int hi, int evens, int reads,
+    const std::function<Result<std::unique_ptr<MemberCursor>>()>& open) {
   constexpr int kReaders = 2;
-  constexpr int kReadsPerReader = 100;
   std::atomic<int> failures{0};
   std::atomic<int> commits{0};
   std::atomic<int> readers_done{0};
@@ -261,10 +273,9 @@ TEST(StoreConcurrentTest, RangeReadsRacingMemberMutationsSeeOneCommit) {
     for (int k = 0; readers_done.load() < kReaders; ++k) {
       // Stride through the odd members so consecutive ones land in
       // different leaves.
-      const int slot = static_cast<int>((997LL * k) % kEvensInRange);
-      const Membership odd{XSet::Int(kLo + 1 + 2 * slot), XSet::Empty()};
-      if (!(*store)->InsertMember("idx", odd).ok() ||
-          !(*store)->EraseMember("idx", odd).ok()) {
+      const int slot = static_cast<int>((997LL * k) % evens);
+      const Membership odd{XSet::Int(lo + 1 + 2 * slot), XSet::Empty()};
+      if (!store.InsertMember("idx", odd).ok() || !store.EraseMember("idx", odd).ok()) {
         failures.fetch_add(1);
         break;
       }
@@ -278,9 +289,8 @@ TEST(StoreConcurrentTest, RangeReadsRacingMemberMutationsSeeOneCommit) {
       // Start once the writer is committing, so every read races it.
       while (commits.load() == 0 && failures.load() == 0) std::this_thread::yield();
       std::vector<Membership> got;
-      for (int r = 0; r < kReadsPerReader; ++r) {
-        Result<std::unique_ptr<MemberCursor>> cur =
-            (*store)->OpenElementRange("idx", XSet::Int(kLo), XSet::Int(kHi));
+      for (int r = 0; r < reads; ++r) {
+        Result<std::unique_ptr<MemberCursor>> cur = open();
         if (!cur.ok()) {
           failures.fetch_add(1);
           continue;
@@ -290,16 +300,9 @@ TEST(StoreConcurrentTest, RangeReadsRacingMemberMutationsSeeOneCommit) {
              batch = (*cur)->NextBatch()) {
           got.insert(got.end(), batch.begin(), batch.end());
         }
-        bool ok = (*cur)->status().ok();
-        int even = 0;
-        int odd = 0;
-        for (size_t i = 0; i < got.size() && ok; ++i) {
-          const XSet& e = got[i].element;
-          ok = e.is_int() && e.int_value() >= kLo && e.int_value() <= kHi &&
-               (i == 0 || CompareMembership(got[i - 1], got[i]) < 0);
-          (e.is_int() && e.int_value() % 2 == 0 ? even : odd) += 1;
+        if (!(*cur)->status().ok() || !IsOneCommit(got, lo, hi, evens)) {
+          failures.fetch_add(1);
         }
-        if (!ok || even != kEvensInRange || odd > 1) failures.fetch_add(1);
       }
       readers_done.fetch_add(1);
     });
@@ -308,6 +311,39 @@ TEST(StoreConcurrentTest, RangeReadsRacingMemberMutationsSeeOneCommit) {
   writer.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(commits.load(), 0);
+}
+
+TEST(StoreConcurrentTest, RangeReadsRacingMemberMutationsSeeOneCommit) {
+  TempFile tmp("range_race");
+  Result<std::unique_ptr<SetStore>> store = SetStore::Open(tmp.path());
+  ASSERT_TRUE(store.ok());
+
+  // The even integers 0..5998: 3,000 members over several leaves; the
+  // range [1000, 5001] holds 2,001 of them.
+  std::vector<Membership> evens;
+  for (int i = 0; i < 6000; i += 2) evens.push_back(Membership{XSet::Int(i), XSet::Empty()});
+  ASSERT_TRUE((*store)->PutIndexed("idx", XSet::FromMembers(std::move(evens))).ok());
+  constexpr int kLo = 1000;
+  constexpr int kHi = 5001;
+  RaceReadersAgainstOddMemberWriter(**store, kLo, kHi, 2001, 100, [&] {
+    return (*store)->OpenElementRange("idx", XSet::Int(kLo), XSet::Int(kHi));
+  });
+}
+
+// The same race over whole-index cursors of an index large enough that
+// every read decodes its leaves across the pool in several chunks.
+TEST(StoreConcurrentTest, WholeIndexReadsRacingMemberMutationsSeeOneCommit) {
+  TempFile tmp("whole_race");
+  Result<std::unique_ptr<SetStore>> store = SetStore::Open(tmp.path());
+  ASSERT_TRUE(store.ok());
+
+  // The even integers 0..11998: 6,000 members, more than five decode grains.
+  constexpr int kEvens = 6000;
+  std::vector<Membership> evens;
+  for (int i = 0; i < 2 * kEvens; i += 2) evens.push_back(Membership{XSet::Int(i), XSet::Empty()});
+  ASSERT_TRUE((*store)->PutIndexed("idx", XSet::FromMembers(std::move(evens))).ok());
+  RaceReadersAgainstOddMemberWriter(**store, 0, 2 * kEvens, kEvens, 60,
+                                    [&] { return (*store)->OpenCursor("idx"); });
 }
 
 // Shared by the test thread and the store's main-file ParkingFile: which

@@ -42,6 +42,7 @@ BENCH_BINARIES = [
     "bench_btree",
     "bench_pager_mt",
     "bench_wal",
+    "bench_interner",
 ]
 
 
