@@ -1,5 +1,7 @@
 // BEN-WAL: durability costs — group-commit latency/throughput at 1/4/16
-// committer threads, and recovery replay time as a function of log length.
+// committer threads, what the catalog adds to one commit as a function of
+// the store's name count, and recovery replay time as a function of log
+// length.
 //
 // StdioFile::Flush is an fflush (page-cache write), so on a local tmpfs the
 // fsync itself is nearly free and group commit's batching would be
@@ -16,6 +18,8 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/store/file.h"
@@ -102,6 +106,55 @@ BENCHMARK(BM_WalCommitGroup)
     ->Threads(1)
     ->Threads(4)
     ->Threads(16)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_WalCommitWithCatalog(benchmark::State& state) {
+  // One committer's member insert into an index, in a store that also holds
+  // N blob names. A commit logs the pages and catalog entries it changed, so
+  // its time and log bytes should not grow with N.
+  const int64_t names = state.range(0);
+  const std::string path = BenchPath("catalog");
+  bench::RemoveStoreFiles(path);
+  SetStoreOptions options;
+  options.buffer_pool_pages = 1024;
+  options.wal_checkpoint_bytes = 1ull << 40;  // stay out of checkpoints
+  auto store = SetStore::Open(path, options);
+  if (!store.ok()) {
+    state.SkipWithError(store.status().ToString().c_str());
+    return;
+  }
+  std::vector<std::pair<std::string, XSet>> blobs;
+  for (int64_t i = 0; i < names; ++i) {
+    blobs.emplace_back("blob" + std::to_string(i), bench::IntAtoms(8, i));
+  }
+  Status st = (*store)->PutBatch(blobs);
+  if (st.ok()) st = (*store)->PutIndexed("links", bench::IntAtoms(64));
+  if (st.ok()) st = (*store)->Checkpoint();
+  if (!st.ok()) {
+    state.SkipWithError(st.ToString().c_str());
+    return;
+  }
+  const uint64_t log_before = (*store)->wal_stats().segment_bytes;
+  int64_t key = 1000;
+  for (auto _ : state) {
+    st = (*store)->InsertMember("links", Membership{XSet::Int(key++), XSet::Empty()});
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["log_bytes_per_commit"] = benchmark::Counter(
+      static_cast<double>((*store)->wal_stats().segment_bytes - log_before),
+      benchmark::Counter::kAvgIterations);
+  store->reset();
+  bench::RemoveStoreFiles(path);
+}
+BENCHMARK(BM_WalCommitWithCatalog)
+    ->Arg(16)
+    ->Arg(256)
+    ->Arg(2048)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

@@ -1,8 +1,37 @@
 #include "src/store/catalog.h"
 
 #include "src/ops/tuple.h"
+#include "src/store/codec.h"
 
 namespace xst {
+
+std::string EncodeCatalogEntry(const CatalogEntry& entry) {
+  std::string out;
+  out.reserve(kEncodedCatalogEntryBytes);
+  PutFixed32(entry.first_page, &out);
+  PutFixed32(entry.page_span, &out);
+  PutFixed64(entry.byte_length, &out);
+  out.push_back(static_cast<char>(entry.kind));
+  return out;
+}
+
+Result<CatalogEntry> DecodeCatalogEntry(std::string_view bytes) {
+  if (bytes.size() != kEncodedCatalogEntryBytes) {
+    return Status::Corruption("catalog delta of " + std::to_string(bytes.size()) +
+                              " bytes, expected " +
+                              std::to_string(kEncodedCatalogEntryBytes));
+  }
+  CatalogEntry entry;
+  entry.first_page = DecodeFixed32(bytes.data());
+  entry.page_span = DecodeFixed32(bytes.data() + 4);
+  entry.byte_length = DecodeFixed64(bytes.data() + 8);
+  entry.kind = static_cast<uint8_t>(bytes[16]);
+  if (entry.kind != CatalogEntry::kKindBlob && entry.kind != CatalogEntry::kKindIndex) {
+    return Status::Corruption("catalog delta has unknown kind " +
+                              std::to_string(entry.kind));
+  }
+  return entry;
+}
 
 void Catalog::Put(const std::string& name, const CatalogEntry& entry) {
   entries_[name] = entry;
@@ -16,11 +45,12 @@ Result<CatalogEntry> Catalog::Get(const std::string& name) const {
   return it->second;
 }
 
-Status Catalog::Remove(const std::string& name) {
-  if (entries_.erase(name) == 0) {
-    return Status::NotFound("catalog: no set named '" + name + "'");
+void Catalog::Apply(const CatalogChange& change) {
+  if (change.entry) {
+    entries_[change.name] = *change.entry;
+  } else {
+    entries_.erase(change.name);
   }
-  return Status::OK();
 }
 
 std::vector<std::string> Catalog::Names() const {

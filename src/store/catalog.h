@@ -6,7 +6,10 @@
 //   { ⟨"name", first_page, page_span, byte_length⟩, … }
 //
 // — a classical set of 4-tuples — and is persisted with the same codec and
-// pages as user data.
+// pages as user data. That set is written only by a checkpoint (and by a
+// fresh store's first commit); a commit logs just the entries it changed,
+// each as a delta record whose value is EncodeCatalogEntry's fixed-width
+// form, and the store applies them to its in-memory catalog (store/wal.h).
 //
 // Ordered-index entries (PR8) extend the tuple with a kind discriminant:
 // ⟨"name", root_page, height, member_count, kind⟩. Blob entries keep the
@@ -18,7 +21,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -38,6 +43,24 @@ struct CatalogEntry {
   bool operator==(const CatalogEntry&) const = default;
 };
 
+/// \brief One catalog change a commit makes: `name` now maps to `entry`,
+/// or is removed when `entry` is empty.
+struct CatalogChange {
+  std::string name;
+  std::optional<CatalogEntry> entry;
+};
+
+/// \brief The bytes of EncodeCatalogEntry's fixed-width form.
+inline constexpr size_t kEncodedCatalogEntryBytes = 17;
+
+/// \brief An entry's value bytes in a log delta: first_page u32, page_span
+/// u32, byte_length u64, kind u8.
+std::string EncodeCatalogEntry(const CatalogEntry& entry);
+
+/// \brief Inverse of EncodeCatalogEntry; Corruption on a wrong length or
+/// an unknown kind.
+Result<CatalogEntry> DecodeCatalogEntry(std::string_view bytes);
+
 class Catalog {
  public:
   /// \brief Registers or replaces a name.
@@ -46,8 +69,9 @@ class Catalog {
   /// \brief Looks a name up; NotFound if absent.
   Result<CatalogEntry> Get(const std::string& name) const;
 
-  /// \brief Removes a name; NotFound if absent.
-  Status Remove(const std::string& name);
+  /// \brief Applies one change: Put, or a removal (of a name that may be
+  /// absent).
+  void Apply(const CatalogChange& change);
 
   bool Contains(const std::string& name) const { return entries_.count(name) != 0; }
 

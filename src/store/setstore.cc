@@ -2,7 +2,10 @@
 
 #include <cstdio>
 #include <map>
+#include <optional>
+#include <string_view>
 #include <unordered_set>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/macros.h"
@@ -69,12 +72,35 @@ obs::Counter& ReadFallbacksCounter() {
   return c;
 }
 
+// Every mutation logs the names it changes as delta records, which the
+// name bound keeps inside the log's record bound.
+Status CheckSetName(const std::string& name) {
+  if (name.empty()) return Status::Invalid("set names must be non-empty");
+  if (name.size() > kMaxSetNameBytes) {
+    return Status::Invalid("set name of " + std::to_string(name.size()) +
+                           " bytes exceeds the " + std::to_string(kMaxSetNameBytes) +
+                           "-byte limit");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<Pager>> SetStore::OpenPager(const std::string& path) const {
   Result<std::unique_ptr<File>> file =
       options_.file_factory ? options_.file_factory(path) : StdioFile::Open(path);
   if (!file.ok()) return file.status();
+  XST_ASSIGN_OR_RAISE(uint64_t size, (*file)->Size());
+  // A checkpoint that died mid-write can tear the main file's last page;
+  // when the log holds that page's image the torn bytes are about to be
+  // overwritten, so trim to a whole-page size first (Pager::Open insists on
+  // one).
+  std::string image;
+  if (size % kPageSize != 0 &&
+      wal_->LookupPage(static_cast<uint32_t>(size / kPageSize), &image)) {
+    Status st = (*file)->Truncate(size - size % kPageSize);
+    if (!st.ok()) return st.WithContext("trim torn page of " + path);
+  }
   return Pager::Open(std::move(*file), *wal_, options_.buffer_pool_pages, path);
 }
 
@@ -140,32 +166,35 @@ Result<std::unique_ptr<SetStore>> SetStore::Open(const std::string& path,
   wal_options.file_factory = options.file_factory;
   XST_ASSIGN_OR_RAISE(store->wal_,
                       Wal::Open(path + ".wal", std::move(wal_options)));
-  // A crash after a commit fsync but before a checkpoint left committed page
-  // images only in the log; fold them into the main file before the pager
-  // sees it.
-  XST_RETURN_NOT_OK(store->ReplayRecoveredImages());
-  Result<CommitTicket> fresh = CommitTicket{};
   {
     // Nobody else can reach the fresh store yet, but its guarded fields
     // still demand the capability — and a one-time uncontended lock is free.
     MutexLock lock(&store->mu_);
-    XST_ASSIGN_OR_RAISE(store->pager_, store->OpenPager(path));
-    if (store->pager_->page_count() == 0) {
-      // Fresh store: the superblock + empty catalog are themselves the
-      // store's first WAL transaction.
-      store->wal_->BeginTxn();
-      XST_ASSIGN_OR_RAISE(uint32_t superblock, store->pager_->AllocatePage());
-      // The sizeof-based XST_DCHECK counts as a use even under NDEBUG, so no
-      // (void) cast is needed to silence -Wunused-variable.
-      XST_DCHECK(superblock == 0);
-      fresh = store->CommitLocked(store->catalog_);
-      if (!fresh.ok()) return fresh.status();
-    } else {
-      XST_RETURN_NOT_OK(store->LoadCatalog());
+    Status opened = store->OpenLocked();
+    if (!opened.ok()) {
+      // Closed, so that the destructor does not checkpoint a catalog that
+      // was never loaded over the log's deltas.
+      store->pager_.reset();
+      return opened;
     }
   }
-  XST_RETURN_NOT_OK(store->wal_->WaitDurable(*fresh));
   return store;
+}
+
+Status SetStore::OpenLocked() {
+  XST_ASSIGN_OR_RAISE(pager_, OpenPager(path_));
+  // Fresh store: the superblock + empty catalog are its first commit.
+  if (pager_->page_count() == 0) return CommitCatalogLocked();
+  XST_RETURN_NOT_OK(LoadCatalog());
+  // A crash after a commit fsync but before a checkpoint left committed
+  // records only in the log, which the pager and LoadCatalog read through;
+  // fold them into the main file before the segment can be recycled.
+  const WalStats log = wal_->stats();
+  if (log.resident_pages + log.resident_deltas == 0) return Status::OK();
+  XST_TRACE_SPAN("wal.recovery");
+  XST_RETURN_NOT_OK(CheckpointLocked().WithContext("wal recovery " + path_));
+  RecoveryReplayedCounter().Add(log.resident_pages);
+  return Status::OK();
 }
 
 SetStore::~SetStore() {
@@ -181,40 +210,6 @@ SetStore::~SetStore() {
   }
 }
 
-Status SetStore::ReplayRecoveredImages() {
-  std::map<uint32_t, std::string> images = wal_->TakeRecoveredImages();
-  if (images.empty()) return Status::OK();
-  XST_TRACE_SPAN("wal.recovery");
-  Result<std::unique_ptr<File>> file =
-      options_.file_factory ? options_.file_factory(path_) : StdioFile::Open(path_);
-  if (!file.ok()) return file.status().WithContext("wal recovery " + path_);
-  XST_ASSIGN_OR_RAISE(uint64_t size, (*file)->Size());
-  // A crash mid-checkpoint can tear the main file's last page; when the log
-  // holds that page's image the torn bytes are about to be overwritten, so
-  // trim to a whole-page size first (Pager::Open insists on one).
-  if (size % kPageSize != 0 &&
-      images.count(static_cast<uint32_t>(size / kPageSize)) > 0) {
-    Status st = (*file)->Truncate(size - size % kPageSize);
-    if (!st.ok()) return st.WithContext("wal recovery " + path_);
-  }
-  for (const auto& [page_id, image] : images) {
-    Status st = (*file)->WriteAt(static_cast<uint64_t>(page_id) * kPageSize,
-                                 image.data(), image.size());
-    if (!st.ok()) {
-      return st.WithContext("wal recovery page " + std::to_string(page_id));
-    }
-  }
-  Status st = (*file)->Flush();
-  if (!st.ok()) return st.WithContext("wal recovery " + path_);
-  file->reset();
-  RecoveryReplayedCounter().Add(images.size());
-  // The main file is self-contained now; recycle the segment. Crash-safe:
-  // until the reset's fresh header is durable, a re-crash just replays the
-  // same images again (redo is idempotent).
-  return wal_->Reset(wal_->stats().durable_lsn)
-      .WithContext("wal recovery reset " + path_);
-}
-
 Result<XSet> SetStore::DecodeBlobSet(Pager& pager, const std::string& name,
                                      const CatalogEntry& entry) {
   std::string encoded;
@@ -224,13 +219,20 @@ Result<XSet> SetStore::DecodeBlobSet(Pager& pager, const std::string& name,
   return decoded;
 }
 
-Status SetStore::StageCatalog(const Catalog& staged) {
+Status SetStore::StageCatalog() {
+  if (pager_->page_count() == 0) {
+    // A fresh store: page 0 is its superblock.
+    XST_ASSIGN_OR_RAISE(uint32_t superblock, pager_->AllocatePage());
+    // The sizeof-based XST_DCHECK counts as a use even under NDEBUG, so no
+    // (void) cast is needed to silence -Wunused-variable.
+    XST_DCHECK(superblock == 0);
+  }
   // Write the catalog blob first, then swap the superblock pointer — the
   // order that keeps a half-applied transaction from referencing anything
   // but garbage pages. Pool-only: the WAL commit that follows makes it
-  // durable; the main file is untouched until checkpoint.
+  // durable; the main file is untouched until the checkpoint applies it.
   XST_ASSIGN_OR_RAISE(internal::PageSpan blob,
-                      internal::WritePageSpan(*pager_, EncodeXSetToString(staged.ToXSet())));
+                      internal::WritePageSpan(*pager_, EncodeXSetToString(catalog_.ToXSet())));
   XSet pointer = XSet::Pair(XSet::Int(blob.first_page),
                             XSet::Int(static_cast<int64_t>(blob.byte_length)));
   XSet with_span = XSet::Pair(pointer, XSet::Int(blob.pages));
@@ -266,6 +268,17 @@ Status SetStore::LoadCatalog() {
   XST_RETURN_NOT_OK(internal::ReadPageSpan(*pager_, blob, &encoded));
   XST_ASSIGN_OR_RAISE(XSet repr, DecodeXSetWhole(encoded));
   XST_ASSIGN_OR_RAISE(Catalog loaded, Catalog::FromXSet(repr));
+  // The segment's committed deltas on top: the catalog as of the last
+  // commit. Deltas a checkpoint already folded in apply again unchanged.
+  for (auto& [name, value] : wal_->SnapshotDeltas()) {
+    CatalogChange change{name, std::nullopt};
+    if (value) {
+      Result<CatalogEntry> entry = DecodeCatalogEntry(*value);
+      if (!entry.ok()) return entry.status().WithContext("catalog delta '" + name + "'");
+      change.entry = *entry;
+    }
+    loaded.Apply(change);
+  }
   for (const std::string& name : loaded.Names()) {
     CatalogEntry e = *loaded.Get(name);
     if (e.kind == CatalogEntry::kKindIndex) {
@@ -331,16 +344,31 @@ Status SetStore::ReadDurableLocked() {
   return RecoverDurableLocked(last_commit_);
 }
 
-Result<CommitTicket> SetStore::CommitLocked(Catalog staged) {
-  Status st = StageCatalog(staged);
-  if (!st.ok()) return FailTxnLocked(std::move(st));
-  st = pager_->DrainUnloggedToWal();
+Result<CommitTicket> SetStore::CommitLocked(const std::vector<CatalogChange>& changes) {
+  for (const CatalogChange& change : changes) {
+    DeltaValue value;
+    if (change.entry) value = EncodeCatalogEntry(*change.entry);
+    Status st = wal_->LogDelta(change.name, std::move(value));
+    if (!st.ok()) return FailTxnLocked(std::move(st));
+  }
+  Status st = pager_->DrainUnloggedToWal();
   if (!st.ok()) return FailTxnLocked(std::move(st));
   Result<CommitTicket> ticket = wal_->AppendCommit();
   if (!ticket.ok()) return FailTxnLocked(ticket.status());
-  catalog_ = std::move(staged);
+  for (const CatalogChange& change : changes) catalog_.Apply(change);
   last_commit_ = *ticket;
   return ticket;
+}
+
+Status SetStore::CommitCatalogLocked() {
+  wal_->BeginTxn();
+  Status st = StageCatalog();
+  if (!st.ok()) return FailTxnLocked(std::move(st));
+  XST_ASSIGN_OR_RAISE(CommitTicket ticket, CommitLocked({}));
+  st = wal_->WaitDurable(ticket);
+  if (st.ok()) return Status::OK();
+  Status recovered = RecoverDurableLocked(ticket);
+  return recovered.ok() ? st : recovered.WithContext("recover after failed catalog commit");
 }
 
 Status SetStore::FinishCommit(const Result<CommitTicket>& ticket) {
@@ -373,10 +401,15 @@ Status SetStore::CheckpointLocked() {
   // page images between the log and the main file; invalidating in-flight
   // optimistic reads sidesteps every cache-coherence corner of that window.
   ++mutation_epoch_;
-  // Order is everything: log durable → images into the main file → main
-  // file fsync → only then recycle the segment. A crash between any two
-  // steps leaves the log authoritative and replay idempotent.
+  // Order is everything: log durable → the catalog transaction durable →
+  // images into the main file → main file fsync → only then recycle the
+  // segment. A crash between any two steps leaves the log authoritative and
+  // replay idempotent. The catalog is logged before any image write
+  // because commits log no superblock image: without one, a torn superblock
+  // write would have nothing to repair it. A segment without deltas has
+  // nothing to fold, so a store that did not change does not grow.
   XST_RETURN_NOT_OK(wal_->FlushAll());
+  if (wal_->stats().resident_deltas > 0) XST_RETURN_NOT_OK(CommitCatalogLocked());
   const uint64_t durable = wal_->stats().durable_lsn;
   for (const auto& [page_id, image] : wal_->SnapshotResident()) {
     XST_RETURN_NOT_OK(pager_->ApplyCheckpointImage(page_id, image));
@@ -445,10 +478,10 @@ Result<CommitTicket> SetStore::PutBatchLocked(
   ++mutation_epoch_;  // invalidate in-flight optimistic reads
   // Validate up front: the batch must be all-or-nothing, so no partial
   // catalog mutation may happen after the first write.
-  std::unordered_set<std::string> seen;
+  std::unordered_set<std::string_view> seen;
   for (const auto& [name, value] : entries) {
     (void)value;
-    if (name.empty()) return Status::Invalid("set names must be non-empty");
+    XST_RETURN_NOT_OK(CheckSetName(name));
     if (!seen.insert(name).second) {
       return Status::Invalid("PutBatch: duplicate name '" + name + "' in batch");
     }
@@ -456,14 +489,15 @@ Result<CommitTicket> SetStore::PutBatchLocked(
   wal_->BeginTxn();
   // Stage-then-commit: the in-memory catalog only advances once the commit
   // record is appended, so a failed batch leaves resident state untouched.
-  Catalog staged = catalog_;
+  std::vector<CatalogChange> changes;
+  changes.reserve(entries.size());
   for (const auto& [name, value] : entries) {
     Result<internal::PageSpan> blob =
         internal::WritePageSpan(*pager_, EncodeXSetToString(value));
     if (!blob.ok()) return FailTxnLocked(blob.status());
-    staged.Put(name, BlobEntryOf(*blob));
+    changes.push_back({name, BlobEntryOf(*blob)});
   }
-  return CommitLocked(std::move(staged));  // the single commit point
+  return CommitLocked(changes);  // the single commit point
 }
 
 Result<size_t> SetStore::Scrub() {
@@ -572,9 +606,7 @@ Result<CommitTicket> SetStore::CommitTreeMutation(const std::string& name,
     return valid.WithContext("mutated tree '" + name + "'");
   }
 #endif
-  Catalog staged = catalog_;
-  staged.Put(name, IndexEntryOf(info));
-  Result<CommitTicket> ticket = CommitLocked(std::move(staged));
+  Result<CommitTicket> ticket = CommitLocked({{name, IndexEntryOf(info)}});
   if (!ticket.ok()) return ticket.status().WithContext("commit of '" + name + "'");
   return ticket;
 }
@@ -593,7 +625,7 @@ Result<CommitTicket> SetStore::PutIndexedLocked(const std::string& name,
                                                 const XSet& value) {
   XST_RETURN_NOT_OK(CheckOpen());
   ++mutation_epoch_;  // invalidate in-flight optimistic reads
-  if (name.empty()) return Status::Invalid("set names must be non-empty");
+  XST_RETURN_NOT_OK(CheckSetName(name));
   if (value.is_atom()) {
     return Status::Invalid("ordered-index storage holds member lists; atom '" +
                            value.ToString() + "' has none (use Put)");
@@ -630,6 +662,7 @@ Result<CommitTicket> SetStore::MutateMemberLocked(const std::string& name,
                                                   const Membership& m, bool insert) {
   XST_RETURN_NOT_OK(CheckOpen());
   ++mutation_epoch_;  // invalidate in-flight optimistic reads
+  XST_RETURN_NOT_OK(CheckSetName(name));
   XST_ASSIGN_OR_RAISE(CatalogEntry entry, catalog_.Get(name));
   if (entry.kind != CatalogEntry::kKindIndex) {
     return Status::Invalid("'" + name +
@@ -729,10 +762,10 @@ Status SetStore::Delete(const std::string& name) {
 Result<CommitTicket> SetStore::DeleteLocked(const std::string& name) {
   XST_RETURN_NOT_OK(CheckOpen());
   ++mutation_epoch_;  // invalidate in-flight optimistic reads
-  Catalog staged = catalog_;
-  XST_RETURN_NOT_OK(staged.Remove(name));  // NotFound before any txn opens
+  XST_RETURN_NOT_OK(CheckSetName(name));
+  XST_RETURN_NOT_OK(catalog_.Get(name).status());  // NotFound before any txn opens
   wal_->BeginTxn();
-  return CommitLocked(std::move(staged));
+  return CommitLocked({{name, std::nullopt}});
 }
 
 Status SetStore::Flush() {

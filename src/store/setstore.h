@@ -13,18 +13,21 @@
 //   pages 1..N       blob chunks; a blob occupies a contiguous page span,
 //                    one record per page (internal::WritePageSpan, pager.h)
 //
-// Updates are append-only (new blob, catalog pointer swap); stale pages are
+// Updates are append-only (new blob, catalog entry change); stale pages are
 // reclaimed by Compact(), which rewrites the live blobs into a fresh file.
 // Every page is checksummed; any torn or tampered byte surfaces as
 // Corruption on read.
 //
 // Durability (DESIGN.md §14): every mutation is one WAL transaction — the
-// pages it touched become log records, a commit record seals them, and the
-// caller is acknowledged only after the log is fsynced (group commit
-// batches those fsyncs across concurrent callers). The main file is
-// written only at checkpoint; Open() replays the log's committed prefix
-// after a crash. The `<path>.wal` sidecar belongs to the main file: move
-// or delete them together.
+// pages it touched become page-image records, the catalog entries it
+// changed become delta records, a commit record seals them, and the caller
+// is acknowledged only after the log is fsynced (group commit batches
+// those fsyncs across concurrent callers). The catalog is the superblock's
+// catalog plus the log's committed deltas; the superblock and catalog blob
+// are rewritten only by a checkpoint, which folds the deltas in. The main
+// file is written only at checkpoint; Open() checkpoints the log's
+// committed prefix after a crash. The `<path>.wal` sidecar belongs to the
+// main file: move or delete them together.
 //
 // Failure contract (proved by tests/fault_injection_test.cc and
 // tests/wal_recovery_test.cc): every I/O failure surfaces as a non-OK
@@ -65,6 +68,12 @@ enum class StorageMode {
   kBlob,          ///< one encoded value across a contiguous page span
   kOrderedIndex,  ///< B+tree of memberships in canonical order (btree.h)
 };
+
+/// \brief The longest set name a mutation accepts, in bytes; a longer one is
+/// Invalid. A commit logs each name it changes in a delta record, and the
+/// bound keeps that record inside the log's record bound (store/wal.h).
+inline constexpr size_t kMaxSetNameBytes = 4096;
+static_assert(kMaxSetNameBytes + kEncodedCatalogEntryBytes <= kMaxDeltaBytes);
 
 namespace internal {
 
@@ -141,13 +150,16 @@ class SetStore {
   /// swallowed — the log already holds everything an fsynced commit needs.
   ~SetStore();
 
-  /// \brief Writes (or replaces) a named set and persists the catalog.
+  /// \brief Writes (or replaces) a named set and logs its catalog entry.
+  /// Names are non-empty and at most kMaxSetNameBytes long (Invalid
+  /// otherwise), for every mutation.
   Status Put(const std::string& name, const XSet& value) XST_EXCLUDES(mu_);
 
-  /// \brief Writes several named sets with ONE catalog persist at the end:
-  /// all-or-nothing visibility across restarts (the superblock pointer is
-  /// the commit point; blobs written before a crash are unreferenced
-  /// garbage, reclaimed by Compact). Names must be unique within the batch.
+  /// \brief Writes several named sets in ONE commit: all-or-nothing
+  /// visibility across restarts (the commit record is the commit point;
+  /// blobs written before a crash are unreferenced garbage, reclaimed by
+  /// Compact). Names must be unique within the batch; a batch of any size
+  /// commits atomically.
   Status PutBatch(const std::vector<std::pair<std::string, XSet>>& entries)
       XST_EXCLUDES(mu_);
 
@@ -220,9 +232,10 @@ class SetStore {
   /// \brief Makes everything appended so far durable (fsyncs the log).
   Status Flush() XST_EXCLUDES(mu_);
 
-  /// \brief Forces a checkpoint: fsyncs the log, writes every committed
-  /// page image into the main file, fsyncs it, and recycles the log
-  /// segment. After OK the main file is self-contained.
+  /// \brief Forces a checkpoint: fsyncs the log, folds its deltas into a
+  /// new catalog blob and superblock (a logged transaction of its own),
+  /// writes every committed page image into the main file, fsyncs it, and
+  /// recycles the log segment. After OK the main file is self-contained.
   Status Checkpoint() XST_EXCLUDES(mu_);
 
   /// \brief Snapshot of the log's segment/durability counters.
@@ -261,7 +274,13 @@ class SetStore {
     CommitTicket last_commit;
   };
 
+  /// Opens the pager over `path`, first trimming a torn last page the log
+  /// holds an image of.
   Result<std::unique_ptr<Pager>> OpenPager(const std::string& path) const;
+  /// Open's body: opens the pager, then commits a fresh store's empty
+  /// catalog, or loads the catalog and checkpoints what a crash left in the
+  /// log.
+  Status OpenLocked() XST_REQUIRES(mu_);
   Status CheckOpen() const XST_REQUIRES(mu_);
   /// Captures a ReadView of `name` under mu_; fails only on a closed store.
   Result<ReadView> CaptureView(const std::string& name) const XST_EXCLUDES(mu_);
@@ -304,13 +323,16 @@ class SetStore {
   Result<std::unique_ptr<MemberCursor>> OpenMemberCursor(const std::string& name,
                                                          const XSet* lo, const XSet* hi)
       XST_EXCLUDES(mu_);
-  /// Writes `staged`'s blob + superblock pointer into the pool (no I/O to
-  /// the main file; durability comes from the WAL commit that follows).
-  Status StageCatalog(const Catalog& staged) XST_REQUIRES(mu_);
+  /// Writes catalog_ as a new blob + superblock pointer into the pool (no
+  /// I/O to the main file; durability comes from the WAL commit that
+  /// follows), allocating a fresh store's superblock first. Runs only in a
+  /// fresh store's first commit and in checkpoints.
+  Status StageCatalog() XST_REQUIRES(mu_);
+  /// The catalog transaction: StageCatalog in a commit of its own, waited
+  /// on under mu_; a failed wait rolls back to the durable prefix.
+  Status CommitCatalogLocked() XST_REQUIRES(mu_);
+  /// catalog_ = the superblock's catalog plus the log's committed deltas.
   Status LoadCatalog() XST_REQUIRES(mu_);
-  /// Applies crash-recovery images to the main file and recycles the log.
-  /// Runs in Open(), before the pager exists.
-  Status ReplayRecoveredImages();
   /// Reopens pager_ (wal-attached) + catalog_; on failure the store closes.
   Status ReopenPagerLocked() XST_REQUIRES(mu_);
   /// Aborts the open WAL txn and reloads resident state from the log's
@@ -326,11 +348,12 @@ class SetStore {
   /// back to the durable prefix if their flush fails. Non-OK only once the
   /// store is closed.
   Status ReadDurableLocked() XST_REQUIRES(mu_);
-  /// Phase 1 of every mutation, under mu_: stage the catalog, drain unlogged
-  /// pages into the log, append the commit record. Returns the commit
-  /// ticket (LSN 0 = nothing to commit); resident state is already
-  /// advanced.
-  Result<CommitTicket> CommitLocked(Catalog staged) XST_REQUIRES(mu_);
+  /// Phase 1 of every mutation, under mu_: log `changes` as delta records,
+  /// drain unlogged pages into the log, append the commit record, then
+  /// apply `changes` to catalog_ (which no commit copies). Returns the
+  /// commit ticket; resident state is already advanced.
+  Result<CommitTicket> CommitLocked(const std::vector<CatalogChange>& changes)
+      XST_REQUIRES(mu_);
   /// Phase 2, after mu_ is released: group-commit wait on the ticket, then
   /// maybe checkpoint. Error recovery re-acquires mu_.
   Status FinishCommit(const Result<CommitTicket>& ticket) XST_EXCLUDES(mu_);

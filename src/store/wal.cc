@@ -27,9 +27,14 @@ constexpr size_t kFrameHeaderSize = 20;
 // Body: type u8 | txn id varint | payload.
 constexpr uint8_t kPageImage = 1;  // payload: page id varint + full image
 constexpr uint8_t kCommit = 2;     // payload: empty
+constexpr uint8_t kUpsert = 3;     // payload: name length varint + name + value
+constexpr uint8_t kRemoval = 4;    // payload: name
 
-// A body is one page image plus small framing; anything larger is torn.
+// A body is one page image, or one delta of at most kMaxDeltaBytes, plus
+// small framing; anything larger is torn.
 constexpr uint64_t kMaxRecordBody = kPageSize + 32;
+static_assert(kMaxDeltaBytes + 1 + 10 + 10 <= kMaxRecordBody,
+              "a delta record must fit the frame bound");
 
 uint64_t RecordSeed(uint64_t epoch, uint64_t lsn) {
   return HashCombine(HashCombine(kWalMagic, epoch), lsn);
@@ -84,9 +89,15 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path, WalOptions optio
     XST_RETURN_NOT_OK(wal->InitSegment());
     return wal;
   }
-  XST_RETURN_NOT_OK(
-      wal->ScanCommittedPrefix(&wal->recovered_, UINT64_MAX));
+  XST_RETURN_NOT_OK(wal->ScanCommittedPrefix(&wal->resident_, UINT64_MAX));
   return wal;
+}
+
+void Wal::Changes::Absorb(Changes&& later) {
+  for (auto& [page, image] : later.images) images[page] = std::move(image);
+  for (auto& [name, value] : later.deltas) deltas[name] = std::move(value);
+  later.images.clear();
+  later.deltas.clear();
 }
 
 // The segment-lifecycle helpers below (fresh-segment init, header check,
@@ -122,7 +133,7 @@ Status Wal::InitSegment() {
   file_bytes_ = kWalHeaderSize;
   appended_lsn_ = base_lsn_;
   durable_lsn_ = base_lsn_;
-  resident_.clear();
+  resident_ = Changes{};
   return Status::OK();
 }
 
@@ -143,11 +154,11 @@ Status Wal::CheckSegmentHeader() {
   return Status::OK();
 }
 
-Status Wal::ScanCommittedPrefix(std::map<uint32_t, std::string>* out,
-                                uint64_t limit_lsn) {
+Status Wal::ScanCommittedPrefix(Changes* out, uint64_t limit_lsn) {
   XST_ASSIGN_OR_RAISE(uint64_t size, file_->Size());  // xst-lint: allow(blocking-under-latch)
-  // Per-txn staging: images count only once their commit record is seen.
-  std::map<uint64_t, std::map<uint32_t, std::string>> staged;
+  // Per-txn staging: images and deltas count only once their commit record
+  // is seen.
+  std::map<uint64_t, Changes> staged;
   uint64_t off = kWalHeaderSize;
   uint64_t lsn = base_lsn_;
   uint64_t last_commit = base_lsn_;
@@ -181,11 +192,17 @@ Status Wal::ScanCommittedPrefix(std::map<uint32_t, std::string>* out,
       uint64_t page = 0;
       if (!GetVarint(body, &p, &page)) break;
       if (body.size() - p != kPageSize || page > UINT32_MAX) break;
-      staged[txn][static_cast<uint32_t>(page)] = body.substr(p);
+      staged[txn].images[static_cast<uint32_t>(page)] = body.substr(p);
+    } else if (type == kUpsert) {
+      uint64_t name_len = 0;
+      if (!GetVarint(body, &p, &name_len) || name_len > body.size() - p) break;
+      staged[txn].deltas[body.substr(p, name_len)] = body.substr(p + name_len);
+    } else if (type == kRemoval) {
+      staged[txn].deltas[body.substr(p)] = std::nullopt;
     } else if (type == kCommit) {
       auto it = staged.find(txn);
       if (it != staged.end()) {
-        for (auto& [pg, img] : it->second) (*out)[pg] = std::move(img);
+        out->Absorb(std::move(it->second));
         staged.erase(it);
       }
       last_commit = rlsn;
@@ -218,15 +235,10 @@ Status Wal::ScanCommittedPrefix(std::map<uint32_t, std::string>* out,
   return Status::OK();
 }
 
-std::map<uint32_t, std::string> Wal::TakeRecoveredImages() {
-  MutexLock lock(&mu_);
-  return std::move(recovered_);
-}
-
 void Wal::BeginTxn() {
   MutexLock lock(&mu_);
   XST_DCHECK(!txn_open_);
-  XST_DCHECK(staged_.empty());
+  XST_DCHECK(staged_.images.empty() && staged_.deltas.empty());
   txn_open_ = true;
 }
 
@@ -255,7 +267,31 @@ Status Wal::LogPageImage(uint32_t page_id, std::string image) {
   PutVarint(page_id, &payload);
   payload.append(image);
   AppendRecord(kPageImage, txn_id_, payload);
-  staged_[page_id] = std::move(image);
+  staged_.images[page_id] = std::move(image);
+  return Status::OK();
+}
+
+Status Wal::LogDelta(const std::string& name, DeltaValue value) {
+  const size_t bytes = name.size() + (value ? value->size() : 0);
+  if (bytes > kMaxDeltaBytes) {
+    return Status::Invalid("wal delta of " + std::to_string(bytes) +
+                           " bytes exceeds the " + std::to_string(kMaxDeltaBytes) +
+                           "-byte record bound");
+  }
+  MutexLock lock(&mu_);
+  XST_DCHECK(txn_open_);
+  if (device_failed_) return flush_error_.WithContext("wal append");
+  std::string payload;
+  if (value) {
+    payload.reserve(5 + bytes);
+    PutVarint(name.size(), &payload);
+    payload.append(name);
+    payload.append(*value);
+    AppendRecord(kUpsert, txn_id_, payload);
+  } else {
+    AppendRecord(kRemoval, txn_id_, name);
+  }
+  staged_.deltas[name] = std::move(value);
   return Status::OK();
 }
 
@@ -263,14 +299,13 @@ Result<CommitTicket> Wal::AppendCommit() {
   MutexLock lock(&mu_);
   XST_DCHECK(txn_open_);
   if (device_failed_) {
-    staged_.clear();
+    staged_ = Changes{};
     txn_open_ = false;
     ++txn_id_;
     return flush_error_.WithContext("wal commit");
   }
   AppendRecord(kCommit, txn_id_, std::string_view());
-  for (auto& [pg, img] : staged_) resident_[pg] = std::move(img);
-  staged_.clear();
+  resident_.Absorb(std::move(staged_));
   txn_open_ = false;
   ++txn_id_;
   ++buffered_commits_;
@@ -283,7 +318,7 @@ void Wal::AbortTxn() {
   // The aborted txn's records may already sit in the buffer (or even on
   // disk, spilled under pool pressure); without a commit record they are
   // inert — replay never applies them.
-  staged_.clear();
+  staged_ = Changes{};
   txn_open_ = false;
   ++txn_id_;
 }
@@ -373,10 +408,10 @@ Status Wal::FlushAll() {
 
 bool Wal::LookupPage(uint32_t page_id, std::string* image) const {
   MutexLock lock(&mu_);
-  auto it = staged_.find(page_id);
-  if (it == staged_.end()) {
-    it = resident_.find(page_id);
-    if (it == resident_.end()) return false;
+  auto it = staged_.images.find(page_id);
+  if (it == staged_.images.end()) {
+    it = resident_.images.find(page_id);
+    if (it == resident_.images.end()) return false;
   }
   *image = it->second;
   return true;
@@ -385,14 +420,22 @@ bool Wal::LookupPage(uint32_t page_id, std::string* image) const {
 std::map<uint32_t, std::string> Wal::SnapshotResident() const {
   MutexLock lock(&mu_);
   XST_DCHECK(!txn_open_);
-  return resident_;
+  return resident_.images;
+}
+
+std::map<std::string, DeltaValue> Wal::SnapshotDeltas() const {
+  MutexLock lock(&mu_);
+  XST_DCHECK(!txn_open_);
+  return resident_.deltas;
 }
 
 uint32_t Wal::PageCountLowerBound() const {
   MutexLock lock(&mu_);
   uint32_t bound = 0;
-  if (!resident_.empty()) bound = resident_.rbegin()->first + 1;
-  if (!staged_.empty()) bound = std::max(bound, staged_.rbegin()->first + 1);
+  if (!resident_.images.empty()) bound = resident_.images.rbegin()->first + 1;
+  if (!staged_.images.empty()) {
+    bound = std::max(bound, staged_.images.rbegin()->first + 1);
+  }
   return bound;
 }
 
@@ -413,7 +456,8 @@ Status Wal::Reset(uint64_t checkpoint_lsn) {
   // acknowledged commits). Poisoned, every later append/commit fails until
   // a reopen rebuilds the segment. Nothing durable is forfeited: the caller
   // checkpointed before resetting, so the fsynced main file is
-  // self-contained, and resident_ is kept so reads keep working.
+  // self-contained, and resident_ (images and deltas) is kept so reads and
+  // the catalog rebuilt from it keep working.
   Status st = WriteFreshSegment(epoch_ + 1, appended_lsn_);
   if (!st.ok()) {
     device_failed_ = true;
@@ -425,7 +469,7 @@ Status Wal::Reset(uint64_t checkpoint_lsn) {
   last_checkpoint_lsn_ = checkpoint_lsn;
   file_bytes_ = kWalHeaderSize;
   durable_lsn_ = appended_lsn_;
-  resident_.clear();
+  resident_ = Changes{};
   return Status::OK();
 }
 
@@ -437,9 +481,9 @@ Result<bool> Wal::RecoverResidentFromDisk(const CommitTicket& failed) {
   if (rollback_durable_.size() > failed.rollbacks) return false;
   buffer_.clear();
   buffered_commits_ = 0;
-  staged_.clear();
+  staged_ = Changes{};
   txn_open_ = false;
-  resident_.clear();
+  resident_ = Changes{};
   // Only records up to the durable LSN count: bytes a failed fsync left on
   // the device were never acknowledged, so resurrecting them would turn an
   // error the caller saw into a commit the caller never got. Later records
@@ -457,7 +501,7 @@ Result<bool> Wal::RecoverResidentFromDisk(const CommitTicket& failed) {
   // the un-acked tail cannot be trimmed off).
   device_failed_ = false;
   flush_error_ = Status::OK();
-  std::map<uint32_t, std::string> resident;
+  Changes resident;
   XST_RETURN_NOT_OK(ScanCommittedPrefix(&resident, durable));
   resident_ = std::move(resident);
   return true;
@@ -471,6 +515,8 @@ WalStats Wal::stats() const {
   s.durable_lsn = durable_lsn_;
   s.appended_lsn = appended_lsn_;
   s.last_checkpoint_lsn = last_checkpoint_lsn_;
+  s.resident_pages = resident_.images.size();
+  s.resident_deltas = resident_.deltas.size();
   return s;
 }
 

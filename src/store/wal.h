@@ -2,25 +2,47 @@
 //
 // The store's durability story (DESIGN.md §14): every page mutated by an
 // operation is captured as a full checksummed page image in a sidecar log
-// file (`<store>.wal`), a commit record seals the transaction, and only
-// then is the caller acknowledged — after the log has been fsynced. The
-// main page file is written exclusively at checkpoint (and by recovery),
-// so an in-place B+tree node rewrite or superblock swap can never reach
-// disk ahead of its commit record: write-ahead ordering by construction,
-// not by careful sequencing (a no-steal, redo-only protocol).
+// file (`<store>.wal`), every catalog entry it changed as a delta record,
+// a commit record seals the transaction, and only then is the caller
+// acknowledged — after the log has been fsynced. The main page file is
+// written exclusively at checkpoint, so an in-place B+tree node rewrite or
+// superblock swap can never reach disk ahead of its commit record:
+// write-ahead ordering by construction, not by careful sequencing (a
+// no-steal, redo-only protocol).
 //
 // Log layout:
 //   header (40 bytes)  magic, version, epoch, base LSN, seeded checksum
 //   record frame       [u32 body_len][u64 lsn][u64 crc][body]
 //   body               [u8 type][varint txn_id][payload]
 //     kPageImage       payload = varint page_id + kPageSize image bytes
-//     kCommit          payload empty — seals every prior image of txn_id
+//     kCommit          payload empty — seals every prior record of txn_id
+//     kUpsert          payload = varint name length + name + value bytes
+//     kRemoval         payload = name
+//
+// Deltas are opaque `name → bytes | removal` pairs: the store logs the
+// catalog entries a transaction changed (store/catalog.h encodes them), and
+// the log knows nothing of their meaning. A delta's name and value together
+// fit in kMaxDeltaBytes, so no record body exceeds one page plus framing,
+// the bound past which a scan takes a frame for a torn tail. An older
+// binary does not know the delta types: its scan stops at the first one and
+// truncates the log there, so close a store cleanly (a checkpoint empties
+// the log) before an older binary opens it.
 //
 // LSNs increase by one per record and are monotone across segment resets
 // (the header's base LSN carries the numbering forward), so "durable up to
 // LSN x" is meaningful for the whole life of the store. The crc seeds with
 // (epoch, lsn): a record from a recycled segment generation can never
 // validate at the same offset of the next one.
+//
+// Committed deltas: the log keeps the segment's committed deltas beside
+// its page images — the latest image per page and the latest delta per
+// name, which is what applying the records in LSN order leaves. The store's
+// catalog is the superblock's catalog (page 0 and the blob it points at,
+// read through the image table) plus those deltas, so the main file's
+// catalog is rewritten only when a checkpoint folds the deltas in, as a
+// transaction of its own that is durable before any image reaches the main
+// file. Re-applying deltas a checkpointed catalog already holds changes
+// nothing, so every crash point of that sequence recovers.
 //
 // Group commit: committers call AppendCommit() under the store's lock
 // (buffer append only — no I/O), then WaitDurable(ticket) after releasing
@@ -52,12 +74,14 @@
 // Recovery: Open() scans the committed prefix — frames are valid while the
 // length fits, the crc matches, and LSNs run contiguously; the scan stops
 // at the first violation (a torn tail) and truncates it, along with any
-// trailing committed-but-unsealed records. The surviving image set (last
-// image per page, in commit order) is exactly the committed prefix of the
-// mutation history; SetStore replays it into the main file and resets the
-// log. An unreadable or half-written header is treated as an empty log —
-// the header is only ever (re)written when the main file is self-contained
-// (segment creation and post-checkpoint reset), so nothing is lost.
+// trailing committed-but-unsealed records. What survives (last image per
+// page and last delta per name, in commit order) becomes the resident
+// table, exactly as if this process had appended it: the store reads
+// through it, rebuilds its catalog from the superblock plus the deltas, and
+// checkpoints it before the segment is recycled. An unreadable or
+// half-written header is treated as an empty log — the header is only ever
+// (re)written when the main file is self-contained (segment creation and
+// post-checkpoint reset), so nothing is lost.
 //
 // Thread safety: one internal Mutex guards all log state. The store's lock
 // ordering is SetStore::mu_ → Wal::mu_ (appends run under both, waits take
@@ -72,6 +96,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,6 +122,13 @@ inline constexpr const char* kWalRecoveryReplayedCounter = "wal.recovery.replaye
 
 }  // namespace internal
 
+/// \brief The most bytes a delta's name and value may hold together: one
+/// page, so that a delta record fits the frame bound (see the file comment).
+inline constexpr size_t kMaxDeltaBytes = kPageSize;
+
+/// \brief A delta's value: the bytes of an upsert, or none for a removal.
+using DeltaValue = std::optional<std::string>;
+
 /// \brief Snapshot of a Wal's segment and durability state (xstctl stats).
 struct WalStats {
   uint64_t segment = 0;             ///< segment generation (header epoch)
@@ -104,6 +136,8 @@ struct WalStats {
   uint64_t durable_lsn = 0;         ///< highest fsynced LSN
   uint64_t appended_lsn = 0;        ///< highest buffered LSN
   uint64_t last_checkpoint_lsn = 0; ///< LSN the current segment was based on
+  uint64_t resident_pages = 0;      ///< pages with a committed image in the segment
+  uint64_t resident_deltas = 0;     ///< names with a committed delta in the segment
 };
 
 /// \brief A commit's claim on the log (see the file comment): its commit
@@ -123,26 +157,19 @@ struct WalOptions {
 class Wal {
  public:
   /// \brief Opens (creating if needed) the log at `path` and scans its
-  /// committed prefix: after Open, TakeRecoveredImages() holds the page
-  /// images a crash left unapplied, and appends continue after the last
-  /// committed record (any torn or unsealed tail has been truncated away).
+  /// committed prefix into the resident table: the page images and deltas a
+  /// crash left unapplied, which the caller checkpoints. Appends continue
+  /// after the last committed record (any torn or unsealed tail has been
+  /// truncated away).
   static Result<std::unique_ptr<Wal>> Open(const std::string& path,
                                            WalOptions options = {});
 
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// \brief The committed-but-unapplied page images found by Open(), in
-  /// page order (last image per page — redo is idempotent, order across
-  /// pages is immaterial). Non-empty exactly when the previous process
-  /// crashed after a commit fsync but before the next checkpoint. The
-  /// caller replays them into the main file, fsyncs it, then Reset()s the
-  /// log; calling this moves the map out (second call returns empty).
-  std::map<uint32_t, std::string> TakeRecoveredImages() XST_EXCLUDES(mu_);
-
-  /// \brief Opens a transaction: subsequent LogPageImage calls are staged
-  /// under one txn id until AppendCommit or AbortTxn. One transaction at a
-  /// time (the store's lock already serializes mutations).
+  /// \brief Opens a transaction: subsequent LogPageImage and LogDelta calls
+  /// are staged under one txn id until AppendCommit or AbortTxn. One
+  /// transaction at a time (the store's lock already serializes mutations).
   void BeginTxn() XST_EXCLUDES(mu_);
 
   /// \brief Appends a page-image record for the open transaction. `image`
@@ -150,14 +177,20 @@ class Wal {
   /// by the page id). Buffer-only: durability comes from WaitDurable.
   Status LogPageImage(uint32_t page_id, std::string image) XST_EXCLUDES(mu_);
 
+  /// \brief Appends a delta record for the open transaction: an upsert of
+  /// `name` to `value`'s bytes, or a removal of `name` when `value` is
+  /// empty. Invalid when the name and value exceed kMaxDeltaBytes.
+  /// Buffer-only, like LogPageImage.
+  Status LogDelta(const std::string& name, DeltaValue value) XST_EXCLUDES(mu_);
+
   /// \brief Seals the open transaction with a commit record and publishes
-  /// its images to the resident (appended-committed) table. Returns the
-  /// ticket to pass to WaitDurable.
+  /// its images and deltas to the resident (appended-committed) table.
+  /// Returns the ticket to pass to WaitDurable.
   Result<CommitTicket> AppendCommit() XST_EXCLUDES(mu_);
 
-  /// \brief Drops the open transaction's staged images. The appended
-  /// records stay in the buffer/file but carry no commit record, so replay
-  /// ignores them.
+  /// \brief Drops the open transaction's staged images and deltas. The
+  /// appended records stay in the buffer/file but carry no commit record,
+  /// so replay ignores them.
   void AbortTxn() XST_EXCLUDES(mu_);
 
   /// \brief Blocks until the ticket's commit is fsynced (group commit; see
@@ -178,6 +211,11 @@ class Wal {
   /// Must not be called with a transaction open.
   std::map<uint32_t, std::string> SnapshotResident() const XST_EXCLUDES(mu_);
 
+  /// \brief Copy of the segment's committed deltas, the latest per name —
+  /// what applying them in LSN order leaves. Must not be called with a
+  /// transaction open.
+  std::map<std::string, DeltaValue> SnapshotDeltas() const XST_EXCLUDES(mu_);
+
   /// \brief One past the highest page id the log holds an image for
   /// (0 when empty) — the pager's lower bound on logical page count when
   /// the main file lags the log.
@@ -186,7 +224,8 @@ class Wal {
   /// \brief Recycles the segment after a checkpoint: truncates the file,
   /// writes a fresh header (epoch + 1, LSN numbering continued), fsyncs,
   /// and clears the resident table. Caller guarantees the buffer is
-  /// durable (FlushAll) and the main file is fsynced first. In-memory
+  /// durable (FlushAll) and the main file, catalog included, is fsynced
+  /// first. In-memory
   /// epoch/LSN state advances only once the fresh header is durable; on
   /// failure the on-disk segment is in an unknown state, so the device is
   /// poisoned stickily (appends and commits fail until reopen — continuing
@@ -196,8 +235,8 @@ class Wal {
   Status Reset(uint64_t checkpoint_lsn) XST_EXCLUDES(mu_);
 
   /// \brief After WaitDurable(failed) failed: rolls the log back to its
-  /// durable prefix. Rebuilds the resident table from the on-disk
-  /// committed prefix, discarding buffered/staged state that never reached
+  /// durable prefix. Rebuilds the resident table (images and deltas) from
+  /// the on-disk committed prefix, discarding buffered/staged state that never reached
   /// the device, and un-poisons the device (a still-dead device will
   /// re-poison on the next append). Un-poisoning first checks that the
   /// on-disk segment header still matches the in-memory generation — after
@@ -231,14 +270,22 @@ class Wal {
   // OK iff the on-disk header exists, validates, and carries the in-memory
   // epoch_/base_lsn_ — the precondition for trusting a rescan of the file.
   Status CheckSegmentHeader() XST_REQUIRES(mu_);
+  // What a transaction, or the segment's committed prefix, holds: the
+  // latest image per page and the latest delta per name.
+  struct Changes {
+    std::map<uint32_t, std::string> images;
+    std::map<std::string, DeltaValue> deltas;
+    // Moves `later`'s entries over these (later records win).
+    void Absorb(Changes&& later);
+  };
+
   // Scans committed records with LSN ≤ limit_lsn into *resident and trims
   // the rest. Open passes no limit (everything on disk survived a restart);
   // RecoverResidentFromDisk passes the durable LSN, so bytes a failed fsync
   // left behind are discarded rather than resurrected. If the trim itself
   // fails, the log stays poisoned: appending over an untrimmed same-epoch
   // tail could let a crash stitch old and new records into one chain.
-  Status ScanCommittedPrefix(std::map<uint32_t, std::string>* resident,
-                             uint64_t limit_lsn) XST_REQUIRES(mu_);
+  Status ScanCommittedPrefix(Changes* resident, uint64_t limit_lsn) XST_REQUIRES(mu_);
   void AppendRecord(uint8_t type, uint64_t txn_id, std::string_view payload)
       XST_REQUIRES(mu_);
   Status WriteBatch(const FlushJob& job);  // file I/O; no lock, single flusher
@@ -273,11 +320,9 @@ class Wal {
 
   bool txn_open_ XST_GUARDED_BY(mu_) = false;
   uint64_t txn_id_ XST_GUARDED_BY(mu_) = 0;
-  // Latest image per page: staged by the open txn / committed ("resident").
-  std::map<uint32_t, std::string> staged_ XST_GUARDED_BY(mu_);
-  std::map<uint32_t, std::string> resident_ XST_GUARDED_BY(mu_);
-
-  std::map<uint32_t, std::string> recovered_ XST_GUARDED_BY(mu_);
+  // Staged by the open txn / committed in this segment ("resident").
+  Changes staged_ XST_GUARDED_BY(mu_);
+  Changes resident_ XST_GUARDED_BY(mu_);
 };
 
 }  // namespace xst

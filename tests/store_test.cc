@@ -434,6 +434,9 @@ TEST(SetStoreTest, PutBatchIsOneCommit) {
   ASSERT_TRUE(store_or.ok());
   SetStore& store = **store_or;
   uint32_t pages_before = store.page_count();
+  obs::Counter& commits =
+      obs::MetricsRegistry::Global().GetCounter(internal::kWalCommitsCounter);
+  const uint64_t commits_before = commits.value();
   ASSERT_TRUE(store
                   .PutBatch({{"a", X("{1}")},
                              {"b", X("{2}")},
@@ -441,7 +444,15 @@ TEST(SetStoreTest, PutBatchIsOneCommit) {
                   .ok());
   EXPECT_EQ(store.List(), (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(*store.Get("b"), X("{2}"));
-  // One catalog persist for the whole batch: 3 blob pages + 1 catalog page.
+  // One commit for the whole batch: 3 blob pages and no catalog page — the
+  // commit logs its three catalog entries as deltas.
+  EXPECT_EQ(commits.value(), commits_before + 1);
+  EXPECT_EQ(store.page_count(), pages_before + 3);
+  // The checkpoint folds the deltas into one new catalog page; a second
+  // one, with no deltas left to fold, writes none.
+  ASSERT_TRUE(store.Checkpoint().ok());
+  EXPECT_EQ(store.page_count(), pages_before + 4);
+  ASSERT_TRUE(store.Checkpoint().ok());
   EXPECT_EQ(store.page_count(), pages_before + 4);
 }
 
@@ -728,6 +739,39 @@ TEST(SetStoreTest, DuplicateOverflowInsertWritesNothing) {
   EXPECT_EQ(store.wal_stats().appended_lsn, appended);
   EXPECT_EQ(*store.Get("s"), value);
   EXPECT_TRUE(store.Scrub().ok());
+}
+
+TEST(SetStoreTest, MemberInsertLogsOneImageAndOneDelta) {
+  // A commit logs the pages it changed and the catalog entries it changed,
+  // not the catalog: on a store of 300 names, an insert that splits no leaf
+  // logs one page image, one delta and a commit record, and allocates
+  // nothing.
+  TempFile file("store_insert_delta");
+  auto store_or = SetStore::Open(file.path());
+  ASSERT_TRUE(store_or.ok());
+  SetStore& store = **store_or;
+  std::vector<std::pair<std::string, XSet>> blobs;
+  for (int i = 0; i < 300; ++i) {
+    blobs.emplace_back("blob" + std::to_string(i), IntRun(i, i + 2));
+  }
+  ASSERT_TRUE(store.PutBatch(blobs).ok());
+  std::vector<Membership> evens;
+  for (int i = 0; i < 400; i += 2) evens.push_back(Membership{XSet::Int(i), XSet::Empty()});
+  ASSERT_TRUE(store.PutIndexed("links", XSet::FromMembers(evens)).ok());
+  ASSERT_TRUE(store.Checkpoint().ok());
+  // A page-image frame: 20 bytes of frame header, the type byte, the txn id
+  // and page id varints, and the page.
+  constexpr uint64_t kImageFrame = 20 + 1 + 10 + 5 + kPageSize;
+  const uint32_t pages = store.page_count();
+  for (int i = 1; i < 400; i += 2) {
+    const uint64_t before = store.wal_stats().segment_bytes;
+    ASSERT_TRUE(store.InsertMember("links", Membership{XSet::Int(i), XSet::Empty()}).ok());
+    EXPECT_LE(store.wal_stats().segment_bytes - before, kImageFrame + 512) << "insert " << i;
+    EXPECT_EQ(store.page_count(), pages) << "insert " << i;
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_EQ(*store.Get("links"), IntRun(0, 399));
+  EXPECT_EQ(store.List().size(), 301u);
 }
 
 TEST(SetStoreTest, IndexedPersistsAcrossReopen) {

@@ -19,17 +19,20 @@
 //   * every k-th write, in clean and torn shapes,
 //   * every k-th flush (the fsync-failed path: bytes on the device that
 //     were never acknowledged must not be resurrected by recovery),
-//   * every I/O step of a checkpoint's segment reset, as a TRANSIENT fault
-//     (FaultState::transient): a failed reset must poison the log rather
-//     than desync in-memory state from the on-disk header — the healed
-//     device would otherwise acknowledge commits recovery CRC-rejects.
+//   * every log I/O of a checkpoint, as a TRANSIENT fault
+//     (FaultState::transient): a failed catalog transaction must roll back
+//     to the durable prefix, and a failed segment reset must poison the log
+//     rather than desync in-memory state from the on-disk header — the
+//     healed device would otherwise acknowledge commits recovery
+//     CRC-rejects.
 //
 // On top of the matrix: a seed-replayable randomized sweep (XST_FUZZ_SEED),
 // a concurrent-writers crash fuzz (recovered version per thread must be in
-// [acked, attempted]), deterministic replay-on-open checks, recovery
-// idempotence under a crashing recovery, and the group-commit concurrency
-// tests (batched fsyncs observable in the wal.group_commit.batch_size
-// histogram; Compact racing committers stays serializable).
+// [acked, attempted]), deterministic replay-on-open checks (catalog deltas
+// included), recovery idempotence under a crashing recovery, and the
+// group-commit concurrency tests (batched fsyncs observable in the
+// wal.group_commit.batch_size histogram; Compact racing committers stays
+// serializable).
 
 #include <gtest/gtest.h>
 
@@ -505,6 +508,129 @@ TEST(WalRecovery, RecoveryIsIdempotentUnderCrashingRecovery) {
   RemoveStoreFiles(path);
 }
 
+// --- Catalog deltas ---
+//
+// A commit logs the catalog entries it changed as delta records; only a
+// checkpoint writes the catalog. Reopen and rollback both rebuild the
+// catalog as the superblock's catalog plus the log's committed deltas.
+
+SetStoreOptions CrashCloseOptions() {
+  SetStoreOptions options;
+  options.buffer_pool_pages = 4;
+  options.checkpoint_on_close = false;  // simulate a crash: log-only state
+  return options;
+}
+
+TEST(WalRecovery, CatalogDeltasAfterACheckpointReplayOnOpen) {
+  const std::string path = TestPath("delta_replay");
+  RemoveStoreFiles(path);
+  Model model;
+  {
+    auto store = SetStore::Open(path, CrashCloseOptions());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Put("alpha", BlobValue(1, 8)).ok());
+    ASSERT_TRUE((*store)->Put("doomed", BlobValue(2, 3)).ok());
+    ASSERT_TRUE((*store)->PutIndexed("tree", TreeValue(SeedTreeKeys())).ok());
+    ASSERT_TRUE((*store)->Checkpoint().ok());
+    // From here on, every catalog change lives only in the log's deltas.
+    ASSERT_TRUE((*store)->Put("gamma", BlobValue(3, 5)).ok());
+    ASSERT_TRUE((*store)->Delete("doomed").ok());
+    ASSERT_TRUE((*store)->PutIndexed("tree2", TreeValue({1, 3, 5})).ok());
+    ASSERT_TRUE((*store)->InsertMember("tree", TreeMember(101)).ok());
+    std::vector<int> keys = SeedTreeKeys();
+    keys.push_back(101);
+    model = {{"alpha", BlobValue(1, 8)},
+             {"gamma", BlobValue(3, 5)},
+             {"tree", TreeValue(keys)},
+             {"tree2", TreeValue({1, 3, 5})}};
+    EXPECT_TRUE(MatchesModel(**store, model));
+  }
+  {
+    auto reopened = SetStore::Open(path, CrashCloseOptions());
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_TRUE(MatchesModel(**reopened, model));
+    ASSERT_TRUE((*reopened)->Checkpoint().ok());
+    EXPECT_EQ((*reopened)->wal_stats().segment_bytes, 40u) << "log not back to its header";
+  }
+  // The main file alone, without its log, holds every change.
+  std::remove((path + ".wal").c_str());
+  auto main_only = SetStore::Open(path, CleanReopenOptions());
+  ASSERT_TRUE(main_only.ok()) << main_only.status().ToString();
+  EXPECT_TRUE(MatchesModel(**main_only, model));
+  EXPECT_TRUE((*main_only)->Scrub().ok());
+  RemoveStoreFiles(path);
+}
+
+TEST(WalRecovery, RollbackDropsOnlyTheFailedCommitsDeltas) {
+  const std::string path = TestPath("delta_rollback");
+  RemoveStoreFiles(path);
+  auto state = std::make_shared<FaultState>();
+  state->path_filter = ".wal";
+  state->transient = true;
+  Model model;
+  {
+    auto store = SetStore::Open(path, CrashRunOptions(state));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Put("checkpointed", BlobValue(1, 4)).ok());
+    ASSERT_TRUE((*store)->Checkpoint().ok());
+    // Durable, after the last checkpoint: its catalog entry is a delta.
+    ASSERT_TRUE((*store)->Put("durable", BlobValue(2, 4)).ok());
+    model = {{"checkpointed", BlobValue(1, 4)}, {"durable", BlobValue(2, 4)}};
+    state->fail_flush = state->flushes;  // the flush of the next commit
+    EXPECT_FALSE((*store)->Put("lost", BlobValue(3, 4)).ok());
+    ASSERT_TRUE(state->triggered);
+    EXPECT_TRUE(MatchesModel(**store, model));
+    // The rolled-back log commits again.
+    ASSERT_TRUE((*store)->Put("after", BlobValue(4, 4)).ok());
+    model["after"] = BlobValue(4, 4);
+    EXPECT_TRUE(MatchesModel(**store, model));
+  }
+  auto clean = SetStore::Open(path, CleanReopenOptions());
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_TRUE(MatchesModel(**clean, model));
+  RemoveStoreFiles(path);
+}
+
+TEST(WalRecovery, LargePutBatchIsOneCommitAcrossACrashClose) {
+  const std::string path = TestPath("delta_batch");
+  RemoveStoreFiles(path);
+  Model model;
+  std::vector<std::pair<std::string, XSet>> batch;
+  for (int i = 0; i < 2000; ++i) {
+    batch.emplace_back("n" + std::to_string(i), BlobValue(i, 1));
+    model[batch.back().first] = batch.back().second;
+  }
+  {
+    auto store = SetStore::Open(path, CrashCloseOptions());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->PutBatch(batch).ok());
+  }
+  auto clean = SetStore::Open(path, CleanReopenOptions());
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_TRUE(MatchesModel(**clean, model));
+  RemoveStoreFiles(path);
+}
+
+TEST(WalRecovery, NameAtTheBoundSurvivesACrashClose) {
+  const std::string path = TestPath("delta_long_name");
+  RemoveStoreFiles(path);
+  const std::string at_bound(kMaxSetNameBytes, 'n');
+  const std::string over_bound = at_bound + "n";
+  {
+    auto store = SetStore::Open(path, CrashCloseOptions());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_TRUE((*store)->Put(over_bound, BlobValue(1, 2)).IsInvalid());
+    EXPECT_TRUE((*store)->PutBatch({{over_bound, BlobValue(1, 2)}}).IsInvalid());
+    EXPECT_TRUE((*store)->PutIndexed(over_bound, TreeValue({1})).IsInvalid());
+    ASSERT_TRUE((*store)->Put(at_bound, BlobValue(1, 2)).ok());
+    EXPECT_TRUE((*store)->Delete(over_bound).IsInvalid());
+  }
+  auto clean = SetStore::Open(path, CleanReopenOptions());
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_TRUE(MatchesModel(**clean, {{at_bound, BlobValue(1, 2)}}));
+  RemoveStoreFiles(path);
+}
+
 // --- Randomized, seed-replayable sweeps ---
 
 TEST(WalRecoveryFuzz, RandomCrashOffsets) {
@@ -823,8 +949,10 @@ TEST(WalCheckpoint, TransientFaultDuringCheckpointPoisonsTheLog) {
           ASSERT_TRUE(op.apply(**store).ok()) << op.label;
         }
         // Every op is acked and durable, so the remaining log I/O of a
-        // checkpoint is exactly the segment reset; arm the k-th operation
-        // from here.
+        // checkpoint is its catalog transaction (one write and one flush,
+        // which fold the workload's catalog deltas into a new catalog)
+        // followed by the segment reset; arm the k-th operation from here.
+        const bool catalog_fault = k == 0;
         if (flush_fault) {
           state->fail_flush = state->flushes + k;
         } else {
@@ -839,11 +967,16 @@ TEST(WalCheckpoint, TransientFaultDuringCheckpointPoisonsTheLog) {
           // Reads still serve everything acknowledged (resident table and
           // the already-checkpointed main file are both intact).
           EXPECT_TRUE(MatchesModel(**store, states.back()));
-          // Poisoned until reopen: a commit into a segment whose on-disk
-          // header may no longer match would be acknowledged and then lost.
           Status put = (*store)->Put("after", BlobValue(9, 4));
-          EXPECT_FALSE(put.ok())
-              << "commit acknowledged into a desynced segment";
+          if (!catalog_fault) {
+            // Poisoned until reopen: a commit into a segment whose on-disk
+            // header may no longer match would be acknowledged and then
+            // lost.
+            EXPECT_FALSE(put.ok())
+                << "commit acknowledged into a desynced segment";
+          }
+          // A failed catalog transaction rolls the log back to its durable
+          // prefix, after which a commit may succeed.
           if (put.ok()) expected["after"] = BlobValue(9, 4);  // acked => durable
         }
       }
@@ -865,36 +998,48 @@ TEST(WalCheckpoint, MaybeCheckpointFailureIsCountedNotSwallowed) {
   // and a reset-step failure poisons the log so the next commit fails
   // loudly instead of being silently lost.
   const std::string path = TestPath("ckpt_counted");
-  RemoveStoreFiles(path);
-  auto state = std::make_shared<FaultState>();
-  state->path_filter = ".wal";
-  state->transient = true;
-  const uint64_t failures_before = CheckpointFailures().value();
-  Model expected;
-  expected["a"] = BlobValue(1, 6);
-  {
-    SetStoreOptions options;
-    options.buffer_pool_pages = 8;
-    options.file_factory = FaultFileFactory(state);
-    options.checkpoint_on_close = false;
-    options.wal_checkpoint_bytes = 1;  // checkpoint after every commit
-    auto store = SetStore::Open(path, options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    // The put's own commit is one batched log write; the write after it is
-    // the automatic checkpoint's segment-reset truncate. Fail that, once.
-    state->fail_write = state->writes + 1;
-    Status put = (*store)->Put("a", BlobValue(1, 6));
-    EXPECT_TRUE(put.ok()) << put.ToString();  // the commit itself is durable
-    ASSERT_TRUE(state->triggered) << "fault did not land on the checkpoint";
-    EXPECT_EQ(CheckpointFailures().value(), failures_before + 1);
-    EXPECT_TRUE(MatchesModel(**store, expected));
-    // Poisoned until reopen: the on-disk segment is in an unknown state.
-    EXPECT_FALSE((*store)->Put("b", BlobValue(2, 6)).ok());
+  for (bool reset_fault : {true, false}) {
+    SCOPED_TRACE(reset_fault ? "segment-reset truncate" : "catalog transaction write");
+    RemoveStoreFiles(path);
+    auto state = std::make_shared<FaultState>();
+    state->path_filter = ".wal";
+    state->transient = true;
+    const uint64_t failures_before = CheckpointFailures().value();
+    Model expected;
+    expected["a"] = BlobValue(1, 6);
+    {
+      SetStoreOptions options;
+      options.buffer_pool_pages = 8;
+      options.file_factory = FaultFileFactory(state);
+      options.checkpoint_on_close = false;
+      options.wal_checkpoint_bytes = 1;  // checkpoint after every commit
+      auto store = SetStore::Open(path, options);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      // The put's own commit is one batched log write. The automatic
+      // checkpoint then writes its catalog transaction, one batched write
+      // that folds the put's delta into a new catalog, and truncates the
+      // segment first thing in its reset. Fail one of those, once.
+      state->fail_write = state->writes + (reset_fault ? 2 : 1);
+      Status put = (*store)->Put("a", BlobValue(1, 6));
+      EXPECT_TRUE(put.ok()) << put.ToString();  // the commit itself is durable
+      ASSERT_TRUE(state->triggered) << "fault did not land on the checkpoint";
+      EXPECT_EQ(CheckpointFailures().value(), failures_before + 1);
+      EXPECT_TRUE(MatchesModel(**store, expected));
+      Status put_b = (*store)->Put("b", BlobValue(2, 6));
+      if (reset_fault) {
+        // Poisoned until reopen: the on-disk segment is in an unknown state.
+        EXPECT_FALSE(put_b.ok());
+      } else if (put_b.ok()) {
+        // The failed catalog transaction rolled the log back to its durable
+        // prefix, so later commits may succeed; an acked one is durable.
+        expected["b"] = BlobValue(2, 6);
+      }
+    }
+    auto clean = SetStore::Open(path, CleanReopenOptions());
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_TRUE(MatchesModel(**clean, expected));
+    EXPECT_TRUE((*clean)->Scrub().ok());
   }
-  auto clean = SetStore::Open(path, CleanReopenOptions());
-  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  EXPECT_TRUE(MatchesModel(**clean, expected));
-  EXPECT_TRUE((*clean)->Scrub().ok());
   RemoveStoreFiles(path);
 }
 
